@@ -9,8 +9,8 @@
 // work then scales with q, the number of currently-live distinct states
 // (O(log⁴ n) for this paper's protocols), instead of touching an n-sized
 // agent array whose random accesses dominate the sequential engine's cost
-// at large n. Compaction keeps ids dense and ordered by decreasing count,
-// so the hottest states occupy the smallest ids.
+// at large n. The representation, its compaction and the transition
+// cache are the multiset core BatchSim shares with DenseSim (multiset.go).
 //
 // # Batching
 //
@@ -35,20 +35,6 @@
 // same caveat as any floating-point sampler) — batching is a change of
 // simulation algorithm, not of model.
 //
-// # Transition caching
-//
-// Rules are opaque randomized functions, but most protocol transitions are
-// deterministic. BatchSim feeds rules a rand.Rand whose Source counts how
-// many random words the rule consumes: a (receiver, sender) state pair
-// whose transition consumed none is a pure function of its inputs and is
-// cached in a fixed-size direct-mapped table keyed by the id pair, so
-// subsequent interactions of that pair skip the rule entirely (conflicting
-// pairs simply evict each other). This relies on rules being pure
-// functions of (rec, sen, randomness) — true of every protocol in this
-// repository and required by the Rule contract. Compaction remaps ids, so
-// it advances a generation stamp embedded in the keys and carries the
-// surviving hot entries across.
-//
 // # Fallback
 //
 // Protocols (or phases) whose live state count exceeds WithBatchThreshold
@@ -61,24 +47,9 @@
 package pop
 
 import (
-	"fmt"
-	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 )
-
-// countingSource wraps a rand.Source and counts the words drawn through
-// it, letting BatchSim detect whether a rule consumed randomness.
-type countingSource struct {
-	src   rand.Source
-	words uint64
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.words++
-	return c.src.Uint64()
-}
 
 // BatchStats reports how a BatchSim run was executed; it is diagnostic
 // only (exposed for tests, benchmarks and tuning).
@@ -96,15 +67,12 @@ type BatchStats struct {
 	// Reentries is the number of sequential→batch mode switches.
 	Reentries int64
 	// CacheHits / RuleCalls split pair transitions between the
-	// deterministic-transition cache and actual rule invocations;
-	// UncachedPairs counts rule invocations made while the dense cache
-	// was disabled or did not cover the pair's ids. TableHits counts
-	// transitions resolved by the declared-table bypass (WithTable),
-	// which skips both the cache probe and the rule.
-	CacheHits     int64
-	RuleCalls     int64
-	UncachedPairs int64
-	TableHits     int64
+	// deterministic-transition cache and actual rule invocations.
+	// TableHits counts transitions resolved by the declared-table bypass
+	// (WithTable), which skips both the cache probe and the rule.
+	CacheHits int64
+	RuleCalls int64
+	TableHits int64
 	// Compactions counts interning-table rebuilds.
 	Compactions int64
 }
@@ -132,100 +100,36 @@ const (
 	// seqRecheckFactor·n interactions to decide on re-entering batch
 	// mode.
 	seqRecheckFactor = 2
-	// cacheMaxID bounds the ids packable into a cache key (22 bits each,
-	// with the remaining 20 bits holding the compaction generation).
-	cacheMaxID = 1 << 22
 )
 
 // BatchSim is the batched multiset engine. See the file comment for the
 // algorithm. It is not safe for concurrent use; run independent trials on
 // independent values (e.g. via RunTrials).
 type BatchSim[S comparable] struct {
-	pcg       *rand.PCG // rng's source, retained for snapshotting
-	rng       *rand.Rand
-	ruleRand  *countingSource
-	ruleRng   *rand.Rand
-	rule      Rule[S]
-	n         int
-	interacts int64
-
-	// Per-segment parallel-time accounting (see Engine.Time).
-	timeBase float64
-	segStart int64
-
-	// Interning. states/counts are parallel: counts[id] agents currently
-	// hold states[id]. live counts the ids with counts > 0; distinct
-	// counts every state ever interned (the DistinctStates measure).
-	states   []S
-	pos      map[S]int32
-	counts   []int64
-	total    int64 // running Σcounts; must equal n (conservation invariant)
-	live     int
-	distinct int
-
-	qMax int // live-state fallback threshold
-	par  int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
-
-	// Direct-mapped transition cache. A slot holds the generation-stamped
-	// id pair and its packed deterministic outputs; compaction remaps ids,
-	// so it bumps cacheGen, implicitly invalidating every older entry.
-	cache    []cacheSlot
-	cacheGen uint64
-
-	// Declared-table bypass (WithTable): the compiled table plus the
-	// engine-id ↔ table-id translation, rebuilt on compaction. nil when
-	// no table is attached.
-	tbl *tableView[S]
+	multiset[S]
 
 	// Sequential fallback mode.
 	seqMode    bool
 	agents     []S
 	seqRecheck int64 // interactions until the next re-entry check
 
-	tree  fenwick
 	slots []int32 // batch scratch: pre states, then post states
 
-	// Splitter-path scratch (par >= 1): participant composition, prefix
-	// sums, and the batch's post multiset (the split path never rewrites
-	// slots in place — outputs accumulate as counts, as in DenseSim).
-	comp []int64
-	cum  []int64
-	post []int64
+	forceNoSeq bool // test hook (false in production)
 
-	// test hooks (nil/false in production)
-	forceNoSeq  bool
-	batchEvents func(ell int, collided bool)
-
-	stats BatchStats
+	stats BatchStats // the fallback counters; Stats adds the core's
 }
 
-// newBatchShell builds a BatchSim with everything but its initial
-// configuration, shared by the constructors below.
-func newBatchShell[S comparable](rule Rule[S], o options) *BatchSim[S] {
-	if rule == nil {
-		panic("pop: nil rule")
-	}
-	if o.trackInteractions {
-		panic("pop: the batched backend cannot track per-agent interaction counts; use WithBackend(Sequential)")
-	}
-	pcg := rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15)
-	cs := &countingSource{src: pcg}
-	tbl := attachTable[S](o)
-	b := &BatchSim[S]{
-		pcg:      pcg,
-		rng:      rand.New(pcg),
-		ruleRand: cs,
-		ruleRng:  rand.New(cs),
-		rule:     rule,
-		pos:      make(map[S]int32, posSizeFor(tbl)),
-		tbl:      tbl,
-		qMax:     defaultBatchThreshold,
-	}
+// newBatchSim builds a BatchSim of n agents with everything but its
+// initial configuration, shared by the constructors below.
+func newBatchSim[S comparable](n int, rule Rule[S], opts []Option) *BatchSim[S] {
+	var o options
+	Combine(opts...)(&o)
+	b := &BatchSim[S]{multiset: newShell("batched", n, rule, o, cacheBits, maxBatchPairs)}
+	b.qMax = defaultBatchThreshold
 	if o.batchThreshold > 0 {
 		b.qMax = o.batchThreshold
 	}
-	b.cache = make([]cacheSlot, 1<<cacheBits)
-	b.cacheGen = 1
 	return b
 }
 
@@ -234,17 +138,8 @@ func newBatchShell[S comparable](rule Rule[S], o options) *BatchSim[S] {
 // representation has no agent identities).
 func NewBatch[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rule[S], opts ...Option) *BatchSim[S] {
 	validatePopSize(int64(n))
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	b := newBatchShell[S](rule, o)
-	b.n = n
-	b.par = resolveParallelism(o.parallelism, n)
-	for i := 0; i < n; i++ {
-		b.addCount(b.intern(initial(i, b.rng)), 1)
-	}
-	b.compact()
+	b := newBatchSim(n, rule, opts)
+	b.fillFunc(initial)
 	return b
 }
 
@@ -263,74 +158,17 @@ func NewBatchFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) 
 // slice, so it works at population sizes where an agent array would not
 // fit in memory; DenseSim uses it to delegate mid-run.
 func NewBatchFromCounts[S comparable](states []S, counts []int64, rule Rule[S], opts ...Option) *BatchSim[S] {
-	n := int(validateCounts(states, counts))
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	b := newBatchShell[S](rule, o)
-	for i, c := range counts {
-		if c > 0 {
-			b.addCount(b.intern(states[i]), c)
-		}
-	}
-	b.n = n
-	b.par = resolveParallelism(o.parallelism, n)
-	b.compact()
+	b := newBatchSim(int(validateCounts(states, counts)), rule, opts)
+	b.fillCounts(states, counts)
 	return b
 }
-
-// intern returns the dense id of state s, assigning one if new.
-func (b *BatchSim[S]) intern(s S) int32 {
-	if id, ok := b.pos[s]; ok {
-		return id
-	}
-	id := int32(len(b.states))
-	b.states = append(b.states, s)
-	b.counts = append(b.counts, 0)
-	b.pos[s] = id
-	b.distinct++
-	if b.tbl != nil {
-		b.tbl.noteIntern(s, id)
-	}
-	return id
-}
-
-// addCount adjusts counts[id] by d, maintaining the live-state count and
-// the conservation total.
-func (b *BatchSim[S]) addCount(id int32, d int64) {
-	c := b.counts[id]
-	nc := c + d
-	if nc < 0 {
-		panic("pop: BatchSim state count went negative")
-	}
-	b.counts[id] = nc
-	b.total += d
-	if c == 0 && nc > 0 {
-		b.live++
-	} else if c > 0 && nc == 0 {
-		b.live--
-	}
-}
-
-// N returns the population size.
-func (b *BatchSim[S]) N() int { return b.n }
 
 // Interactions returns the number of interactions executed so far.
 func (b *BatchSim[S]) Interactions() int64 { return b.interacts }
 
 // Time returns the parallel time elapsed, accumulated per churn segment
 // (see Engine.Time); on a fixed population it equals interactions / n.
-func (b *BatchSim[S]) Time() float64 {
-	return b.timeBase + float64(b.interacts-b.segStart)/float64(b.n)
-}
-
-// beginSegment folds the current churn segment into timeBase before a
-// population-size change.
-func (b *BatchSim[S]) beginSegment() {
-	b.timeBase += float64(b.interacts-b.segStart) / float64(b.n)
-	b.segStart = b.interacts
-}
+func (b *BatchSim[S]) Time() float64 { return b.timeAt(b.interacts) }
 
 // AddAgents adds k agents in state st (a join event): one count edit in
 // multiset mode, k appended slots in the sequential fallback.
@@ -339,7 +177,7 @@ func (b *BatchSim[S]) AddAgents(st S, k int) {
 	if k == 0 {
 		return
 	}
-	b.beginSegment()
+	b.beginSegment(b.interacts)
 	if b.seqMode {
 		b.intern(st) // keep DistinctStates exact, as seqStep does
 		for i := 0; i < k; i++ {
@@ -354,14 +192,13 @@ func (b *BatchSim[S]) AddAgents(st S, k int) {
 // RemoveAgents removes k agents chosen uniformly at random without
 // replacement (a leave event), refusing to shrink the population below 2.
 // In multiset mode the removed agents' states are a multivariate
-// hypergeometric sample of the counts vector, drawn with the same
-// heavy/light chain the batch sampler uses.
+// hypergeometric sample of the counts vector.
 func (b *BatchSim[S]) RemoveAgents(k int) {
 	checkRemoval(b.n, k)
 	if k == 0 {
 		return
 	}
-	b.beginSegment()
+	b.beginSegment(b.interacts)
 	if b.seqMode {
 		for r := k; r > 0; r-- {
 			n := len(b.agents)
@@ -369,11 +206,8 @@ func (b *BatchSim[S]) RemoveAgents(k int) {
 			b.agents[j] = b.agents[n-1]
 			b.agents = b.agents[:n-1]
 		}
-	} else if b.par >= 1 {
-		b.comp, b.cum = removeCountsSplit(effectiveWorkers(b.par), b.rng.Uint64(),
-			b.counts, b.total, int64(k), b.addCount, b.comp, b.cum)
 	} else {
-		removeCountsChain(b.rng, &b.tree, b.counts, b.total, int64(k), b.addCount)
+		b.removeCounts(k)
 	}
 	b.n -= k
 }
@@ -384,7 +218,12 @@ func (b *BatchSim[S]) RemoveAgents(k int) {
 func (b *BatchSim[S]) DistinctStates() int { return b.distinct }
 
 // Stats returns execution diagnostics.
-func (b *BatchSim[S]) Stats() BatchStats { return b.stats }
+func (b *BatchSim[S]) Stats() BatchStats {
+	s, c := b.stats, b.st
+	s.Batches, s.BatchedInteractions, s.Compactions = c.batches, c.batchedInteractions, c.compactions
+	s.CacheHits, s.RuleCalls, s.TableHits = c.cacheHits, c.ruleCalls, c.tableHits
+	return s
+}
 
 // LiveStates returns the number of distinct states currently present.
 func (b *BatchSim[S]) LiveStates() int {
@@ -403,13 +242,7 @@ func (b *BatchSim[S]) Counts() map[S]int {
 		}
 		return c
 	}
-	c := make(map[S]int, b.live)
-	for id, cnt := range b.counts {
-		if cnt > 0 {
-			c[b.states[id]] = int(cnt)
-		}
-	}
-	return c
+	return b.multiset.Counts()
 }
 
 // Count returns the number of agents satisfying pred.
@@ -423,13 +256,7 @@ func (b *BatchSim[S]) Count(pred func(S) bool) int {
 		}
 		return k
 	}
-	var k int64
-	for id, cnt := range b.counts {
-		if cnt > 0 && pred(b.states[id]) {
-			k += cnt
-		}
-	}
-	return int(k)
+	return b.multiset.Count(pred)
 }
 
 // All reports whether every agent satisfies pred.
@@ -442,12 +269,7 @@ func (b *BatchSim[S]) All(pred func(S) bool) bool {
 		}
 		return true
 	}
-	for id, cnt := range b.counts {
-		if cnt > 0 && !pred(b.states[id]) {
-			return false
-		}
-	}
-	return true
+	return b.multiset.All(pred)
 }
 
 // Any reports whether at least one agent satisfies pred.
@@ -468,33 +290,14 @@ func (b *BatchSim[S]) RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime fl
 }
 
 // Step executes one interaction. In batch mode this is an exact
-// single-interaction multiset step (the pair of states is drawn from the
-// same distribution the agent-level scheduler induces); it costs O(q) and
-// exists for API completeness — Run amortizes far better.
+// single-interaction multiset step; it costs O(q) and exists for API
+// completeness — Run amortizes far better.
 func (b *BatchSim[S]) Step() {
 	if b.seqMode {
 		b.seqStep()
 		return
 	}
-	ra := b.drawLinear(b.rng.Int64N(int64(b.n)))
-	b.addCount(ra, -1)
-	rb := b.drawLinear(b.rng.Int64N(int64(b.n) - 1))
-	b.addCount(rb, -1)
-	oa, ob := b.applyPair(ra, rb)
-	b.addCount(oa, 1)
-	b.addCount(ob, 1)
-	b.interacts++
-}
-
-// drawLinear maps u ∈ [0, Σcounts) to a state id by linear scan.
-func (b *BatchSim[S]) drawLinear(u int64) int32 {
-	for id, c := range b.counts {
-		if u < c {
-			return int32(id)
-		}
-		u -= c
-	}
-	panic("pop: BatchSim draw out of range")
+	b.step()
 }
 
 // Run executes k interactions.
@@ -508,15 +311,7 @@ func (b *BatchSim[S]) Run(k int64) {
 			b.materialize()
 			continue
 		}
-		if k < 8 || b.n < 8 {
-			b.Step()
-			k--
-			continue
-		}
-		if len(b.states) >= 4*b.live && len(b.states) >= 256 {
-			b.compact()
-		}
-		k -= b.runBatch(k)
+		k -= b.advance(k, b.runBatch)
 	}
 }
 
@@ -527,17 +322,9 @@ func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 	if b.par >= 1 {
 		return b.runBatchSplit(kmax)
 	}
-	n := int64(b.n)
-	// Sample the collision-free run length ℓ (see collisionFreeRun): a
-	// cap from kmax, scratch limits or population size just ends the
-	// batch early with no collision interaction, which composes exactly —
-	// each batch draws its participants from the fully committed
-	// configuration.
-	maxPairs := min(int64(maxBatchPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(b.rng, n, maxPairs)
+	ell, collided := b.batchLength(kmax)
 	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		b.Step()
+		b.step()
 		return 1
 	}
 	m := 2 * ell
@@ -556,29 +343,17 @@ func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 	// Apply the rule to each ordered pair, rewriting the slot array in
 	// place with the post-interaction states.
 	for i := int64(0); i < m; i += 2 {
-		slots[i], slots[i+1] = b.applyPair(slots[i], slots[i+1])
+		slots[i], slots[i+1], _ = b.resolve(slots[i], slots[i+1], 1)
 	}
-
-	done := ell
 	if collided {
 		slots = b.collisionStep(slots)
-		done++
 	}
 
 	// Commit participants' post states.
 	for _, id := range slots {
 		b.addCount(id, 1)
 	}
-	b.interacts += done
-	b.stats.Batches++
-	b.stats.BatchedInteractions += done
-	if b.total != n {
-		panic(fmt.Sprintf("pop: BatchSim conservation violated: %d agents after batch, want %d", b.total, n))
-	}
-	if b.batchEvents != nil {
-		b.batchEvents(int(ell), collided)
-	}
-	return done
+	return b.endBatch(ell, collided)
 }
 
 // runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
@@ -593,12 +368,9 @@ func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 // cache-hit phases fan out; everything touching the engine's own rng or
 // the rule stream stays serial and ordered.
 func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
-	n := int64(b.n)
-	maxPairs := min(int64(maxBatchPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(b.rng, n, maxPairs)
+	ell, collided := b.batchLength(kmax)
 	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		b.Step()
+		b.step()
 		return 1
 	}
 	m := 2 * ell
@@ -649,251 +421,84 @@ func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
 
 	// Cache-hit pair pass: chunks are independent and read-only on engine
 	// state (concurrent cache and table reads are safe — nothing writes
-	// until the serial miss pass). The declared-table bypass resolves
-	// pairs whose outputs are already interned (probeRO); remaining
-	// pairs consult the cache. Hits accumulate into per-chunk post
+	// until the serial miss pass). Hits accumulate into per-chunk post
 	// vectors; misses defer.
 	b.post = resizeZero(b.post, len(b.states))
 	nChunks := int((m + pairChunkSlots - 1) / pairChunkSlots)
 	missByChunk := make([][]int64, nChunks)
-	var hits, tblHits int64
-	lookup := func(ida, idb int32) (int32, int32, bool, bool) {
-		if t := b.tbl; t != nil {
-			if oa, ob, ok := t.probeRO(ida, idb); ok {
-				return oa, ob, true, true
+	// scan resolves the pairs of slots[lo:hi] that lookupRO answers into
+	// post and returns the slot indices of the rest.
+	scan := func(lo, hi int64, post []int64) (miss []int64, hits, tblHits int64) {
+		for i := lo; i < hi; i += 2 {
+			oa, ob, ok, fromTable := b.lookupRO(slots[i], slots[i+1])
+			switch {
+			case !ok:
+				miss = append(miss, i)
+				continue
+			case fromTable:
+				tblHits++
+			default:
+				hits++
 			}
+			post[oa]++
+			post[ob]++
 		}
-		oa, ob, ok := b.cacheLookup(ida, idb)
-		return oa, ob, ok, false
+		return miss, hits, tblHits
 	}
 	if fanOut && nChunks > 1 {
 		var mu sync.Mutex
 		g := newParGroup(workers)
-		for ci := 0; ci < nChunks; ci++ {
+		for ci := range missByChunk {
 			lo := int64(ci) * pairChunkSlots
-			hi := min(lo+pairChunkSlots, m)
-			chunk := ci
 			g.fork(func() {
 				localPost := make([]int64, len(b.post))
-				var localMiss []int64
-				var localHits, localTblHits int64
-				for i := lo; i < hi; i += 2 {
-					if oa, ob, ok, fromTable := lookup(slots[i], slots[i+1]); ok {
-						localPost[oa]++
-						localPost[ob]++
-						if fromTable {
-							localTblHits++
-						} else {
-							localHits++
-						}
-					} else {
-						localMiss = append(localMiss, i)
-					}
-				}
-				missByChunk[chunk] = localMiss // distinct index per chunk
+				miss, hits, tblHits := scan(lo, min(lo+pairChunkSlots, m), localPost)
+				missByChunk[ci] = miss // distinct index per chunk
 				mu.Lock()
 				for id, c := range localPost {
 					if c > 0 {
 						b.post[id] += c
 					}
 				}
-				hits += localHits
-				tblHits += localTblHits
+				b.st.cacheHits += hits
+				b.st.tableHits += tblHits
 				mu.Unlock()
 			})
 		}
 		g.wait()
 	} else {
-		var localMiss []int64
-		for i := int64(0); i < m; i += 2 {
-			if oa, ob, ok, fromTable := lookup(slots[i], slots[i+1]); ok {
-				b.post[oa]++
-				b.post[ob]++
-				if fromTable {
-					tblHits++
-				} else {
-					hits++
-				}
-			} else {
-				localMiss = append(localMiss, i)
-			}
-		}
-		missByChunk[0] = localMiss
+		var hits, tblHits int64
+		missByChunk[0], hits, tblHits = scan(0, m, b.post)
+		b.st.cacheHits += hits
+		b.st.tableHits += tblHits
 	}
-	b.stats.CacheHits += hits
-	b.stats.TableHits += tblHits
 
 	// Serial miss pass, in slot order: rule calls (and their randomness)
 	// happen here and only here, so the rule stream's consumption order
 	// is a pure function of the trajectory.
 	for _, chunk := range missByChunk {
 		for _, i := range chunk {
-			oa, ob := b.applyPair(slots[i], slots[i+1])
+			oa, ob, _ := b.resolve(slots[i], slots[i+1], 1)
 			b.addPost(oa, 1)
 			b.addPost(ob, 1)
 		}
 	}
-
-	done := ell
-	if collided {
-		b.collisionStepPost(m)
-		done++
-	}
-
-	// Commit participants' post states.
-	for id, c := range b.post {
-		if c > 0 {
-			b.addCount(int32(id), c)
-		}
-	}
-	b.interacts += done
-	b.stats.Batches++
-	b.stats.BatchedInteractions += done
-	if b.total != n {
-		panic(fmt.Sprintf("pop: BatchSim conservation violated: %d agents after batch, want %d", b.total, n))
-	}
-	if b.batchEvents != nil {
-		b.batchEvents(int(ell), collided)
-	}
-	return done
-}
-
-// cacheLookup is the read-only half of applyPair: it reports the cached
-// deterministic outputs of the ordered pair, if present. Safe for
-// concurrent use while no writer runs (the split path's parallel phase).
-func (b *BatchSim[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
-	return cacheProbe(b.cache, cacheBits, b.cacheGen, ida, idb)
-}
-
-// cacheProbe is the read-only transition-cache lookup shared by both
-// multiset engines (their tables differ only in size): it reports the
-// cached deterministic outputs of the ordered id pair under the given
-// generation. Safe for concurrent use while no writer runs.
-func cacheProbe(cache []cacheSlot, bits uint, gen uint64, ida, idb int32) (oa, ob int32, ok bool) {
-	if ida >= cacheMaxID || idb >= cacheMaxID {
-		return 0, 0, false
-	}
-	key := gen<<44 | uint64(ida)<<22 | uint64(idb)
-	s := cache[(key*0x9e3779b97f4a7c15)>>(64-bits)]
-	if s.key != key {
-		return 0, 0, false
-	}
-	return int32(s.out >> 32), int32(s.out & math.MaxUint32), true
-}
-
-// addPost adds c to the split path's post multiset, growing it when a
-// rule output interned a new state mid-batch.
-func (b *BatchSim[S]) addPost(id int32, c int64) {
-	b.post = growPost(b.post, id, c)
-}
-
-// growPost adds c to post[id], growing the slice when a rule output
-// interned a new state mid-batch; shared by both multiset engines.
-func growPost(post []int64, id int32, c int64) []int64 {
-	for int(id) >= len(post) {
-		post = append(post, 0)
-	}
-	post[id] += c
-	return post
-}
-
-// collisionStepPost resolves the interaction that ends a split-path
-// batch. It is collisionStep with the slot array replaced by the post
-// multiset (a uniform pick among the batch's participants is a
-// post-count-weighted pick among states, as in DenseSim).
-func (b *BatchSim[S]) collisionStepPost(m int64) {
-	n := int64(b.n)
-	o := n - m
-	postLeft := m
-	pickPost := func() int32 {
-		u := b.rng.Int64N(postLeft)
-		for id, c := range b.post {
-			if u < c {
-				b.post[id]--
-				postLeft--
-				return int32(id)
-			}
-			u -= c
-		}
-		panic("pop: BatchSim collision draw out of range")
-	}
-	drawOut := func() int32 {
-		id := b.drawLinear(b.rng.Int64N(o))
-		b.addCount(id, -1)
-		return id
-	}
-	// Ordered distinct pairs with >=1 participant, by membership pattern.
-	bothIn := m * (m - 1)
-	recIn := m * o
-	r := b.rng.Int64N(bothIn + 2*recIn)
-	var ra, rb int32
-	switch {
-	case r < bothIn:
-		ra = pickPost()
-		rb = pickPost()
-	case r < bothIn+recIn:
-		ra = pickPost()
-		rb = drawOut()
-	default:
-		rb = pickPost()
-		ra = drawOut()
-	}
-	oa, ob := b.applyPair(ra, rb)
-	b.addPost(oa, 1)
-	b.addPost(ob, 1)
+	return b.finishPost(ell, collided)
 }
 
 // sampleSlotsByState fills slots with a uniform without-replacement sample
-// of participant states in O(q·H + |slots|): one hypergeometric draw per
-// live state (compaction keeps ids roughly count-descending, so the slots
-// usually run out after the first few states), then a Fisher–Yates shuffle
-// to realize the uniformly random pairing. Counts are debited as part of
-// sampling.
+// of participant states in O(q·H + |slots|) — the removeCountsChain draw,
+// recorded slot by slot in id order as it debits the counts — then a
+// Fisher–Yates shuffle realizes the uniformly random pairing.
 func (b *BatchSim[S]) sampleSlotsByState(slots []int32) {
-	remainingPop := b.total
-	remainingSlots := int64(len(slots))
 	w := 0
-	for id := 0; id < len(b.counts) && remainingSlots > 0; id++ {
-		c := b.counts[id]
-		if c == 0 {
-			continue
+	removeCountsChain(b.rng, &b.tree, b.counts, b.total, int64(len(slots)), func(id int32, d int64) {
+		b.addCount(id, d)
+		for ; d < 0; d++ {
+			slots[w] = id
+			w++
 		}
-		// Per-state hypergeometric sampling only pays off for heavy
-		// states; once the remaining states each expect only a few slots,
-		// per-slot draws over the suffix cost remainingSlots·log q and
-		// skip the untouched tail entirely. The suffix tree conditions
-		// correctly: slots already allocated went to earlier states, and
-		// the chain factorizes in id order.
-		if lightDraw(c, remainingSlots, batchHeavyMean, remainingPop) && remainingSlots < 2*int64(len(b.counts)-id) {
-			b.tree.reset(b.counts[id:])
-			for ; remainingSlots > 0; remainingSlots-- {
-				sid := int32(id + b.tree.findAndDec(b.rng.Int64N(remainingPop)))
-				remainingPop--
-				b.addCount(sid, -1)
-				slots[w] = sid
-				w++
-			}
-			break
-		}
-		var k int64
-		if remainingPop == remainingSlots {
-			k = c // forced: every remaining agent participates
-		} else {
-			k = hypergeometric(b.rng, remainingPop, c, remainingSlots)
-		}
-		remainingPop -= c
-		remainingSlots -= k
-		if k > 0 {
-			b.addCount(int32(id), -k)
-			for ; k > 0; k-- {
-				slots[w] = int32(id)
-				w++
-			}
-		}
-	}
-	if remainingSlots != 0 {
-		panic("pop: BatchSim slot sampling under-filled")
-	}
+	})
 	// Fisher–Yates: a uniform permutation makes consecutive slot pairs a
 	// uniformly random ordered pairing of the sampled multiset.
 	for i := len(slots) - 1; i > 0; i-- {
@@ -916,170 +521,19 @@ func (b *BatchSim[S]) sampleSlotsByFenwick(slots []int32) {
 	}
 }
 
-// collisionStep resolves the interaction that ended a batch: an ordered
-// pair of distinct agents conditioned on at least one of them being among
-// the batch's 2ℓ participants. Participants' current states are the
-// post-interaction states in slots; outsiders are drawn from the debited
-// counts. It returns the updated pending-commit slice (collision
-// participants replaced by their outputs).
+// collisionStep resolves the interaction that ended a batch (see collide)
+// with the participants' post states in slots. It returns the updated
+// pending-commit slice (collision participants replaced by their
+// outputs).
 func (b *BatchSim[S]) collisionStep(slots []int32) []int32 {
-	n := int64(b.n)
-	m := int64(len(slots))
-	o := n - m
-	// Ordered distinct pairs with >=1 participant, by membership pattern.
-	bothIn := m * (m - 1)
-	recIn := m * o
-	r := b.rng.Int64N(bothIn + 2*recIn)
-	pick := func() int32 {
+	oa, ob := b.collide(int64(len(slots)), func() int32 {
 		j := b.rng.IntN(len(slots))
 		id := slots[j]
 		slots[j] = slots[len(slots)-1]
 		slots = slots[:len(slots)-1]
 		return id
-	}
-	drawOut := func() int32 {
-		id := b.drawLinear(b.rng.Int64N(o))
-		b.addCount(id, -1)
-		return id
-	}
-	var ra, rb int32
-	switch {
-	case r < bothIn:
-		ra = pick()
-		rb = pick()
-	case r < bothIn+recIn:
-		ra = pick()
-		rb = drawOut()
-	default:
-		rb = pick()
-		ra = drawOut()
-	}
-	oa, ob := b.applyPair(ra, rb)
+	})
 	return append(slots, oa, ob)
-}
-
-// applyPair returns the post-interaction state ids for the ordered pair
-// (receiver, sender), consulting the declared-table bypass first, then
-// the deterministic-transition cache, before invoking the rule.
-func (b *BatchSim[S]) applyPair(ida, idb int32) (int32, int32) {
-	if t := b.tbl; t != nil {
-		if toa, tob, ok := t.probe(ida, idb); ok {
-			b.stats.TableHits++
-			// Translate table ids back to engine ids, interning outputs
-			// not yet present — receiver first, exactly the order the
-			// rule path interns, so trajectories stay byte-identical.
-			oa := t.engOf[toa]
-			if oa < 0 {
-				oa = b.intern(t.c.states[toa])
-			}
-			ob := t.engOf[tob]
-			if ob < 0 {
-				ob = b.intern(t.c.states[tob])
-			}
-			return oa, ob
-		}
-	}
-	cached := ida < cacheMaxID && idb < cacheMaxID
-	var key uint64
-	var slot *cacheSlot
-	if cached {
-		key = b.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-		slot = &b.cache[(key*0x9e3779b97f4a7c15)>>(64-cacheBits)]
-		if slot.key == key {
-			b.stats.CacheHits++
-			return int32(slot.out >> 32), int32(slot.out & math.MaxUint32)
-		}
-	} else {
-		b.stats.UncachedPairs++
-	}
-	before := b.ruleRand.words
-	sa, sb := b.rule(b.states[ida], b.states[idb], b.ruleRng)
-	b.stats.RuleCalls++
-	oa, ob := b.intern(sa), b.intern(sb)
-	if cached && b.ruleRand.words == before {
-		// The rule consumed no randomness, so this transition is a pure
-		// function of the input pair: cache it.
-		*slot = cacheSlot{key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
-	}
-	return oa, ob
-}
-
-// cacheSlot is one direct-mapped transition-cache entry: a
-// generation-stamped (receiver, sender) id pair and its packed outputs.
-type cacheSlot struct {
-	key uint64 // gen<<44 | receiver<<22 | sender; 0 = empty (gen starts at 1)
-	out uint64 // receiver output << 32 | sender output
-}
-
-// compact rebuilds the interning tables over the live states, ordered by
-// decreasing count so hot states get small ids, and resizes the dense
-// transition cache accordingly (ids are remapped, so it is cleared). Runs
-// at construction and whenever dead states dominate the tables.
-func (b *BatchSim[S]) compact() {
-	b.stats.Compactions++
-	type sc struct {
-		id int32
-		c  int64
-	}
-	liveIDs := make([]sc, 0, b.live)
-	for id, c := range b.counts {
-		if c > 0 {
-			liveIDs = append(liveIDs, sc{int32(id), c})
-		}
-	}
-	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i].c > liveIDs[j].c })
-	remap := make([]int32, len(b.states)) // old id → new id, -1 if dead
-	for i := range remap {
-		remap[i] = -1
-	}
-	states := make([]S, 0, len(liveIDs))
-	counts := make([]int64, 0, len(liveIDs))
-	pos := make(map[S]int32, 2*len(liveIDs))
-	for _, e := range liveIDs {
-		nid := int32(len(states))
-		remap[e.id] = nid
-		pos[b.states[e.id]] = nid
-		states = append(states, b.states[e.id])
-		counts = append(counts, e.c)
-	}
-	b.states, b.counts, b.pos = states, counts, pos
-	if b.tbl != nil {
-		b.tbl.rebuild(b.states)
-	}
-
-	// Ids were remapped: advance the cache generation so stale entries
-	// can never match, then carry the still-live hot transitions over
-	// under their new ids (re-deriving them would cost a rule call per
-	// hot pair after every compaction). The generation field is 20 bits;
-	// wrap it explicitly (clearing the table so no pre-wrap entry can
-	// alias a post-wrap key) rather than silently overflowing.
-	oldGen := b.cacheGen
-	if b.cacheGen+1 >= 1<<20 {
-		for i := range b.cache {
-			b.cache[i] = cacheSlot{}
-		}
-		b.cacheGen = 1
-		return
-	}
-	b.cacheGen++
-	for i := range b.cache {
-		s := b.cache[i]
-		if s.key == 0 || s.key>>44 != oldGen {
-			continue
-		}
-		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
-		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
-		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
-			continue
-		}
-		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
-		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
-			continue
-		}
-		key := b.cacheGen<<44 | uint64(na)<<22 | uint64(nc)
-		b.cache[(key*0x9e3779b97f4a7c15)>>(64-cacheBits)] = cacheSlot{
-			key: key, out: uint64(uint32(noa))<<32 | uint64(uint32(nob))}
-	}
 }
 
 // materialize switches to the sequential fallback: the multiset is
@@ -1145,9 +599,7 @@ func (b *BatchSim[S]) seqRun(k int64) int64 {
 
 // recountFromAgents rebuilds the counts vector from the agent array.
 func (b *BatchSim[S]) recountFromAgents() {
-	for i := range b.counts {
-		b.counts[i] = 0
-	}
+	clear(b.counts)
 	b.total = 0
 	b.live = 0
 	for _, a := range b.agents {

@@ -47,13 +47,12 @@
 // threshold (default ~√n/6, see WithDenseThreshold) it hands the current
 // counts to an internal BatchSim via NewBatchFromCounts and forwards to it,
 // re-entering dense mode once the configuration re-concentrates below half
-// the threshold. The transition cache, interning and compaction machinery
-// mirror batch.go (see its package comment); the same Rule purity contract
-// applies.
+// the threshold. Interning, compaction and the transition cache are the
+// multiset core DenseSim shares with BatchSim (multiset.go); the same Rule
+// purity contract applies.
 package pop
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -126,44 +125,11 @@ func defaultDenseThreshold(n int) int {
 // algorithm. It is not safe for concurrent use; run independent trials on
 // independent values (e.g. via RunTrials).
 type DenseSim[S comparable] struct {
-	pcg      *rand.PCG // rng's source, retained for snapshotting
-	rng      *rand.Rand
-	ruleRand *countingSource
-	ruleRng  *rand.Rand
-	rule     Rule[S]
-	n        int
+	multiset[S] // interacts counts interactions executed outside the current delegation
 
-	// interactsBase counts interactions executed outside the current
-	// delegation; while delegated, the inner engine's own counter is
-	// added on top (and folded in at re-entry).
-	interactsBase int64
-
-	// Per-segment parallel-time accounting (see Engine.Time). segStart is
-	// measured on the delegation-inclusive Interactions() scale, which is
-	// continuous across delegate/reenter.
-	timeBase float64
-	segStart int64
-
-	// Interning, as in BatchSim.
-	states   []S
-	pos      map[S]int32
-	counts   []int64
-	total    int64
-	live     int
-	distinct int
-
-	qMax           int // live-state delegation threshold
 	qMaxOverride   int // WithDenseThreshold value (0 = rescale qMax with n on churn)
 	batchThreshold int // forwarded to the delegated BatchSim (0 = default)
-	par            int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
 	parOption      int // raw WithParallelism value, forwarded to the delegated BatchSim
-
-	cache    []cacheSlot
-	cacheGen uint64
-
-	// Declared-table bypass (WithTable), as in BatchSim; forwarded to
-	// delegated engines.
-	tbl *tableView[S]
 
 	// Delegation state. innerBaseDistinct is the inner engine's distinct
 	// count at hand-off (states it started with, already counted here).
@@ -171,24 +137,32 @@ type DenseSim[S comparable] struct {
 	innerBaseDistinct int
 	innerRecheck      int64
 
-	// Batch scratch: receiver counts and the participants' post-state
-	// multiset, both indexed by state id. post can grow during a batch as
-	// rule outputs intern new states. send, cum, rows and rowCum belong to
-	// the splitter path (par >= 1): the pre-drawn sender composition, the
-	// counts prefix sums, and the receiver-row index/prefix arrays.
-	tree   fenwick
+	// Batch scratch, indexed by state id: the receiver counts, and on the
+	// splitter path (par >= 1) the pre-drawn sender composition and the
+	// receiver-row index/prefix arrays.
 	recv   []int64
-	post   []int64
 	send   []int64
-	cum    []int64
 	rows   []int32
 	rowCum []int64
 
-	// test hooks (nil/false in production)
-	forceNoDelegate bool
-	batchEvents     func(ell int, collided bool)
+	forceNoDelegate bool // test hook (false in production)
 
-	stats DenseStats
+	stats DenseStats // the delegation and pair-cell counters; Stats adds the core's
+}
+
+// newDenseSim builds a DenseSim of n agents with everything but its
+// initial configuration, shared by the constructors below.
+func newDenseSim[S comparable](n int, rule Rule[S], opts []Option) *DenseSim[S] {
+	var o options
+	Combine(opts...)(&o)
+	d := &DenseSim[S]{
+		multiset:       newShell("dense", n, rule, o, denseCacheBits, denseMaxPairs),
+		qMaxOverride:   o.denseThreshold,
+		batchThreshold: o.batchThreshold,
+		parOption:      o.parallelism,
+	}
+	d.rescaleThreshold()
+	return d
 }
 
 // NewDense constructs a count-vector simulator; the arguments mirror New.
@@ -196,18 +170,8 @@ type DenseSim[S comparable] struct {
 // representation has no agent identities).
 func NewDense[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rule[S], opts ...Option) *DenseSim[S] {
 	validatePopSize(int64(n))
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	d := newDenseShell[S](rule, o)
-	d.n = n
-	d.qMax = denseThresholdFor(o, n)
-	d.par = resolveParallelism(o.parallelism, n)
-	for i := 0; i < n; i++ {
-		d.addCount(d.intern(initial(i, d.rng)), 1)
-	}
-	d.compact()
+	d := newDenseSim(n, rule, opts)
+	d.fillFunc(initial)
 	return d
 }
 
@@ -218,125 +182,30 @@ func NewDense[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rul
 // the constructor of choice for populations far beyond memory — a
 // three-state configuration of 10¹⁰ agents costs the same as one of 10³.
 func NewDenseFromCounts[S comparable](states []S, counts []int64, rule Rule[S], opts ...Option) *DenseSim[S] {
-	n := int(validateCounts(states, counts))
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	d := newDenseShell[S](rule, o)
-	for i, c := range counts {
-		if c > 0 {
-			d.addCount(d.intern(states[i]), c)
-		}
-	}
-	d.n = n
-	d.qMax = denseThresholdFor(o, n)
-	d.par = resolveParallelism(o.parallelism, n)
-	d.compact()
+	d := newDenseSim(int(validateCounts(states, counts)), rule, opts)
+	d.fillCounts(states, counts)
 	return d
 }
-
-// newDenseShell builds a DenseSim with everything but its initial
-// configuration and size-derived threshold.
-func newDenseShell[S comparable](rule Rule[S], o options) *DenseSim[S] {
-	if rule == nil {
-		panic("pop: nil rule")
-	}
-	if o.trackInteractions {
-		panic("pop: the dense backend cannot track per-agent interaction counts; use WithBackend(Sequential)")
-	}
-	pcg := rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15)
-	cs := &countingSource{src: pcg}
-	tbl := attachTable[S](o)
-	d := &DenseSim[S]{
-		pcg:            pcg,
-		rng:            rand.New(pcg),
-		ruleRand:       cs,
-		ruleRng:        rand.New(cs),
-		rule:           rule,
-		pos:            make(map[S]int32, posSizeFor(tbl)),
-		tbl:            tbl,
-		qMaxOverride:   o.denseThreshold,
-		batchThreshold: o.batchThreshold,
-		parOption:      o.parallelism,
-	}
-	d.cache = make([]cacheSlot, 1<<denseCacheBits)
-	d.cacheGen = 1
-	return d
-}
-
-func denseThresholdFor(o options, n int) int {
-	if o.denseThreshold > 0 {
-		return o.denseThreshold
-	}
-	return defaultDenseThreshold(n)
-}
-
-// intern returns the dense id of state s, assigning one if new. As in
-// BatchSim, compaction drops dead states from the table, so a state that
-// dies and later reappears is counted again by DistinctStates.
-func (d *DenseSim[S]) intern(s S) int32 {
-	if id, ok := d.pos[s]; ok {
-		return id
-	}
-	id := int32(len(d.states))
-	d.states = append(d.states, s)
-	d.counts = append(d.counts, 0)
-	d.pos[s] = id
-	d.distinct++
-	if d.tbl != nil {
-		d.tbl.noteIntern(s, id)
-	}
-	return id
-}
-
-// addCount adjusts counts[id] by delta, maintaining the live-state count
-// and the conservation total.
-func (d *DenseSim[S]) addCount(id int32, delta int64) {
-	c := d.counts[id]
-	nc := c + delta
-	if nc < 0 {
-		panic("pop: DenseSim state count went negative")
-	}
-	d.counts[id] = nc
-	d.total += delta
-	if c == 0 && nc > 0 {
-		d.live++
-	} else if c > 0 && nc == 0 {
-		d.live--
-	}
-}
-
-// N returns the population size.
-func (d *DenseSim[S]) N() int { return d.n }
 
 // Interactions returns the number of interactions executed so far.
 func (d *DenseSim[S]) Interactions() int64 {
 	if d.inner != nil {
-		return d.interactsBase + d.inner.Interactions()
+		return d.interacts + d.inner.Interactions()
 	}
-	return d.interactsBase
+	return d.interacts
 }
 
 // Time returns the parallel time elapsed, accumulated per churn segment
 // (see Engine.Time); on a fixed population it equals interactions / n.
-func (d *DenseSim[S]) Time() float64 {
-	return d.timeBase + float64(d.Interactions()-d.segStart)/float64(d.n)
-}
-
-// beginSegment folds the current churn segment into timeBase before a
-// population-size change. Interactions() is continuous across delegation
-// and re-entry, so the segment boundary is well defined in either mode.
-func (d *DenseSim[S]) beginSegment() {
-	i := d.Interactions()
-	d.timeBase += float64(i-d.segStart) / float64(d.n)
-	d.segStart = i
-}
+// Interactions() is continuous across delegation and re-entry, so segment
+// boundaries are well defined in either mode.
+func (d *DenseSim[S]) Time() float64 { return d.timeAt(d.Interactions()) }
 
 // rescaleThreshold re-derives the √n-scaled delegation threshold after a
 // population-size change (a WithDenseThreshold override stays fixed).
 func (d *DenseSim[S]) rescaleThreshold() {
 	if d.qMaxOverride > 0 {
+		d.qMax = d.qMaxOverride
 		return
 	}
 	d.qMax = defaultDenseThreshold(d.n)
@@ -349,7 +218,7 @@ func (d *DenseSim[S]) AddAgents(st S, k int) {
 	if k == 0 {
 		return
 	}
-	d.beginSegment()
+	d.beginSegment(d.Interactions())
 	if d.inner != nil {
 		d.inner.AddAgents(st, k)
 	} else {
@@ -369,14 +238,11 @@ func (d *DenseSim[S]) RemoveAgents(k int) {
 	if k == 0 {
 		return
 	}
-	d.beginSegment()
+	d.beginSegment(d.Interactions())
 	if d.inner != nil {
 		d.inner.RemoveAgents(k)
-	} else if d.par >= 1 {
-		d.recv, d.cum = removeCountsSplit(effectiveWorkers(d.par), d.rng.Uint64(),
-			d.counts, d.total, int64(k), d.addCount, d.recv, d.cum)
 	} else {
-		removeCountsChain(d.rng, &d.tree, d.counts, d.total, int64(k), d.addCount)
+		d.removeCounts(k)
 	}
 	d.n -= k
 	d.rescaleThreshold()
@@ -393,7 +259,12 @@ func (d *DenseSim[S]) DistinctStates() int {
 }
 
 // Stats returns execution diagnostics.
-func (d *DenseSim[S]) Stats() DenseStats { return d.stats }
+func (d *DenseSim[S]) Stats() DenseStats {
+	s, c := d.stats, d.st
+	s.Batches, s.BatchedInteractions, s.Compactions = c.batches, c.batchedInteractions, c.compactions
+	s.CacheHits, s.RuleCalls, s.TableHits = c.cacheHits, c.ruleCalls, c.tableHits
+	return s
+}
 
 // LiveStates returns the number of distinct states currently present.
 func (d *DenseSim[S]) LiveStates() int {
@@ -412,13 +283,7 @@ func (d *DenseSim[S]) Counts() map[S]int {
 	if d.inner != nil {
 		return d.inner.Counts()
 	}
-	c := make(map[S]int, d.live)
-	for id, cnt := range d.counts {
-		if cnt > 0 {
-			c[d.states[id]] = int(cnt)
-		}
-	}
-	return c
+	return d.multiset.Counts()
 }
 
 // Count returns the number of agents satisfying pred.
@@ -426,13 +291,7 @@ func (d *DenseSim[S]) Count(pred func(S) bool) int {
 	if d.inner != nil {
 		return d.inner.Count(pred)
 	}
-	var k int64
-	for id, cnt := range d.counts {
-		if cnt > 0 && pred(d.states[id]) {
-			k += cnt
-		}
-	}
-	return int(k)
+	return d.multiset.Count(pred)
 }
 
 // All reports whether every agent satisfies pred.
@@ -440,12 +299,7 @@ func (d *DenseSim[S]) All(pred func(S) bool) bool {
 	if d.inner != nil {
 		return d.inner.All(pred)
 	}
-	for id, cnt := range d.counts {
-		if cnt > 0 && !pred(d.states[id]) {
-			return false
-		}
-	}
-	return true
+	return d.multiset.All(pred)
 }
 
 // Any reports whether at least one agent satisfies pred.
@@ -466,36 +320,14 @@ func (d *DenseSim[S]) RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime fl
 }
 
 // Step executes one interaction: an exact single-interaction multiset
-// step, as in BatchSim. It costs O(q) and exists for API completeness —
-// Run amortizes far better.
+// step. It costs O(q) and exists for API completeness — Run amortizes far
+// better.
 func (d *DenseSim[S]) Step() {
 	if d.inner != nil {
 		d.inner.Step()
 		return
 	}
-	ra := d.drawLinear(d.rng.Int64N(int64(d.n)))
-	d.addCount(ra, -1)
-	rb := d.drawLinear(d.rng.Int64N(int64(d.n) - 1))
-	d.addCount(rb, -1)
-	d.post = resizeZero(d.post, len(d.states))
-	d.applyCell(ra, rb, 1)
-	for id, c := range d.post {
-		if c > 0 {
-			d.addCount(int32(id), c)
-		}
-	}
-	d.interactsBase++
-}
-
-// drawLinear maps u ∈ [0, Σcounts) to a state id by linear scan.
-func (d *DenseSim[S]) drawLinear(u int64) int32 {
-	for id, c := range d.counts {
-		if u < c {
-			return int32(id)
-		}
-		u -= c
-	}
-	panic("pop: DenseSim draw out of range")
+	d.step()
 }
 
 // Run executes k interactions.
@@ -520,15 +352,7 @@ func (d *DenseSim[S]) Run(k int64) {
 			d.delegate()
 			continue
 		}
-		if k < 8 || d.n < 8 {
-			d.Step()
-			k--
-			continue
-		}
-		if len(d.states) >= 4*d.live && len(d.states) >= 256 {
-			d.compact()
-		}
-		k -= d.runBatch(k)
+		k -= d.advance(k, d.runBatch)
 	}
 }
 
@@ -559,57 +383,16 @@ func (d *DenseSim[S]) reenter() {
 	if in.seqMode {
 		in.recountFromAgents()
 	}
-	d.interactsBase += in.Interactions()
+	d.interacts += in.Interactions()
 	d.distinct += in.DistinctStates() - d.innerBaseDistinct
-	// Rebuild the interning tables from the inner engine's live states in
-	// its (deterministic) id order; ids change, so invalidate the cache.
-	states := make([]S, 0, in.live)
-	counts := make([]int64, 0, in.live)
-	pos := make(map[S]int32, 2*in.live)
-	var total int64
-	for id, c := range in.counts {
-		if c > 0 {
-			nid := int32(len(states))
-			pos[in.states[id]] = nid
-			states = append(states, in.states[id])
-			counts = append(counts, c)
-			total += c
-		}
-	}
-	d.states, d.counts, d.pos = states, counts, pos
-	d.total = total
-	d.live = len(states)
+	// Take over the inner engine's interning tables (compaction below drops
+	// their dead entries and reorders the rest); ids change, so the cache
+	// is invalidated first.
+	d.loadTables(in.states, in.counts)
 	d.inner = nil
 	d.invalidateCache()
 	d.compact()
 	d.stats.Reentries++
-}
-
-// invalidateCache makes every existing cache entry unmatchable by
-// advancing the generation (clearing the table on the rare wrap, so no
-// pre-wrap entry can alias a post-wrap key).
-func (d *DenseSim[S]) invalidateCache() {
-	if d.cacheGen+1 >= 1<<20 {
-		for i := range d.cache {
-			d.cache[i] = cacheSlot{}
-		}
-		d.cacheGen = 1
-		return
-	}
-	d.cacheGen++
-}
-
-// resizeZero returns s with length n and every element zero, reusing its
-// backing array when possible.
-func resizeZero(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // runBatch simulates one pair-matrix batch (plus its collision
@@ -619,14 +402,9 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	if d.par >= 1 {
 		return d.runBatchSplit(kmax)
 	}
-	n := int64(d.n)
-	// Collision-free run length ℓ (see collisionFreeRun); a cap just ends
-	// the batch early with no collision interaction.
-	maxPairs := min(int64(denseMaxPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(d.rng, n, maxPairs)
+	ell, collided := d.batchLength(kmax)
 	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		d.Step()
+		d.step()
 		return 1
 	}
 
@@ -640,29 +418,7 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	d.post = resizeZero(d.post, q)
 	d.sampleParticipants(d.recv, ell)
 	d.pairAndApply(ell)
-
-	done := ell
-	if collided {
-		d.collisionStep(2 * ell)
-		done++
-	}
-
-	// Commit participants' post states.
-	for id, c := range d.post {
-		if c > 0 {
-			d.addCount(int32(id), c)
-		}
-	}
-	d.interactsBase += done
-	d.stats.Batches++
-	d.stats.BatchedInteractions += done
-	if d.total != n {
-		panic(fmt.Sprintf("pop: DenseSim conservation violated: %d agents after batch, want %d", d.total, n))
-	}
-	if d.batchEvents != nil {
-		d.batchEvents(int(ell), collided)
-	}
-	return done
+	return d.finishPost(ell, collided)
 }
 
 // runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
@@ -678,12 +434,9 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 // cells whose transition is uncached or consumes randomness defer to a
 // serial pass in (row, sender) order.
 func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
-	n := int64(d.n)
-	maxPairs := min(int64(denseMaxPairs), kmax, n/3+1)
-	ell, collided := collisionFreeRun(d.rng, n, maxPairs)
+	ell, collided := d.batchLength(kmax)
 	if ell == 0 {
-		// Only possible when a cap degenerated; fall back to one exact step.
-		d.Step()
+		d.step()
 		return 1
 	}
 	batchSeed := d.rng.Uint64()
@@ -712,29 +465,7 @@ func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
 
 	// Pairing: distribute the sender multiset over the receiver rows.
 	d.pairRowsSplit(workers, deriveSeed(batchSeed, 3), ell)
-
-	done := ell
-	if collided {
-		d.collisionStep(2 * ell)
-		done++
-	}
-
-	// Commit participants' post states.
-	for id, c := range d.post {
-		if c > 0 {
-			d.addCount(int32(id), c)
-		}
-	}
-	d.interactsBase += done
-	d.stats.Batches++
-	d.stats.BatchedInteractions += done
-	if d.total != n {
-		panic(fmt.Sprintf("pop: DenseSim conservation violated: %d agents after batch, want %d", d.total, n))
-	}
-	if d.batchEvents != nil {
-		d.batchEvents(int(ell), collided)
-	}
-	return done
+	return d.finishPost(ell, collided)
 }
 
 // denseMiss is one deferred pair-matrix cell: a transition that was not
@@ -887,20 +618,13 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 	var localMisses []denseMiss
 	var hitCells, hits, tblHits int64
 	emit := func(row int, a, b int32, k int64) {
-		if t := d.tbl; t != nil {
-			// Declared-table bypass, restricted to already-interned
-			// outputs (read-only; see tableView.probeRO).
-			if oa, ob, ok := t.probeRO(a, b); ok {
-				hitCells++
-				tblHits += k
-				localPost[oa] += k
-				localPost[ob] += k
-				return
-			}
-		}
-		if oa, ob, ok := d.cacheLookup(a, b); ok {
+		if oa, ob, ok, fromTable := d.lookupRO(a, b); ok {
 			hitCells++
-			hits += k
+			if fromTable {
+				tblHits += k
+			} else {
+				hits += k
+			}
 			localPost[oa] += k
 			localPost[ob] += k
 			return
@@ -959,8 +683,8 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 	fenwickPool.Put(tree)
 	mu.Lock()
 	d.stats.PairCells += hitCells
-	d.stats.CacheHits += hits
-	d.stats.TableHits += tblHits
+	d.st.cacheHits += hits
+	d.st.tableHits += tblHits
 	// Element writes, not addPost: interning is deferred to the serial
 	// miss pass, so d.post cannot grow here, and addPost's header
 	// reassignment would race with other leaves' len(d.post) reads.
@@ -974,62 +698,15 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 	int64Pool.Put(localPostP)
 }
 
-// cacheLookup is the read-only half of applyCell: it reports the cached
-// deterministic outputs of the ordered pair, if present (cacheProbe in
-// batch.go). Safe for concurrent use while no writer runs (the split
-// path's parallel pass).
-func (d *DenseSim[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
-	return cacheProbe(d.cache, denseCacheBits, d.cacheGen, ida, idb)
-}
-
 // sampleParticipants draws a uniform without-replacement sample of m
 // agents as per-state counts into dst (zeroed, len ≥ len(counts)),
-// debiting the configuration. It is the multivariate hypergeometric
-// chain of hypergeom.go inlined against addCount so the live-state and
-// conservation bookkeeping stay exact — with BatchSim's heavy/light
-// split: hypergeometric draws only while a state expects a material
-// share of the sample, per-draw Fenwick descents over the suffix for
-// the light tail (one cheap draw per sampled agent instead of one
-// expensive draw per live state).
+// debiting the configuration: the removeCountsChain draw, recorded per
+// state.
 func (d *DenseSim[S]) sampleParticipants(dst []int64, m int64) {
-	remPop := d.total
-	for id := 0; id < len(d.counts) && m > 0; id++ {
-		c := d.counts[id]
-		if c == 0 {
-			continue
-		}
-		// Counts are compaction-ordered descending, so once the current
-		// state's expected draw is light every later one is lighter: the
-		// remaining m agents cost m·log q via the suffix tree, skipping
-		// the untouched tail entirely. The suffix conditions correctly —
-		// slots already allocated went to earlier states, and the chain
-		// factorizes in id order.
-		if lightDraw(c, m, batchHeavyMean, remPop) && m < 2*int64(len(d.counts)-id) {
-			d.tree.reset(d.counts[id:])
-			for ; m > 0; m-- {
-				sid := int32(id + d.tree.findAndDec(d.rng.Int64N(remPop)))
-				remPop--
-				d.addCount(sid, -1)
-				dst[sid]++
-			}
-			break
-		}
-		var k int64
-		if remPop == m {
-			k = c // forced: every remaining agent participates
-		} else {
-			k = hypergeometric(d.rng, remPop, c, m)
-		}
-		remPop -= c
-		m -= k
-		if k > 0 {
-			d.addCount(int32(id), -k)
-			dst[id] = k
-		}
-	}
-	if m != 0 {
-		panic("pop: DenseSim participant sampling under-filled")
-	}
+	removeCountsChain(d.rng, &d.tree, d.counts, d.total, m, func(id int32, k int64) {
+		d.addCount(id, k)
+		dst[id] -= k
+	})
 }
 
 // pairAndApply realizes the uniformly random receiver↔sender matching as
@@ -1095,170 +772,19 @@ func (d *DenseSim[S]) pairAndApply(ell int64) {
 
 // applyCell advances mult ordered (receiver, sender) interactions of the
 // state pair (ida, idb), accumulating outputs into the post multiset. A
-// cached deterministic transition is applied in one shot; otherwise the
-// rule runs once through the randomness-counting source, and if it
-// consumed none the transition is a pure function of the pair (the Rule
-// contract), so the remaining multiplicity shares its outputs — only
-// genuinely randomized transitions pay one rule call per interaction.
+// deterministic transition (see resolve) is applied in one shot;
+// otherwise the rule runs once per interaction until a call consumes no
+// randomness — the transition is then a pure function of the pair (the
+// Rule contract), so the remaining multiplicity shares its outputs, and
+// only genuinely randomized transitions pay one rule call per interaction.
 func (d *DenseSim[S]) applyCell(ida, idb int32, mult int64) {
-	if t := d.tbl; t != nil {
-		if toa, tob, ok := t.probe(ida, idb); ok {
-			d.stats.TableHits += mult
-			// Receiver output interned first, as on the rule path, so
-			// trajectories stay byte-identical (see batch.go applyPair).
-			oa := t.engOf[toa]
-			if oa < 0 {
-				oa = d.intern(t.c.states[toa])
-			}
-			ob := t.engOf[tob]
-			if ob < 0 {
-				ob = d.intern(t.c.states[tob])
-			}
-			d.addPost(oa, mult)
-			d.addPost(ob, mult)
-			return
-		}
-	}
-	cached := ida < cacheMaxID && idb < cacheMaxID
-	var key uint64
-	var slot *cacheSlot
-	if cached {
-		key = d.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-		slot = &d.cache[(key*0x9e3779b97f4a7c15)>>(64-denseCacheBits)]
-		if slot.key == key {
-			d.stats.CacheHits += mult
-			d.addPost(int32(slot.out>>32), mult)
-			d.addPost(int32(slot.out&math.MaxUint32), mult)
-			return
-		}
-	}
-	for mult > 0 {
-		before := d.ruleRand.words
-		sa, sb := d.rule(d.states[ida], d.states[idb], d.ruleRng)
-		d.stats.RuleCalls++
-		oa, ob := d.intern(sa), d.intern(sb)
-		if d.ruleRand.words == before {
-			if cached {
-				*slot = cacheSlot{key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
-			}
-			d.addPost(oa, mult)
-			d.addPost(ob, mult)
-			return
-		}
+	oa, ob, det := d.resolve(ida, idb, mult)
+	for !det && mult > 1 {
 		d.addPost(oa, 1)
 		d.addPost(ob, 1)
 		mult--
+		oa, ob, det = d.callRule(ida, idb)
 	}
-}
-
-// addPost adds c to the post multiset, growing it when a rule output
-// interned a new state mid-batch (growPost in batch.go).
-func (d *DenseSim[S]) addPost(id int32, c int64) {
-	d.post = growPost(d.post, id, c)
-}
-
-// collisionStep resolves the interaction that ended a batch — an ordered
-// pair of distinct agents conditioned on at least one of them being among
-// the batch's m participants — exactly as BatchSim does, with the slot
-// array replaced by the post multiset: a uniform pick among slots is a
-// post-count-weighted pick among states.
-func (d *DenseSim[S]) collisionStep(m int64) {
-	n := int64(d.n)
-	o := n - m
-	postLeft := m
-	pickPost := func() int32 {
-		u := d.rng.Int64N(postLeft)
-		for id, c := range d.post {
-			if u < c {
-				d.post[id]--
-				postLeft--
-				return int32(id)
-			}
-			u -= c
-		}
-		panic("pop: DenseSim collision draw out of range")
-	}
-	drawOut := func() int32 {
-		id := d.drawLinear(d.rng.Int64N(o))
-		d.addCount(id, -1)
-		return id
-	}
-	// Ordered distinct pairs with >=1 participant, by membership pattern.
-	bothIn := m * (m - 1)
-	recIn := m * o
-	r := d.rng.Int64N(bothIn + 2*recIn)
-	var ra, rb int32
-	switch {
-	case r < bothIn:
-		ra = pickPost()
-		rb = pickPost()
-	case r < bothIn+recIn:
-		ra = pickPost()
-		rb = drawOut()
-	default:
-		rb = pickPost()
-		ra = drawOut()
-	}
-	d.applyCell(ra, rb, 1)
-}
-
-// compact rebuilds the interning tables over the live states, ordered by
-// decreasing count so hot states get small ids (and pairing rows exhaust
-// early), carrying hot transition-cache entries across the id remap as in
-// BatchSim.
-func (d *DenseSim[S]) compact() {
-	d.stats.Compactions++
-	type sc struct {
-		id int32
-		c  int64
-	}
-	liveIDs := make([]sc, 0, d.live)
-	for id, c := range d.counts {
-		if c > 0 {
-			liveIDs = append(liveIDs, sc{int32(id), c})
-		}
-	}
-	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i].c > liveIDs[j].c })
-	remap := make([]int32, len(d.states)) // old id → new id, -1 if dead
-	for i := range remap {
-		remap[i] = -1
-	}
-	states := make([]S, 0, len(liveIDs))
-	counts := make([]int64, 0, len(liveIDs))
-	pos := make(map[S]int32, 2*len(liveIDs))
-	for _, e := range liveIDs {
-		nid := int32(len(states))
-		remap[e.id] = nid
-		pos[d.states[e.id]] = nid
-		states = append(states, d.states[e.id])
-		counts = append(counts, e.c)
-	}
-	d.states, d.counts, d.pos = states, counts, pos
-	if d.tbl != nil {
-		d.tbl.rebuild(d.states)
-	}
-
-	oldGen := d.cacheGen
-	d.invalidateCache()
-	if d.cacheGen == 1 {
-		return // wrapped: table cleared, nothing to carry
-	}
-	for i := range d.cache {
-		s := d.cache[i]
-		if s.key == 0 || s.key>>44 != oldGen {
-			continue
-		}
-		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
-		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
-		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
-			continue
-		}
-		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
-		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
-			continue
-		}
-		key := d.cacheGen<<44 | uint64(na)<<22 | uint64(nc)
-		d.cache[(key*0x9e3779b97f4a7c15)>>(64-denseCacheBits)] = cacheSlot{
-			key: key, out: uint64(uint32(noa))<<32 | uint64(uint32(nob))}
-	}
+	d.addPost(oa, mult)
+	d.addPost(ob, mult)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -346,11 +347,21 @@ func TestFromCountsValidation(t *testing.T) {
 		"engine negative count": func() {
 			NewEngineFromCounts([]int{1}, []int64{-1}, amRule, WithBackend(Sequential))
 		},
+		// Counts wrapping int64 to a total of 2 once built a "2-agent"
+		// engine holding 2⁶⁴ agents' worth of counts.
+		"batch count overflow": func() {
+			NewBatchFromCounts([]int{0, 1, 2}, []int64{math.MaxInt64, math.MaxInt64, 4}, amRule)
+		},
+		"dense count overflow": func() {
+			NewDenseFromCounts([]int{0, 1, 2}, []int64{math.MaxInt64, math.MaxInt64, 4}, amRule)
+		},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				if r := recover(); r == nil {
 					t.Errorf("%s: no panic", name)
+				} else if strings.Contains(name, "overflow") && !strings.Contains(fmt.Sprint(r), "population size") {
+					t.Errorf("%s: panic %q does not name the population size", name, r)
 				}
 			}()
 			fn()

@@ -305,7 +305,9 @@ func checkRemoval(n, k int) {
 
 // validateCounts checks a state-count multiset's shape (parallel slices,
 // no negative counts, population of at least 2 that fits an int) and
-// returns its total, shared by the multiset engine constructors.
+// returns its total, shared by the multiset engine constructors. The
+// total is overflow-checked: counts wrapping int64 into a small sum would
+// otherwise build an engine whose counts disagree with its size.
 func validateCounts[S comparable](states []S, counts []int64) int64 {
 	if len(states) != len(counts) {
 		panic(fmt.Sprintf("pop: %d states with %d counts", len(states), len(counts)))
@@ -314,6 +316,9 @@ func validateCounts[S comparable](states []S, counts []int64) int64 {
 	for i, c := range counts {
 		if c < 0 {
 			panic(fmt.Sprintf("pop: negative count %d for state %v", c, states[i]))
+		}
+		if c > math.MaxInt64-total {
+			panic(fmt.Sprintf("pop: population size exceeds %d: the state counts overflow int64", int64(math.MaxInt64)))
 		}
 		total += c
 	}

@@ -1,6 +1,7 @@
-// Native fuzz targets for the sampling substrate: the univariate and
+// Native fuzz targets for the sampling substrate — the univariate and
 // multivariate hypergeometric samplers, the Fenwick tree, and the churn
-// removal chains. Each asserts structural invariants (support bounds, sum
+// removal chains — and for snapshot decoding. Each asserts structural
+// invariants (support bounds, sum
 // conservation, no panics, draws confined to the permitted range) rather
 // than distributions — the statistical properties are covered by the
 // moment and equivalence suites; fuzzing hunts the inputs those suites
@@ -10,6 +11,7 @@
 package pop
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -257,5 +259,64 @@ func FuzzRemoveCountsChain(f *testing.F) {
 		run("splitter", func(cs []int64, debit func(id int32, d int64)) {
 			removeCountsSplit(1, seed, cs, total, k, debit, nil, nil)
 		})
+	})
+}
+
+// FuzzUnmarshalSnapshot feeds arbitrary bytes through UnmarshalSnapshot
+// and Restore, which must reject malformed input with an error rather
+// than panic. An accepted snapshot of at most 4096 agents must then run
+// 4n interactions promptly and advance Interactions() by exactly 4n —
+// the property negative re-entry budgets once broke.
+func FuzzUnmarshalSnapshot(f *testing.F) {
+	blob := func(e Engine[int], k int64, mutate func(*Snapshot[int])) []byte {
+		e.Run(k)
+		snap, err := e.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		mutate(snap)
+		b, err := snap.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	keep := func(*Snapshot[int]) {}
+	init := func(i int, _ *rand.Rand) int { return i % 5 }
+	zero := func(int, *rand.Rand) int { return 0 }
+	for _, bk := range []Backend{Sequential, Batched, Dense} {
+		for _, par := range []int{0, 2} {
+			f.Add(blob(NewEngine(300, init, mixedRule, WithSeed(7), WithBackend(bk), WithParallelism(par)), 900, keep))
+		}
+	}
+	fallback := func() Engine[int] {
+		return NewBatch(600, zero, explodeRule, WithSeed(5), WithBatchThreshold(16))
+	}
+	delegated := func() Engine[int] {
+		return NewDense(600, zero, explodeRule, WithSeed(5), WithDenseThreshold(8))
+	}
+	f.Add(blob(fallback(), 20*600, keep))
+	f.Add(blob(delegated(), 2*600, keep))
+	f.Add(blob(fallback(), 20*600, func(s *Snapshot[int]) { s.SeqRecheck = -5000 }))
+	f.Add(blob(delegated(), 2*600, func(s *Snapshot[int]) { s.InnerRecheck = -7000 }))
+	f.Add(blob(NewBatch(300, init, mixedRule, WithSeed(7)), 900, func(s *Snapshot[int]) {
+		s.N = 2
+		s.States = []int{0, 1, 2}
+		s.Counts = []int64{math.MaxInt64, math.MaxInt64, 4}
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := UnmarshalSnapshot[int](data)
+		if err != nil {
+			return
+		}
+		e, err := Restore(snap, mixedRule)
+		if err != nil || e.N() > 4096 {
+			return
+		}
+		before, k := e.Interactions(), int64(4*e.N())
+		within(t, 10*time.Second, func() { e.Run(k) })
+		if got := e.Interactions() - before; got != k {
+			t.Fatalf("Run(%d) on a restored %s snapshot advanced Interactions() by %d", k, snap.Backend, got)
+		}
 	})
 }

@@ -99,8 +99,10 @@ func lightDraw(c, k, thresh, remPop int64) bool {
 // advances whole interaction batches on draws of this form: once for the
 // batch's receiver states, once for its sender states, and once per
 // receiver state to realize the uniformly random pairing as a matrix of
-// ordered state-pair counts (it inlines the chain against its live-state
-// bookkeeping; see sampleParticipants and pairAndApply in dense.go).
+// ordered state-pair counts. The engines run the chain with a heavy/light
+// split against their live-state bookkeeping: removeCountsChain draws the
+// participants (DenseSim.sampleParticipants, BatchSim.sampleSlotsByState)
+// and churn removals, and pairAndApply in dense.go inlines it per row.
 func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, dst []int64) {
 	if len(dst) != len(counts) {
 		panic("pop: multivariate hypergeometric dst/counts length mismatch")
@@ -131,13 +133,14 @@ func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, ds
 
 // removeCountsChain debits a uniform without-replacement sample of k
 // agents from the counts vector through debit — the multivariate
-// hypergeometric chain with the batch samplers' heavy/light split: one
-// hypergeometric draw per state while a state expects a material share
-// of the sample, one Fenwick descent over the remaining suffix per agent
-// for the light tail. It is the single removal sampler behind
-// BatchSim.RemoveAgents and DenseSim.RemoveAgents, so the two multiset
-// backends cannot drift apart. debit must keep counts in sync (both
-// engines pass their addCount).
+// hypergeometric chain with a heavy/light split: one hypergeometric draw
+// per state while a state expects a material share of the sample, one
+// Fenwick descent over the remaining suffix per agent for the light tail.
+// Debits arrive in id order, one per heavy state and one per tail agent.
+// It is the single chain behind both multiset engines' serial batch
+// participant draws and churn removals, so they cannot drift apart. debit
+// must keep counts in sync (the engines pass addCount, or a wrapper that
+// also records the sample).
 func removeCountsChain(rng *rand.Rand, tree *fenwick, counts []int64, total, k int64, debit func(id int32, d int64)) {
 	remPop := total
 	for id := 0; id < len(counts) && k > 0; id++ {
@@ -167,7 +170,7 @@ func removeCountsChain(rng *rand.Rand, tree *fenwick, counts []int64, total, k i
 		}
 	}
 	if k != 0 {
-		panic("pop: churn removal under-filled")
+		panic("pop: composition chain under-filled")
 	}
 }
 

@@ -1,0 +1,655 @@
+// The multiset core shared by BatchSim and DenseSim.
+//
+// Both multiset engines store the configuration the same way — states
+// interned to dense int32 ids with a counts vector, compacted so ids stay
+// dense and ordered by decreasing count — and resolve transitions the same
+// way. The multiset type below owns that representation, the rng streams,
+// the transition cache and the declared-table view, the collision-free
+// batch framing (run-length prologue, post-multiset collision step, commit
+// and conservation check), churn removal and the snapshot header, once.
+// Each engine embeds it by value and adds only how a batch's participants
+// are arranged: BatchSim a slot array plus its agent-array fallback,
+// DenseSim a pair-count matrix plus delegation to a BatchSim.
+//
+// # Transition caching
+//
+// Rules are opaque randomized functions, but most protocol transitions are
+// deterministic. The engines feed rules a rand.Rand whose Source counts
+// how many random words the rule consumes: a (receiver, sender) state pair
+// whose transition consumed none is a pure function of its inputs and is
+// cached in a fixed-size direct-mapped table keyed by the id pair, so
+// subsequent interactions of that pair skip the rule entirely (conflicting
+// pairs simply evict each other). This relies on rules being pure
+// functions of (rec, sen, randomness) — true of every protocol in this
+// repository and required by the Rule contract. Compaction remaps ids, so
+// it advances a generation stamp embedded in the keys and carries the
+// surviving hot entries across.
+package pop
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
+)
+
+// countingSource wraps a rand.Source and counts the words drawn through
+// it, letting the multiset engines detect whether a rule consumed
+// randomness.
+type countingSource struct {
+	src   rand.Source
+	words uint64
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.words++
+	return c.src.Uint64()
+}
+
+// cacheSlot is one direct-mapped transition-cache entry: a
+// generation-stamped (receiver, sender) id pair and its packed outputs.
+type cacheSlot struct {
+	key uint64 // gen<<44 | receiver<<22 | sender; 0 = empty (gen starts at 1)
+	out uint64 // receiver output << 32 | sender output
+}
+
+// cacheMaxID bounds the ids packable into a cache key (22 bits each, with
+// the remaining 20 bits holding the compaction generation).
+const cacheMaxID = 1 << 22
+
+// multisetStats holds the counters both engines report under the same
+// names in BatchStats and DenseStats.
+type multisetStats struct {
+	batches, batchedInteractions    int64
+	cacheHits, ruleCalls, tableHits int64
+	compactions                     int64
+}
+
+// multiset is the configuration, randomness and transition machinery both
+// multiset engines share. See the file comment.
+type multiset[S comparable] struct {
+	pcg      *rand.PCG // rng's source, retained for snapshotting
+	rng      *rand.Rand
+	ruleRand *countingSource // the same PCG, counting the words rules draw
+	ruleRng  *rand.Rand
+	rule     Rule[S]
+	n        int
+
+	// interacts counts the interactions this core executed; a delegated
+	// DenseSim adds its inner engine's count on top.
+	interacts int64
+	// Per-segment parallel-time accounting (see Engine.Time). segStart is
+	// measured on the engine's Interactions() scale.
+	timeBase float64
+	segStart int64
+
+	// Interning. states/counts are parallel: counts[id] agents currently
+	// hold states[id]. live counts the ids with counts > 0; distinct
+	// counts every state ever interned (the DistinctStates measure).
+	states   []S
+	pos      map[S]int32
+	counts   []int64
+	total    int64 // running Σcounts; must equal n (conservation invariant)
+	live     int
+	distinct int
+
+	qMax     int   // live-state threshold: BatchSim's fallback, DenseSim's delegation cutoff
+	par      int   // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
+	maxPairs int64 // cap on one batch's collision-free run length
+
+	// Direct-mapped transition cache of 1<<cacheBits slots. Compaction
+	// remaps ids, so it bumps cacheGen, implicitly invalidating every
+	// older entry.
+	cache     []cacheSlot
+	cacheBits uint
+	cacheGen  uint64
+
+	// Declared-table bypass (WithTable): the compiled table plus the
+	// engine-id ↔ table-id translation, rebuilt on compaction. nil when
+	// no table is attached.
+	tbl *tableView[S]
+
+	// Scratch: the Fenwick tree behind per-item chain draws; the batch's
+	// post-interaction multiset (indexed by state id, growing as rule
+	// outputs intern new states mid-batch); the splitter path's
+	// composition and counts prefix sums.
+	tree fenwick
+	post []int64
+	comp []int64
+	cum  []int64
+
+	// batchEvents is a test hook fired at every batch commit (nil in
+	// production).
+	batchEvents func(ell int, collided bool)
+
+	st multisetStats
+}
+
+// newMultiset builds a core with rng streams on pcg, an empty interning
+// table and a cold transition cache of 1<<cacheBits slots — the state
+// every constructor and Restore start from.
+func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint, maxPairs int64) multiset[S] {
+	cs := &countingSource{src: pcg}
+	return multiset[S]{
+		pcg:       pcg,
+		rng:       rand.New(pcg),
+		ruleRand:  cs,
+		ruleRng:   rand.New(cs),
+		rule:      rule,
+		pos:       make(map[S]int32, posSizeFor(tbl)),
+		tbl:       tbl,
+		maxPairs:  maxPairs,
+		cache:     make([]cacheSlot, 1<<cacheBits),
+		cacheBits: cacheBits,
+		cacheGen:  1,
+	}
+}
+
+// newShell is newMultiset for an engine constructor: it checks the
+// options a multiset engine cannot honor, seeds the rng from WithSeed and
+// attaches WithTable. backend names the engine in panic messages.
+func newShell[S comparable](backend string, n int, rule Rule[S], o options, cacheBits uint, maxPairs int64) multiset[S] {
+	if rule == nil {
+		panic("pop: nil rule")
+	}
+	if o.trackInteractions {
+		panic("pop: the " + backend + " backend cannot track per-agent interaction counts; use WithBackend(Sequential)")
+	}
+	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o), cacheBits, maxPairs)
+	m.n = n
+	m.par = resolveParallelism(o.parallelism, n)
+	return m
+}
+
+// fillFunc loads the initial configuration initial(i, rng), i < n, then
+// compacts it.
+func (m *multiset[S]) fillFunc(initial func(i int, r *rand.Rand) S) {
+	for i := 0; i < m.n; i++ {
+		m.addCount(m.intern(initial(i, m.rng)), 1)
+	}
+	m.compact()
+}
+
+// fillCounts loads the initial configuration from a validated state-count
+// multiset, then compacts it.
+func (m *multiset[S]) fillCounts(states []S, counts []int64) {
+	for i, c := range counts {
+		if c > 0 {
+			m.addCount(m.intern(states[i]), c)
+		}
+	}
+	m.compact()
+}
+
+// intern returns the dense id of state s, assigning one if new.
+// Compaction drops dead states from the table, so a state that dies and
+// later reappears is counted again by DistinctStates.
+func (m *multiset[S]) intern(s S) int32 {
+	if id, ok := m.pos[s]; ok {
+		return id
+	}
+	id := int32(len(m.states))
+	m.states = append(m.states, s)
+	m.counts = append(m.counts, 0)
+	m.pos[s] = id
+	m.distinct++
+	if m.tbl != nil {
+		m.tbl.noteIntern(s, id)
+	}
+	return id
+}
+
+// addCount adjusts counts[id] by d, maintaining the live-state count and
+// the conservation total.
+func (m *multiset[S]) addCount(id int32, d int64) {
+	c := m.counts[id]
+	nc := c + d
+	if nc < 0 {
+		panic("pop: multiset state count went negative")
+	}
+	m.counts[id] = nc
+	m.total += d
+	if c == 0 && nc > 0 {
+		m.live++
+	} else if c > 0 && nc == 0 {
+		m.live--
+	}
+}
+
+// addPost adds c to the batch's post multiset, growing it when a rule
+// output interned a new state mid-batch.
+func (m *multiset[S]) addPost(id int32, c int64) {
+	for int(id) >= len(m.post) {
+		m.post = append(m.post, 0)
+	}
+	m.post[id] += c
+}
+
+// resizeZero returns s with length n and every element zero, reusing its
+// backing array when possible.
+func resizeZero(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// N returns the population size.
+func (m *multiset[S]) N() int { return m.n }
+
+// timeAt is Engine.Time for an engine that has executed now interactions.
+func (m *multiset[S]) timeAt(now int64) float64 {
+	return m.timeBase + float64(now-m.segStart)/float64(m.n)
+}
+
+// beginSegment folds the current churn segment into timeBase before a
+// population-size change; now is the engine's Interactions().
+func (m *multiset[S]) beginSegment(now int64) {
+	m.timeBase = m.timeAt(now)
+	m.segStart = now
+}
+
+// Counts returns the configuration vector.
+func (m *multiset[S]) Counts() map[S]int {
+	c := make(map[S]int, m.live)
+	for id, cnt := range m.counts {
+		if cnt > 0 {
+			c[m.states[id]] = int(cnt)
+		}
+	}
+	return c
+}
+
+// Count returns the number of agents satisfying pred.
+func (m *multiset[S]) Count(pred func(S) bool) int {
+	var k int64
+	for id, cnt := range m.counts {
+		if cnt > 0 && pred(m.states[id]) {
+			k += cnt
+		}
+	}
+	return int(k)
+}
+
+// All reports whether every agent satisfies pred.
+func (m *multiset[S]) All(pred func(S) bool) bool {
+	for id, cnt := range m.counts {
+		if cnt > 0 && !pred(m.states[id]) {
+			return false
+		}
+	}
+	return true
+}
+
+// drawLinear maps u ∈ [0, Σcounts) to a state id by linear scan.
+func (m *multiset[S]) drawLinear(u int64) int32 {
+	for id, c := range m.counts {
+		if u < c {
+			return int32(id)
+		}
+		u -= c
+	}
+	panic("pop: multiset draw out of range")
+}
+
+// drawOut removes and returns one agent drawn uniformly from the o agents
+// still in the counts vector.
+func (m *multiset[S]) drawOut(o int64) int32 {
+	id := m.drawLinear(m.rng.Int64N(o))
+	m.addCount(id, -1)
+	return id
+}
+
+// step executes one exact single-interaction multiset step: the pair of
+// states is drawn from the same distribution the agent-level scheduler
+// induces. It costs O(q) and exists for API completeness and short
+// remainders — batches amortize far better.
+func (m *multiset[S]) step() {
+	ra := m.drawOut(int64(m.n))
+	rb := m.drawOut(int64(m.n) - 1)
+	oa, ob, _ := m.resolve(ra, rb, 1)
+	m.addCount(oa, 1)
+	m.addCount(ob, 1)
+	m.interacts++
+}
+
+// removeCounts removes k agents chosen uniformly at random without
+// replacement: their states are a multivariate hypergeometric sample of
+// the counts vector, drawn by the splitter on the node-seeded path and by
+// the heavy/light chain otherwise.
+func (m *multiset[S]) removeCounts(k int) {
+	if m.par >= 1 {
+		m.comp, m.cum = removeCountsSplit(effectiveWorkers(m.par), m.rng.Uint64(),
+			m.counts, m.total, int64(k), m.addCount, m.comp, m.cum)
+	} else {
+		removeCountsChain(m.rng, &m.tree, m.counts, m.total, int64(k), m.addCount)
+	}
+}
+
+// advance runs at most k multiset-mode interactions and returns how many
+// ran: one exact step for short remainders and tiny populations,
+// otherwise one batch of the engine's runBatch, compacting first when
+// dead states dominate the interning tables.
+func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
+	if k < 8 || m.n < 8 {
+		m.step()
+		return 1
+	}
+	if len(m.states) >= 4*m.live && len(m.states) >= 256 {
+		m.compact()
+	}
+	return runBatch(k)
+}
+
+// batchLength samples the next batch's collision-free run length ℓ (see
+// collisionFreeRun). A cap from kmax, maxPairs or the population size just
+// ends the batch early with no collision interaction, which composes
+// exactly — each batch draws its participants from the fully committed
+// configuration. ℓ = 0 is possible only when a cap degenerated; callers
+// then take one exact step instead.
+func (m *multiset[S]) batchLength(kmax int64) (ell int64, collided bool) {
+	n := int64(m.n)
+	return collisionFreeRun(m.rng, n, min(m.maxPairs, kmax, n/3+1))
+}
+
+// finishPost ends a batch whose participants' post states were
+// accumulated in the post multiset: it resolves the collision interaction
+// (if one was sampled), commits post, and closes the batch.
+func (m *multiset[S]) finishPost(ell int64, collided bool) int64 {
+	if collided {
+		left := 2 * ell
+		oa, ob := m.collide(left, func() int32 {
+			u := m.rng.Int64N(left)
+			for id, c := range m.post {
+				if u < c {
+					m.post[id]--
+					left--
+					return int32(id)
+				}
+				u -= c
+			}
+			panic("pop: multiset collision draw out of range")
+		})
+		m.addPost(oa, 1)
+		m.addPost(ob, 1)
+	}
+	for id, c := range m.post {
+		if c > 0 {
+			m.addCount(int32(id), c)
+		}
+	}
+	return m.endBatch(ell, collided)
+}
+
+// endBatch closes a committed batch of ℓ collision-free interactions plus
+// the collision interaction (if sampled), checks conservation, and returns
+// how many interactions the batch executed.
+func (m *multiset[S]) endBatch(ell int64, collided bool) int64 {
+	done := ell
+	if collided {
+		done++
+	}
+	m.interacts += done
+	m.st.batches++
+	m.st.batchedInteractions += done
+	if m.total != int64(m.n) {
+		panic(fmt.Sprintf("pop: multiset conservation violated: %d agents after batch, want %d", m.total, m.n))
+	}
+	if m.batchEvents != nil {
+		m.batchEvents(int(ell), collided)
+	}
+	return done
+}
+
+// collide resolves the interaction that ended a batch: an ordered pair of
+// distinct agents conditioned on at least one of them being among the
+// batch's parts participants. pick removes and returns a uniformly random
+// participant's post-interaction state; outsiders are drawn from the
+// debited counts. It returns the pair's outputs.
+func (m *multiset[S]) collide(parts int64, pick func() int32) (oa, ob int32) {
+	o := int64(m.n) - parts
+	// Ordered distinct pairs with >=1 participant, by membership pattern.
+	bothIn := parts * (parts - 1)
+	recIn := parts * o
+	r := m.rng.Int64N(bothIn + 2*recIn)
+	var ra, rb int32
+	switch {
+	case r < bothIn:
+		ra = pick()
+		rb = pick()
+	case r < bothIn+recIn:
+		ra = pick()
+		rb = m.drawOut(o)
+	default:
+		rb = pick()
+		ra = m.drawOut(o)
+	}
+	oa, ob, _ = m.resolve(ra, rb, 1)
+	return oa, ob
+}
+
+// resolve returns the post-interaction state ids for the ordered pair
+// (receiver, sender), consulting the declared-table bypass first, then
+// the deterministic-transition cache, before invoking the rule. det
+// reports a deterministic transition — one a table or cache hit, or a
+// rule call that consumed no randomness, vouches for — which the caller
+// may apply mult times at once; hit counters are weighted by mult.
+func (m *multiset[S]) resolve(ida, idb int32, mult int64) (oa, ob int32, det bool) {
+	if t := m.tbl; t != nil {
+		if toa, tob, ok := t.probe(ida, idb); ok {
+			m.st.tableHits += mult
+			// Translate table ids back to engine ids, interning outputs
+			// not yet present — receiver first, exactly the order the
+			// rule path interns, so trajectories stay byte-identical.
+			oa := t.engOf[toa]
+			if oa < 0 {
+				oa = m.intern(t.c.states[toa])
+			}
+			ob := t.engOf[tob]
+			if ob < 0 {
+				ob = m.intern(t.c.states[tob])
+			}
+			return oa, ob, true
+		}
+	}
+	if oa, ob, ok := m.cacheLookup(ida, idb); ok {
+		m.st.cacheHits += mult
+		return oa, ob, true
+	}
+	return m.callRule(ida, idb)
+}
+
+// callRule invokes the rule once on the pair through the
+// randomness-counting source and caches the transition when it consumed
+// no randomness (it is then a pure function of the pair).
+func (m *multiset[S]) callRule(ida, idb int32) (oa, ob int32, det bool) {
+	before := m.ruleRand.words
+	sa, sb := m.rule(m.states[ida], m.states[idb], m.ruleRng)
+	m.st.ruleCalls++
+	oa, ob = m.intern(sa), m.intern(sb)
+	if m.ruleRand.words != before {
+		return oa, ob, false
+	}
+	if ida < cacheMaxID && idb < cacheMaxID {
+		m.cacheStore(ida, idb, oa, ob)
+	}
+	return oa, ob, true
+}
+
+// cacheLookup reports the cached deterministic outputs of the ordered
+// pair, if present. It is read-only, so concurrent calls are safe while
+// no writer runs (the splitter path's parallel phases).
+func (m *multiset[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
+	if ida >= cacheMaxID || idb >= cacheMaxID {
+		return 0, 0, false
+	}
+	key := m.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
+	s := m.cache[(key*0x9e3779b97f4a7c15)>>(64-m.cacheBits)]
+	if s.key != key {
+		return 0, 0, false
+	}
+	return int32(s.out >> 32), int32(s.out & math.MaxUint32), true
+}
+
+// cacheStore records the deterministic transition (ida, idb) → (oa, ob)
+// under the current generation; ids must be below cacheMaxID.
+func (m *multiset[S]) cacheStore(ida, idb, oa, ob int32) {
+	key := m.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
+	m.cache[(key*0x9e3779b97f4a7c15)>>(64-m.cacheBits)] = cacheSlot{
+		key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
+}
+
+// lookupRO is resolve without its writes, for the splitter path's
+// parallel phases: the declared-table bypass restricted to already-
+// interned outputs (probeRO), then the cache. fromTable tells which
+// answered.
+func (m *multiset[S]) lookupRO(ida, idb int32) (oa, ob int32, ok, fromTable bool) {
+	if t := m.tbl; t != nil {
+		if oa, ob, ok := t.probeRO(ida, idb); ok {
+			return oa, ob, true, true
+		}
+	}
+	oa, ob, ok = m.cacheLookup(ida, idb)
+	return oa, ob, ok, false
+}
+
+// invalidateCache makes every existing cache entry unmatchable by
+// advancing the generation (clearing the table on the rare wrap of the
+// 20-bit field, so no pre-wrap entry can alias a post-wrap key).
+func (m *multiset[S]) invalidateCache() {
+	if m.cacheGen+1 >= 1<<20 {
+		clear(m.cache)
+		m.cacheGen = 1
+		return
+	}
+	m.cacheGen++
+}
+
+// compact rebuilds the interning tables over the live states, ordered by
+// decreasing count so hot states get small ids (and the samplers' chains
+// exhaust early). Runs at construction, at re-entry into multiset mode,
+// and whenever dead states dominate the tables.
+func (m *multiset[S]) compact() {
+	m.st.compactions++
+	type sc struct {
+		id int32
+		c  int64
+	}
+	liveIDs := make([]sc, 0, m.live)
+	for id, c := range m.counts {
+		if c > 0 {
+			liveIDs = append(liveIDs, sc{int32(id), c})
+		}
+	}
+	sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i].c > liveIDs[j].c })
+	remap := make([]int32, len(m.states)) // old id → new id, -1 if dead
+	for i := range remap {
+		remap[i] = -1
+	}
+	states := make([]S, 0, len(liveIDs))
+	counts := make([]int64, 0, len(liveIDs))
+	pos := make(map[S]int32, 2*len(liveIDs))
+	for _, e := range liveIDs {
+		nid := int32(len(states))
+		remap[e.id] = nid
+		pos[m.states[e.id]] = nid
+		states = append(states, m.states[e.id])
+		counts = append(counts, e.c)
+	}
+	m.states, m.counts, m.pos = states, counts, pos
+	if m.tbl != nil {
+		m.tbl.rebuild(m.states)
+	}
+
+	// Ids were remapped: advance the cache generation so stale entries
+	// can never match, then carry the still-live hot transitions over
+	// under their new ids (re-deriving them would cost a rule call per
+	// hot pair after every compaction).
+	oldGen := m.cacheGen
+	m.invalidateCache()
+	if m.cacheGen == 1 {
+		return // wrapped: table cleared, nothing to carry
+	}
+	for _, s := range m.cache {
+		if s.key == 0 || s.key>>44 != oldGen {
+			continue
+		}
+		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
+		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
+		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
+			continue
+		}
+		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
+		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
+			continue
+		}
+		m.cacheStore(na, nc, noa, nob)
+	}
+}
+
+// snapshotHeader captures the fields every multiset snapshot shares.
+// Interactions is the core's own count (a delegated DenseSim's inner
+// share lives in its nested snapshot); the caller adds the interning
+// tables and its mode.
+func (m *multiset[S]) snapshotHeader(backend Backend) (*Snapshot[S], error) {
+	rng, err := m.pcg.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("pop: marshaling rng state: %w", err)
+	}
+	return &Snapshot[S]{
+		Version:      SnapshotVersion,
+		Backend:      backend.String(),
+		N:            m.n,
+		Interactions: m.interacts,
+		TimeBase:     m.timeBase,
+		SegStart:     m.segStart,
+		RNG:          rng,
+		Par:          m.par,
+		Distinct:     m.distinct,
+		QMax:         m.qMax,
+	}, nil
+}
+
+// restoreMultiset rebuilds a multiset core from a snapshot's header and
+// rng state, with the transition cache cold (generation 1, empty) by
+// design — see the file comment.
+func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, cacheBits uint, maxPairs int64) (multiset[S], error) {
+	pcg, err := restorePCG(snap.RNG)
+	if err != nil {
+		return multiset[S]{}, err
+	}
+	m := newMultiset(pcg, rule, attachTable[S](o), cacheBits, maxPairs)
+	m.n = snap.N
+	m.interacts = snap.Interactions
+	m.timeBase = snap.TimeBase
+	m.segStart = snap.SegStart
+	m.par = snap.Par
+	m.distinct = snap.Distinct
+	m.qMax = snap.QMax
+	return m, nil
+}
+
+// loadTables replaces the interning tables with states (duplicate-free:
+// intern assigns each state one id) and their counts (nil: all zero),
+// verbatim and in id order.
+func (m *multiset[S]) loadTables(states []S, counts []int64) {
+	m.states = append([]S(nil), states...)
+	m.pos = make(map[S]int32, 2*len(states))
+	for id, st := range states {
+		m.pos[st] = int32(id)
+	}
+	m.counts = make([]int64, len(states))
+	copy(m.counts, counts)
+	m.total, m.live = 0, 0
+	for _, c := range m.counts {
+		m.total += c
+		if c > 0 {
+			m.live++
+		}
+	}
+	if m.tbl != nil {
+		m.tbl.rebuild(m.states)
+	}
+}

@@ -186,6 +186,13 @@ func (s *Snapshot[S]) validate() error {
 	if len(s.RNG) == 0 {
 		return fmt.Errorf("pop: snapshot has no rng state")
 	}
+	// Counters and clocks never run negative. The per-backend re-entry
+	// countdowns below matter most: Run subtracts a countdown from its
+	// remaining work, so a negative one made it run more than asked.
+	if s.Interactions < 0 || s.SegStart < 0 || !(s.TimeBase >= 0) {
+		return fmt.Errorf("pop: snapshot has negative interactions %d, seg_start %d or time_base %g",
+			s.Interactions, s.SegStart, s.TimeBase)
+	}
 	switch s.Backend {
 	case Sequential.String():
 		if len(s.Agents) != s.N {
@@ -198,25 +205,15 @@ func (s *Snapshot[S]) validate() error {
 			return fmt.Errorf("pop: sequential snapshot tracks states but carries none")
 		}
 	case Batched.String():
-		if s.SeqMode {
-			if len(s.Agents) != s.N {
-				return fmt.Errorf("pop: batch snapshot in sequential fallback has %d agents for n=%d",
-					len(s.Agents), s.N)
-			}
-		} else {
-			if len(s.Counts) != len(s.States) {
-				return fmt.Errorf("pop: batch snapshot has %d counts for %d states", len(s.Counts), len(s.States))
-			}
-			var total int64
-			for i, c := range s.Counts {
-				if c < 0 {
-					return fmt.Errorf("pop: batch snapshot count %d of state %v is negative", c, s.States[i])
-				}
-				total += c
-			}
-			if total != int64(s.N) {
-				return fmt.Errorf("pop: batch snapshot counts total %d for n=%d", total, s.N)
-			}
+		if s.SeqMode && len(s.Agents) != s.N {
+			return fmt.Errorf("pop: batch snapshot in sequential fallback has %d agents for n=%d",
+				len(s.Agents), s.N)
+		}
+		if err := s.validateTables(!s.SeqMode); err != nil {
+			return err
+		}
+		if s.SeqRecheck < 0 {
+			return fmt.Errorf("pop: batch snapshot has negative re-entry budget %d", s.SeqRecheck)
 		}
 		if s.QMax <= 0 {
 			return fmt.Errorf("pop: batch snapshot has no live-state threshold")
@@ -233,20 +230,11 @@ func (s *Snapshot[S]) validate() error {
 			if s.Inner.N != s.N {
 				return fmt.Errorf("pop: dense snapshot has n=%d but its inner engine n=%d", s.N, s.Inner.N)
 			}
-		} else {
-			if len(s.Counts) != len(s.States) {
-				return fmt.Errorf("pop: dense snapshot has %d counts for %d states", len(s.Counts), len(s.States))
-			}
-			var total int64
-			for i, c := range s.Counts {
-				if c < 0 {
-					return fmt.Errorf("pop: dense snapshot count %d of state %v is negative", c, s.States[i])
-				}
-				total += c
-			}
-			if total != int64(s.N) {
-				return fmt.Errorf("pop: dense snapshot counts total %d for n=%d", total, s.N)
-			}
+		} else if err := s.validateTables(true); err != nil {
+			return err
+		}
+		if s.InnerRecheck < 0 {
+			return fmt.Errorf("pop: dense snapshot has negative re-entry budget %d", s.InnerRecheck)
 		}
 		if s.QMax <= 0 {
 			return fmt.Errorf("pop: dense snapshot has no live-state threshold")
@@ -254,6 +242,42 @@ func (s *Snapshot[S]) validate() error {
 	default:
 		return fmt.Errorf("pop: snapshot backend %q is unknown (want %q, %q or %q)",
 			s.Backend, Sequential, Batched, Dense)
+	}
+	return nil
+}
+
+// validateTables checks a multiset snapshot's interning tables: a
+// duplicate-free states table (intern assigns each state one id) and,
+// unless the counts vector is stale and omitted (withCounts false),
+// parallel non-negative counts summing to n. The running sum is compared
+// against n before each addition, so counts cannot wrap int64 into a
+// plausible total.
+func (s *Snapshot[S]) validateTables(withCounts bool) error {
+	seen := make(map[S]struct{}, len(s.States))
+	for _, st := range s.States {
+		if _, dup := seen[st]; dup {
+			return fmt.Errorf("pop: %s snapshot interning table repeats state %v", s.Backend, st)
+		}
+		seen[st] = struct{}{}
+	}
+	if !withCounts {
+		return nil
+	}
+	if len(s.Counts) != len(s.States) {
+		return fmt.Errorf("pop: %s snapshot has %d counts for %d states", s.Backend, len(s.Counts), len(s.States))
+	}
+	var total int64
+	for i, c := range s.Counts {
+		if c < 0 {
+			return fmt.Errorf("pop: %s snapshot count %d of state %v is negative", s.Backend, c, s.States[i])
+		}
+		if c > int64(s.N)-total {
+			return fmt.Errorf("pop: %s snapshot counts total more than n=%d", s.Backend, s.N)
+		}
+		total += c
+	}
+	if total != int64(s.N) {
+		return fmt.Errorf("pop: %s snapshot counts total %d for n=%d", s.Backend, total, s.N)
 	}
 	return nil
 }
@@ -324,23 +348,11 @@ func (s *Sim[S]) Snapshot() (*Snapshot[S], error) {
 // sequential fallback the agent array is authoritative and the stale
 // counts vector is omitted.
 func (b *BatchSim[S]) Snapshot() (*Snapshot[S], error) {
-	rng, err := b.pcg.MarshalBinary()
+	snap, err := b.snapshotHeader(Batched)
 	if err != nil {
-		return nil, fmt.Errorf("pop: marshaling rng state: %w", err)
+		return nil, err
 	}
-	snap := &Snapshot[S]{
-		Version:      SnapshotVersion,
-		Backend:      Batched.String(),
-		N:            b.n,
-		Interactions: b.interacts,
-		TimeBase:     b.timeBase,
-		SegStart:     b.segStart,
-		RNG:          rng,
-		Par:          b.par,
-		States:       append([]S(nil), b.states...),
-		Distinct:     b.distinct,
-		QMax:         b.qMax,
-	}
+	snap.States = append([]S(nil), b.states...)
 	if b.seqMode {
 		snap.SeqMode = true
 		snap.SeqRecheck = b.seqRecheck
@@ -356,31 +368,17 @@ func (b *BatchSim[S]) Snapshot() (*Snapshot[S], error) {
 // outer tables (stale — re-entry rebuilds them wholesale from the inner
 // engine) are omitted.
 func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
-	rng, err := d.pcg.MarshalBinary()
+	snap, err := d.snapshotHeader(Dense)
 	if err != nil {
-		return nil, fmt.Errorf("pop: marshaling rng state: %w", err)
+		return nil, err
 	}
-	snap := &Snapshot[S]{
-		Version:        SnapshotVersion,
-		Backend:        Dense.String(),
-		N:              d.n,
-		Interactions:   d.interactsBase,
-		TimeBase:       d.timeBase,
-		SegStart:       d.segStart,
-		RNG:            rng,
-		Par:            d.par,
-		Distinct:       d.distinct,
-		QMax:           d.qMax,
-		QMaxOverride:   d.qMaxOverride,
-		BatchThreshold: d.batchThreshold,
-		ParOption:      d.parOption,
-	}
+	snap.QMaxOverride = d.qMaxOverride
+	snap.BatchThreshold = d.batchThreshold
+	snap.ParOption = d.parOption
 	if d.inner != nil {
-		inner, err := d.inner.Snapshot()
-		if err != nil {
+		if snap.Inner, err = d.inner.Snapshot(); err != nil {
 			return nil, err
 		}
-		snap.Inner = inner
 		snap.InnerRecheck = d.innerRecheck
 		snap.InnerBaseDistinct = d.innerBaseDistinct
 	} else {
@@ -446,55 +444,14 @@ func restoreSim[S comparable](snap *Snapshot[S], rule Rule[S]) (*Sim[S], error) 
 	return s, nil
 }
 
-// restoreTables rebuilds an interning position map from a serialized
-// states table (which must be duplicate-free — intern assigns each state
-// one id).
-func restoreTables[S comparable](states []S) (map[S]int32, error) {
-	pos := make(map[S]int32, 2*len(states))
-	for id, st := range states {
-		if _, dup := pos[st]; dup {
-			return nil, fmt.Errorf("pop: snapshot interning table repeats state %v", st)
-		}
-		pos[st] = int32(id)
-	}
-	return pos, nil
-}
-
-// restoreBatch rebuilds a batched engine. The transition cache starts
-// cold (generation 1, empty) by design — see the file comment.
+// restoreBatch rebuilds a batched engine.
 func restoreBatch[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*BatchSim[S], error) {
-	pcg, err := restorePCG(snap.RNG)
+	m, err := restoreMultiset(snap, rule, o, cacheBits, maxBatchPairs)
 	if err != nil {
 		return nil, err
 	}
-	pos, err := restoreTables(snap.States)
-	if err != nil {
-		return nil, err
-	}
-	cs := &countingSource{src: pcg}
-	b := &BatchSim[S]{
-		pcg:       pcg,
-		rng:       rand.New(pcg),
-		ruleRand:  cs,
-		ruleRng:   rand.New(cs),
-		rule:      rule,
-		n:         snap.N,
-		interacts: snap.Interactions,
-		timeBase:  snap.TimeBase,
-		segStart:  snap.SegStart,
-		states:    append([]S(nil), snap.States...),
-		pos:       pos,
-		counts:    make([]int64, len(snap.States)),
-		distinct:  snap.Distinct,
-		qMax:      snap.QMax,
-		par:       snap.Par,
-		tbl:       attachTable[S](o),
-	}
-	if b.tbl != nil {
-		b.tbl.rebuild(b.states)
-	}
-	b.cache = make([]cacheSlot, 1<<cacheBits)
-	b.cacheGen = 1
+	b := &BatchSim[S]{multiset: m}
+	counts := snap.Counts
 	if snap.SeqMode {
 		// The fallback's counts vector is stale by invariant (nothing
 		// reads it before recountFromAgents) and was omitted; the agent
@@ -502,72 +459,33 @@ func restoreBatch[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*Ba
 		b.seqMode = true
 		b.seqRecheck = snap.SeqRecheck
 		b.agents = append([]S(nil), snap.Agents...)
-	} else {
-		copy(b.counts, snap.Counts)
-		for _, c := range b.counts {
-			b.total += c
-			if c > 0 {
-				b.live++
-			}
-		}
+		counts = nil
 	}
+	b.loadTables(snap.States, counts)
 	return b, nil
 }
 
 // restoreDense rebuilds a dense engine, recursing into the delegated
 // BatchSim's nested snapshot when one is present.
 func restoreDense[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*DenseSim[S], error) {
-	pcg, err := restorePCG(snap.RNG)
+	m, err := restoreMultiset(snap, rule, o, denseCacheBits, denseMaxPairs)
 	if err != nil {
 		return nil, err
 	}
-	cs := &countingSource{src: pcg}
 	d := &DenseSim[S]{
-		pcg:            pcg,
-		rng:            rand.New(pcg),
-		ruleRand:       cs,
-		ruleRng:        rand.New(cs),
-		rule:           rule,
-		n:              snap.N,
-		interactsBase:  snap.Interactions,
-		timeBase:       snap.TimeBase,
-		segStart:       snap.SegStart,
-		pos:            map[S]int32{},
-		distinct:       snap.Distinct,
-		qMax:           snap.QMax,
+		multiset:       m,
 		qMaxOverride:   snap.QMaxOverride,
 		batchThreshold: snap.BatchThreshold,
-		par:            snap.Par,
 		parOption:      snap.ParOption,
-		tbl:            attachTable[S](o),
 	}
-	d.cache = make([]cacheSlot, 1<<denseCacheBits)
-	d.cacheGen = 1
 	if snap.Inner != nil {
-		inner, err := restoreBatch(snap.Inner, rule, o)
-		if err != nil {
+		if d.inner, err = restoreBatch(snap.Inner, rule, o); err != nil {
 			return nil, err
 		}
-		d.inner = inner
 		d.innerRecheck = snap.InnerRecheck
 		d.innerBaseDistinct = snap.InnerBaseDistinct
 		return d, nil
 	}
-	pos, err := restoreTables(snap.States)
-	if err != nil {
-		return nil, err
-	}
-	d.states = append([]S(nil), snap.States...)
-	d.counts = append([]int64(nil), snap.Counts...)
-	d.pos = pos
-	if d.tbl != nil {
-		d.tbl.rebuild(d.states)
-	}
-	for _, c := range d.counts {
-		d.total += c
-		if c > 0 {
-			d.live++
-		}
-	}
+	d.loadTables(snap.States, snap.Counts)
 	return d, nil
 }

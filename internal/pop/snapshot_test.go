@@ -2,6 +2,7 @@ package pop
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -193,35 +194,68 @@ func TestSnapshotFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotValidation spot-checks the malformed-snapshot rejections.
+// TestSnapshotValidation spot-checks the malformed-snapshot rejections,
+// through both UnmarshalSnapshot and Restore. The negative-budget and
+// count-overflow cases were accepted once: a negative re-entry countdown
+// made Run(100) execute thousands of interactions, and counts wrapping
+// int64 summed to a plausible n.
 func TestSnapshotValidation(t *testing.T) {
-	s := NewBatch(500, func(i int, _ *rand.Rand) int { return i % 3 }, amRule, WithSeed(3))
-	s.Run(1000)
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	snapOf := func(e Engine[int], k int64) *Snapshot[int] {
+		t.Helper()
+		e.Run(k)
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	batch := snapOf(NewBatch(500, func(i int, _ *rand.Rand) int { return i % 3 }, amRule, WithSeed(3)), 1000)
+	fallback := snapOf(NewBatch(600, func(int, *rand.Rand) int { return 0 }, explodeRule,
+		WithSeed(5), WithBatchThreshold(16)), 20*600)
+	delegated := snapOf(NewDense(600, func(int, *rand.Rand) int { return 0 }, explodeRule,
+		WithSeed(5), WithDenseThreshold(8)), 2*600)
+	if !fallback.SeqMode || delegated.Inner == nil {
+		t.Fatal("test setup: engines did not reach fallback and delegation")
 	}
 	cases := []struct {
 		name   string
+		base   *Snapshot[int]
 		mutate func(*Snapshot[int])
 		want   string
 	}{
-		{"version", func(s *Snapshot[int]) { s.Version = 99 }, "version"},
-		{"backend", func(s *Snapshot[int]) { s.Backend = "quantum" }, "unknown"},
-		{"counts-total", func(s *Snapshot[int]) { s.Counts[0]++ }, "total"},
-		{"no-rng", func(s *Snapshot[int]) { s.RNG = nil }, "rng"},
-		{"dup-state", func(s *Snapshot[int]) { s.States[1] = s.States[0] }, "repeats"},
+		{"version", batch, func(s *Snapshot[int]) { s.Version = 99 }, "version"},
+		{"backend", batch, func(s *Snapshot[int]) { s.Backend = "quantum" }, "unknown"},
+		{"counts-total", batch, func(s *Snapshot[int]) { s.Counts[0]++ }, "total"},
+		{"no-rng", batch, func(s *Snapshot[int]) { s.RNG = nil }, "rng"},
+		{"dup-state", batch, func(s *Snapshot[int]) { s.States[1] = s.States[0] }, "repeats"},
+		{"negative-interactions", batch, func(s *Snapshot[int]) { s.Interactions = -1 }, "negative"},
+		{"negative-seg-start", batch, func(s *Snapshot[int]) { s.SegStart = -1 }, "negative"},
+		{"negative-time-base", batch, func(s *Snapshot[int]) { s.TimeBase = -0.5 }, "negative"},
+		{"negative-seq-recheck", fallback, func(s *Snapshot[int]) { s.SeqRecheck = -5000 }, "negative"},
+		{"negative-inner-recheck", delegated, func(s *Snapshot[int]) { s.InnerRecheck = -7000 }, "negative"},
+		{"counts-overflow", batch, func(s *Snapshot[int]) {
+			s.N = 2
+			s.States = []int{-1, 0, 1}
+			s.Counts = []int64{math.MaxInt64, math.MaxInt64, 4}
+		}, "total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := *snap
-			cp.States = append([]int(nil), snap.States...)
-			cp.Counts = append([]int64(nil), snap.Counts...)
+			cp := *tc.base
+			cp.States = append([]int(nil), tc.base.States...)
+			cp.Counts = append([]int64(nil), tc.base.Counts...)
 			tc.mutate(&cp)
 			if _, err := Restore(&cp, amRule); err == nil {
 				t.Fatal("Restore accepted a corrupted snapshot")
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			blob, err := cp.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := UnmarshalSnapshot[int](blob); err == nil {
+				t.Fatal("UnmarshalSnapshot accepted a corrupted snapshot")
 			}
 		})
 	}
