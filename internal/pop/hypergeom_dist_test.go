@@ -11,7 +11,8 @@ import (
 // within runs fn under a wall-clock bound and fails the test if it does
 // not return in time. The distribution tests below draw at population
 // sizes where the pre-HRUA mode walk degraded to O(stddev) — or, with
-// the wrapped int64 anchor, to O(support) — so without a bound a
+// the wrapped int64 anchor, to O(support) — and FuzzUnmarshalSnapshot
+// runs engines restored from arbitrary bytes, so without a bound a
 // regression reads as a hung test run rather than a failure.
 func within(t *testing.T, d time.Duration, fn func()) {
 	t.Helper()
@@ -23,7 +24,7 @@ func within(t *testing.T, d time.Duration, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(d):
-		t.Fatalf("sampler exceeded %v time bound — O(stddev) walk regression?", d)
+		t.Fatalf("call exceeded its %v time bound", d)
 	}
 }
 
