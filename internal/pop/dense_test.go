@@ -256,6 +256,70 @@ func TestDenseMatchesSequentialDistribution(t *testing.T) {
 	}
 }
 
+// TestDenseDelegationMatchesSequential is the distributional check of
+// delegation at n=12: thresholds this small make nearly every trial
+// delegate, fall back to the agent array inside the delegated mode and
+// re-enter, so the full end-configuration distribution of mixedRule
+// exercises every mode switch against the sequential engine.
+func TestDenseDelegationMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distribution comparison is not short")
+	}
+	const n, T, trials = 12, 6, 20000
+	initial := func(i int, _ *rand.Rand) int { return i % 5 }
+	type outcome struct {
+		sig                    string
+		delegations, reentries int64
+	}
+	run := func(mk func(tr int) Engine[int]) (map[string]float64, outcome) {
+		outs := RunTrials(trials, 0, func(tr int) outcome {
+			e := mk(tr)
+			e.RunTime(T)
+			c := e.Counts()
+			o := outcome{sig: fmt.Sprint(c[0], c[1], c[2], c[3], c[4])}
+			if d, ok := e.(*DenseSim[int]); ok {
+				st := d.Stats()
+				o.delegations, o.reentries = st.Delegations, st.Reentries
+			}
+			return o
+		})
+		freq := make(map[string]float64)
+		var sum outcome
+		for _, o := range outs {
+			freq[o.sig] += 1.0 / trials
+			sum.delegations += o.delegations
+			sum.reentries += o.reentries
+		}
+		return freq, sum
+	}
+	seq, _ := run(func(tr int) Engine[int] {
+		return New(n, initial, mixedRule, WithSeed(uint64(tr)*2+1))
+	})
+	den, st := run(func(tr int) Engine[int] {
+		return NewDense(n, initial, mixedRule, WithSeed(uint64(tr)*2+2),
+			WithDenseThreshold(3), WithBatchThreshold(4))
+	})
+	if st.delegations == 0 || st.reentries == 0 {
+		t.Fatalf("trials never switched modes: %d delegations, %d re-entries", st.delegations, st.reentries)
+	}
+	seen := map[string]bool{}
+	for k := range seq {
+		seen[k] = true
+	}
+	for k := range den {
+		seen[k] = true
+	}
+	for k := range seen {
+		d := math.Abs(seq[k] - den[k])
+		// ~5 standard errors, as in TestDenseMatchesSequentialDistribution.
+		tol := 5*math.Sqrt(math.Max(seq[k], den[k])/trials) + 1e-3
+		if d > tol {
+			t.Errorf("signature %q: seq %.4f vs dense %.4f (tol %.4f)", k, seq[k], den[k], tol)
+		}
+	}
+	t.Logf("%d signatures, %d delegations, %d re-entries", len(seen), st.delegations, st.reentries)
+}
+
 // TestDenseDistinctStates: on a protocol that can only shuffle its initial
 // values (max-epidemic), the dense engine must report exactly the initial
 // distinct-state count.
