@@ -419,21 +419,22 @@ func (m *Manager) Cancel(ctx context.Context, id string) (*Job, error) {
 }
 
 // Close stops every running job (their manifests stay pending, so a new
-// Manager on the same directory resumes them) and waits for the runners
-// to exit.
+// Manager on the same directory resumes them) and waits for every runner
+// to exit — including one whose job just turned terminal and is still
+// persisting its manifest.
 func (m *Manager) Close() {
 	m.stopAll()
 	m.mu.Lock()
-	var running []*Job
+	var runners []*Job
 	for _, j := range m.jobs {
 		j.mu.Lock()
-		if j.cancel != nil && !j.state.Terminal() {
-			running = append(running, j)
+		if j.cancel != nil {
+			runners = append(runners, j)
 		}
 		j.mu.Unlock()
 	}
 	m.mu.Unlock()
-	for _, j := range running {
+	for _, j := range runners {
 		<-j.done
 	}
 }

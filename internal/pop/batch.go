@@ -11,6 +11,8 @@
 // agent array whose random accesses dominate the sequential engine's cost
 // at large n. The representation, its compaction and the transition
 // cache are the multiset core BatchSim shares with DenseSim (multiset.go).
+// So is everything below: the slot batches and the fallback are methods
+// of that core, which is how DenseSim runs them while it delegates.
 //
 // # Batching
 //
@@ -38,9 +40,10 @@
 // # Fallback
 //
 // Protocols (or phases) whose live state count exceeds WithBatchThreshold
-// get no benefit from multiset bookkeeping, so BatchSim materializes an
-// explicit agent array and steps it sequentially — the exact reference
-// semantics — re-entering batch mode if the configuration re-concentrates.
+// get no benefit from multiset bookkeeping, so the slot arrangement
+// materializes an explicit agent array and steps it sequentially — the
+// exact reference semantics — re-entering batch mode if the configuration
+// re-concentrates.
 // The batched engine cannot provide per-agent interaction counts
 // (WithInteractionCounts); use the sequential engine for those
 // experiments.
@@ -102,22 +105,12 @@ const (
 	seqRecheckFactor = 2
 )
 
-// BatchSim is the batched multiset engine. See the file comment for the
-// algorithm. It is not safe for concurrent use; run independent trials on
-// independent values (e.g. via RunTrials).
+// BatchSim is the batched multiset engine: the multiset core running its
+// slot batches. See the file comment for the algorithm. It is not safe for
+// concurrent use; run independent trials on independent values (e.g. via
+// RunTrials).
 type BatchSim[S comparable] struct {
 	multiset[S]
-
-	// Sequential fallback mode.
-	seqMode    bool
-	agents     []S
-	seqRecheck int64 // interactions until the next re-entry check
-
-	slots []int32 // batch scratch: pre states, then post states
-
-	forceNoSeq bool // test hook (false in production)
-
-	stats BatchStats // the fallback counters; Stats adds the core's
 }
 
 // newBatchSim builds a BatchSim of n agents with everything but its
@@ -125,12 +118,7 @@ type BatchSim[S comparable] struct {
 func newBatchSim[S comparable](n int, rule Rule[S], opts []Option) *BatchSim[S] {
 	var o options
 	Combine(opts...)(&o)
-	b := &BatchSim[S]{multiset: newShell("batched", n, rule, o, cacheBits, maxBatchPairs)}
-	b.qMax = defaultBatchThreshold
-	if o.batchThreshold > 0 {
-		b.qMax = o.batchThreshold
-	}
-	return b
+	return &BatchSim[S]{multiset: newShell("batched", n, rule, o, cacheBits)}
 }
 
 // NewBatch constructs a batched multiset simulator; the arguments mirror
@@ -156,126 +144,26 @@ func NewBatchFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) 
 // counts[i] agents (zero-count entries are skipped, duplicate states
 // accumulate). Unlike NewBatchFromConfig it never materializes an agent
 // slice, so it works at population sizes where an agent array would not
-// fit in memory; DenseSim uses it to delegate mid-run.
+// fit in memory.
 func NewBatchFromCounts[S comparable](states []S, counts []int64, rule Rule[S], opts ...Option) *BatchSim[S] {
 	b := newBatchSim(int(validateCounts(states, counts)), rule, opts)
 	b.fillCounts(states, counts)
 	return b
 }
 
-// Interactions returns the number of interactions executed so far.
-func (b *BatchSim[S]) Interactions() int64 { return b.interacts }
-
-// Time returns the parallel time elapsed, accumulated per churn segment
-// (see Engine.Time); on a fixed population it equals interactions / n.
-func (b *BatchSim[S]) Time() float64 { return b.timeAt(b.interacts) }
-
-// AddAgents adds k agents in state st (a join event): one count edit in
-// multiset mode, k appended slots in the sequential fallback.
-func (b *BatchSim[S]) AddAgents(st S, k int) {
-	checkJoin(b.n, k)
-	if k == 0 {
-		return
-	}
-	b.beginSegment(b.interacts)
-	if b.seqMode {
-		b.intern(st) // keep DistinctStates exact, as seqStep does
-		for i := 0; i < k; i++ {
-			b.agents = append(b.agents, st)
-		}
-	} else {
-		b.addCount(b.intern(st), int64(k))
-	}
-	b.n += k
-}
-
-// RemoveAgents removes k agents chosen uniformly at random without
-// replacement (a leave event), refusing to shrink the population below 2.
-// In multiset mode the removed agents' states are a multivariate
-// hypergeometric sample of the counts vector.
-func (b *BatchSim[S]) RemoveAgents(k int) {
-	checkRemoval(b.n, k)
-	if k == 0 {
-		return
-	}
-	b.beginSegment(b.interacts)
-	if b.seqMode {
-		for r := k; r > 0; r-- {
-			n := len(b.agents)
-			j := b.rng.IntN(n)
-			b.agents[j] = b.agents[n-1]
-			b.agents = b.agents[:n-1]
-		}
-	} else {
-		b.removeCounts(k)
-	}
-	b.n -= k
-}
-
-// DistinctStates returns the number of distinct states observed since the
-// initial configuration. Unlike the sequential engine, the batched engine
-// tracks this as a side effect of interning and needs no option.
-func (b *BatchSim[S]) DistinctStates() int { return b.distinct }
-
 // Stats returns execution diagnostics.
 func (b *BatchSim[S]) Stats() BatchStats {
-	s, c := b.stats, b.st
-	s.Batches, s.BatchedInteractions, s.Compactions = c.batches, c.batchedInteractions, c.compactions
-	s.CacheHits, s.RuleCalls, s.TableHits = c.cacheHits, c.ruleCalls, c.tableHits
-	return s
-}
-
-// LiveStates returns the number of distinct states currently present.
-func (b *BatchSim[S]) LiveStates() int {
-	if b.seqMode {
-		b.recountFromAgents()
+	c := b.st
+	return BatchStats{
+		Batches: c.batches, BatchedInteractions: c.batchedInteractions,
+		SeqInteractions: c.seqInteractions, Fallbacks: c.fallbacks, Reentries: c.seqReentries,
+		CacheHits: c.cacheHits, RuleCalls: c.ruleCalls, TableHits: c.tableHits,
+		Compactions: c.compactions,
 	}
-	return b.live
 }
 
-// Counts returns the configuration vector.
-func (b *BatchSim[S]) Counts() map[S]int {
-	if b.seqMode {
-		c := make(map[S]int, 64)
-		for _, a := range b.agents {
-			c[a]++
-		}
-		return c
-	}
-	return b.multiset.Counts()
-}
-
-// Count returns the number of agents satisfying pred.
-func (b *BatchSim[S]) Count(pred func(S) bool) int {
-	if b.seqMode {
-		k := 0
-		for _, a := range b.agents {
-			if pred(a) {
-				k++
-			}
-		}
-		return k
-	}
-	return b.multiset.Count(pred)
-}
-
-// All reports whether every agent satisfies pred.
-func (b *BatchSim[S]) All(pred func(S) bool) bool {
-	if b.seqMode {
-		for _, a := range b.agents {
-			if !pred(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return b.multiset.All(pred)
-}
-
-// Any reports whether at least one agent satisfies pred.
-func (b *BatchSim[S]) Any(pred func(S) bool) bool {
-	return !b.All(func(s S) bool { return !pred(s) })
-}
+// Run executes k interactions.
+func (b *BatchSim[S]) Run(k int64) { b.runSlots(k) }
 
 // RunTime executes t units of parallel time (t·n interactions, rounded
 // down).
@@ -289,74 +177,199 @@ func (b *BatchSim[S]) RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime fl
 	return runUntil[S](b, pred, checkEvery, maxTime)
 }
 
-// Step executes one interaction. In batch mode this is an exact
-// single-interaction multiset step; it costs O(q) and exists for API
-// completeness — Run amortizes far better.
-func (b *BatchSim[S]) Step() {
-	if b.seqMode {
-		b.seqStep()
+// Interactions returns the number of interactions executed so far.
+func (m *multiset[S]) Interactions() int64 { return m.interacts }
+
+// Time returns the parallel time elapsed, accumulated per churn segment
+// (see Engine.Time); on a fixed population it equals interactions / n.
+func (m *multiset[S]) Time() float64 { return m.timeAt(m.interacts) }
+
+// AddAgents adds k agents in state st (a join event): one count edit in
+// multiset mode, k appended agents in the agent-array fallback.
+func (m *multiset[S]) AddAgents(st S, k int) {
+	checkJoin(m.n, k)
+	if k == 0 {
 		return
 	}
-	b.step()
+	m.beginSegment(m.interacts)
+	if m.seqMode {
+		m.intern(st) // keep DistinctStates exact, as seqStep does
+		for i := 0; i < k; i++ {
+			m.agents = append(m.agents, st)
+		}
+	} else {
+		m.addCount(m.intern(st), int64(k))
+	}
+	m.n += k
 }
 
-// Run executes k interactions.
-func (b *BatchSim[S]) Run(k int64) {
+// RemoveAgents removes k agents chosen uniformly at random without
+// replacement (a leave event), refusing to shrink the population below 2.
+// In multiset mode the removed agents' states are a multivariate
+// hypergeometric sample of the counts vector.
+func (m *multiset[S]) RemoveAgents(k int) {
+	checkRemoval(m.n, k)
+	if k == 0 {
+		return
+	}
+	m.beginSegment(m.interacts)
+	if m.seqMode {
+		for r := k; r > 0; r-- {
+			n := len(m.agents)
+			j := m.rng.IntN(n)
+			m.agents[j] = m.agents[n-1]
+			m.agents = m.agents[:n-1]
+		}
+	} else {
+		m.removeCounts(k)
+	}
+	m.n -= k
+}
+
+// DistinctStates returns the number of distinct states observed since the
+// initial configuration. Unlike the sequential engine, the multiset
+// engines track this as a side effect of interning and need no option
+// (a state that dies, is compacted away and reappears counts again).
+func (m *multiset[S]) DistinctStates() int { return m.distinct }
+
+// LiveStates returns the number of distinct states currently present.
+func (m *multiset[S]) LiveStates() int {
+	if m.seqMode {
+		m.recountFromAgents()
+	}
+	return m.live
+}
+
+// Counts returns the configuration vector.
+func (m *multiset[S]) Counts() map[S]int {
+	if m.seqMode {
+		c := make(map[S]int, 64)
+		for _, a := range m.agents {
+			c[a]++
+		}
+		return c
+	}
+	c := make(map[S]int, m.live)
+	for id, cnt := range m.counts {
+		if cnt > 0 {
+			c[m.states[id]] = int(cnt)
+		}
+	}
+	return c
+}
+
+// Count returns the number of agents satisfying pred.
+func (m *multiset[S]) Count(pred func(S) bool) int {
+	if m.seqMode {
+		k := 0
+		for _, a := range m.agents {
+			if pred(a) {
+				k++
+			}
+		}
+		return k
+	}
+	var k int64
+	for id, cnt := range m.counts {
+		if cnt > 0 && pred(m.states[id]) {
+			k += cnt
+		}
+	}
+	return int(k)
+}
+
+// All reports whether every agent satisfies pred.
+func (m *multiset[S]) All(pred func(S) bool) bool {
+	if m.seqMode {
+		for _, a := range m.agents {
+			if !pred(a) {
+				return false
+			}
+		}
+		return true
+	}
+	for id, cnt := range m.counts {
+		if cnt > 0 && !pred(m.states[id]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Any reports whether at least one agent satisfies pred.
+func (m *multiset[S]) Any(pred func(S) bool) bool {
+	return !m.All(func(s S) bool { return !pred(s) })
+}
+
+// Step executes one interaction. In multiset mode this is an exact
+// single-interaction multiset step; it costs O(q) and exists for API
+// completeness — Run amortizes far better.
+func (m *multiset[S]) Step() {
+	if m.seqMode {
+		m.seqStep()
+		return
+	}
+	m.step()
+}
+
+// runSlots executes k interactions in slot batches, switching to and from
+// the agent-array fallback on the live-state threshold.
+func (m *multiset[S]) runSlots(k int64) {
 	for k > 0 {
-		if b.seqMode {
-			k -= b.seqRun(k)
+		if m.seqMode {
+			k -= m.seqRun(k)
 			continue
 		}
-		if b.live > b.qMax {
-			b.materialize()
+		if m.live > m.qMax {
+			m.materialize()
 			continue
 		}
-		k -= b.advance(k, b.runBatch)
+		k -= m.advance(k, m.slotBatch)
 	}
 }
 
-// runBatch simulates one collision-free batch (plus its collision
+// slotBatch simulates one collision-free slot batch (plus its collision
 // interaction, if one was sampled) of at most kmax interactions, and
 // returns how many interactions it executed.
-func (b *BatchSim[S]) runBatch(kmax int64) int64 {
-	if b.par >= 1 {
-		return b.runBatchSplit(kmax)
+func (m *multiset[S]) slotBatch(kmax int64) int64 {
+	if m.par >= 1 {
+		return m.slotBatchSplit(kmax)
 	}
-	ell, collided := b.batchLength(kmax)
+	ell, collided := m.batchLength(kmax, maxBatchPairs)
 	if ell == 0 {
-		b.step()
+		m.step()
 		return 1
 	}
-	m := 2 * ell
+	parts := 2 * ell
 
 	// Draw the 2ℓ participant states without replacement and pair them.
-	if cap(b.slots) < int(m)+2 {
-		b.slots = make([]int32, m+2)
+	if cap(m.slots) < int(parts)+2 {
+		m.slots = make([]int32, parts+2)
 	}
-	slots := b.slots[:m]
-	if m >= int64(stateSampleFactor*b.live) {
-		b.sampleSlotsByState(slots)
+	slots := m.slots[:parts]
+	if parts >= int64(stateSampleFactor*m.live) {
+		m.sampleSlotsByState(slots)
 	} else {
-		b.sampleSlotsByFenwick(slots)
+		m.sampleSlotsByFenwick(slots)
 	}
 
 	// Apply the rule to each ordered pair, rewriting the slot array in
 	// place with the post-interaction states.
-	for i := int64(0); i < m; i += 2 {
-		slots[i], slots[i+1], _ = b.resolve(slots[i], slots[i+1], 1)
+	for i := int64(0); i < parts; i += 2 {
+		slots[i], slots[i+1], _ = m.resolve(slots[i], slots[i+1], 1)
 	}
 	if collided {
-		slots = b.collisionStep(slots)
+		slots = m.collisionStep(slots)
 	}
 
 	// Commit participants' post states.
 	for _, id := range slots {
-		b.addCount(id, 1)
+		m.addCount(id, 1)
 	}
-	return b.endBatch(ell, collided)
+	return m.endBatch(ell, collided)
 }
 
-// runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
+// slotBatchSplit is slotBatch on the node-seeded splitter path (par >= 1):
 // the same collision-free batch law, with every draw below the batch's
 // one seed word derived from (seed, node path) so the trajectory is
 // byte-identical for any worker count. The batch proceeds in phases —
@@ -367,54 +380,54 @@ func (b *BatchSim[S]) runBatch(kmax int64) int64 {
 // multiset, and an O(q) commit. Only the composition, arrangement and
 // cache-hit phases fan out; everything touching the engine's own rng or
 // the rule stream stays serial and ordered.
-func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
-	ell, collided := b.batchLength(kmax)
+func (m *multiset[S]) slotBatchSplit(kmax int64) int64 {
+	ell, collided := m.batchLength(kmax, maxBatchPairs)
 	if ell == 0 {
-		b.step()
+		m.step()
 		return 1
 	}
-	m := 2 * ell
-	batchSeed := b.rng.Uint64()
-	workers := effectiveWorkers(b.par)
-	fanOut := workers > 1 && m >= 2*parMinForkItems
+	parts := 2 * ell
+	batchSeed := m.rng.Uint64()
+	workers := effectiveWorkers(m.par)
+	fanOut := workers > 1 && parts >= 2*parMinForkItems
 
-	if cap(b.slots) < int(m)+2 {
-		b.slots = make([]int32, m+2)
+	if cap(m.slots) < int(parts)+2 {
+		m.slots = make([]int32, parts+2)
 	}
-	slots := b.slots[:m]
-	q := len(b.counts)
-	if m >= int64(stateSampleFactor*b.live) {
+	slots := m.slots[:parts]
+	q := len(m.counts)
+	if parts >= int64(stateSampleFactor*m.live) {
 		// Long batch: draw the participants' composition, debit it, then
 		// realize a uniformly random arrangement (the pairing).
-		b.comp = resizeZero(b.comp, q)
-		b.cum = prefixSums(b.cum, b.counts)
+		m.comp = resizeZero(m.comp, q)
+		m.cum = prefixSums(m.cum, m.counts)
 		var g *parGroup
 		if fanOut {
 			g = newParGroup(workers)
 		}
-		mvhSplitComp(g, deriveSeed(batchSeed, 1), 1, b.counts, b.cum, 0, q, b.total, m, b.comp)
+		mvhSplitComp(g, deriveSeed(batchSeed, 1), 1, m.counts, m.cum, 0, q, m.total, parts, m.comp)
 		g.wait()
-		for id, k := range b.comp {
+		for id, k := range m.comp {
 			if k > 0 {
-				b.addCount(int32(id), -k)
+				m.addCount(int32(id), -k)
 			}
 		}
 		if fanOut {
 			g = newParGroup(workers)
 		}
-		multisetSeqSplit(g, deriveSeed(batchSeed, 2), 1, b.comp, slots, nil)
+		multisetSeqSplit(g, deriveSeed(batchSeed, 2), 1, m.comp, slots, nil)
 		g.wait()
 	} else {
 		// Short batch relative to the live-state count: per-slot Fenwick
 		// draws chain through one node stream (no fan-out — each draw
 		// conditions on the previous ones).
 		r := nodeRand(deriveSeed(batchSeed, 1), 1)
-		b.tree.reset(b.counts)
-		rem := b.total
+		m.tree.reset(m.counts)
+		rem := m.total
 		for i := range slots {
-			id := int32(b.tree.findAndDec(r.Int64N(rem)))
+			id := int32(m.tree.findAndDec(r.Int64N(rem)))
 			rem--
-			b.addCount(id, -1)
+			m.addCount(id, -1)
 			slots[i] = id
 		}
 	}
@@ -423,14 +436,14 @@ func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
 	// state (concurrent cache and table reads are safe — nothing writes
 	// until the serial miss pass). Hits accumulate into per-chunk post
 	// vectors; misses defer.
-	b.post = resizeZero(b.post, len(b.states))
-	nChunks := int((m + pairChunkSlots - 1) / pairChunkSlots)
+	m.post = resizeZero(m.post, len(m.states))
+	nChunks := int((parts + pairChunkSlots - 1) / pairChunkSlots)
 	missByChunk := make([][]int64, nChunks)
 	// scan resolves the pairs of slots[lo:hi] that lookupRO answers into
 	// post and returns the slot indices of the rest.
 	scan := func(lo, hi int64, post []int64) (miss []int64, hits, tblHits int64) {
 		for i := lo; i < hi; i += 2 {
-			oa, ob, ok, fromTable := b.lookupRO(slots[i], slots[i+1])
+			oa, ob, ok, fromTable := m.lookupRO(slots[i], slots[i+1])
 			switch {
 			case !ok:
 				miss = append(miss, i)
@@ -451,26 +464,26 @@ func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
 		for ci := range missByChunk {
 			lo := int64(ci) * pairChunkSlots
 			g.fork(func() {
-				localPost := make([]int64, len(b.post))
-				miss, hits, tblHits := scan(lo, min(lo+pairChunkSlots, m), localPost)
+				localPost := make([]int64, len(m.post))
+				miss, hits, tblHits := scan(lo, min(lo+pairChunkSlots, parts), localPost)
 				missByChunk[ci] = miss // distinct index per chunk
 				mu.Lock()
 				for id, c := range localPost {
 					if c > 0 {
-						b.post[id] += c
+						m.post[id] += c
 					}
 				}
-				b.st.cacheHits += hits
-				b.st.tableHits += tblHits
+				m.st.cacheHits += hits
+				m.st.tableHits += tblHits
 				mu.Unlock()
 			})
 		}
 		g.wait()
 	} else {
 		var hits, tblHits int64
-		missByChunk[0], hits, tblHits = scan(0, m, b.post)
-		b.st.cacheHits += hits
-		b.st.tableHits += tblHits
+		missByChunk[0], hits, tblHits = scan(0, parts, m.post)
+		m.st.cacheHits += hits
+		m.st.tableHits += tblHits
 	}
 
 	// Serial miss pass, in slot order: rule calls (and their randomness)
@@ -478,22 +491,22 @@ func (b *BatchSim[S]) runBatchSplit(kmax int64) int64 {
 	// is a pure function of the trajectory.
 	for _, chunk := range missByChunk {
 		for _, i := range chunk {
-			oa, ob, _ := b.resolve(slots[i], slots[i+1], 1)
-			b.addPost(oa, 1)
-			b.addPost(ob, 1)
+			oa, ob, _ := m.resolve(slots[i], slots[i+1], 1)
+			m.addPost(oa, 1)
+			m.addPost(ob, 1)
 		}
 	}
-	return b.finishPost(ell, collided)
+	return m.finishPost(ell, collided)
 }
 
 // sampleSlotsByState fills slots with a uniform without-replacement sample
 // of participant states in O(q·H + |slots|) — the removeCountsChain draw,
 // recorded slot by slot in id order as it debits the counts — then a
 // Fisher–Yates shuffle realizes the uniformly random pairing.
-func (b *BatchSim[S]) sampleSlotsByState(slots []int32) {
+func (m *multiset[S]) sampleSlotsByState(slots []int32) {
 	w := 0
-	removeCountsChain(b.rng, &b.tree, b.counts, b.total, int64(len(slots)), func(id int32, d int64) {
-		b.addCount(id, d)
+	removeCountsChain(m.rng, &m.tree, m.counts, m.total, int64(len(slots)), func(id int32, d int64) {
+		m.addCount(id, d)
 		for ; d < 0; d++ {
 			slots[w] = id
 			w++
@@ -502,7 +515,7 @@ func (b *BatchSim[S]) sampleSlotsByState(slots []int32) {
 	// Fisher–Yates: a uniform permutation makes consecutive slot pairs a
 	// uniformly random ordered pairing of the sampled multiset.
 	for i := len(slots) - 1; i > 0; i-- {
-		j := b.rng.IntN(i + 1)
+		j := m.rng.IntN(i + 1)
 		slots[i], slots[j] = slots[j], slots[i]
 	}
 }
@@ -510,13 +523,13 @@ func (b *BatchSim[S]) sampleSlotsByState(slots []int32) {
 // sampleSlotsByFenwick fills slots via per-slot weighted draws without
 // replacement in O(|slots|·log q), for configurations whose state count is
 // large relative to the batch. Counts are debited as part of sampling.
-func (b *BatchSim[S]) sampleSlotsByFenwick(slots []int32) {
-	b.tree.reset(b.counts)
-	remaining := b.total
+func (m *multiset[S]) sampleSlotsByFenwick(slots []int32) {
+	m.tree.reset(m.counts)
+	remaining := m.total
 	for i := range slots {
-		id := int32(b.tree.findAndDec(b.rng.Int64N(remaining)))
+		id := int32(m.tree.findAndDec(m.rng.Int64N(remaining)))
 		remaining--
-		b.addCount(id, -1)
+		m.addCount(id, -1)
 		slots[i] = id
 	}
 }
@@ -525,9 +538,9 @@ func (b *BatchSim[S]) sampleSlotsByFenwick(slots []int32) {
 // with the participants' post states in slots. It returns the updated
 // pending-commit slice (collision participants replaced by their
 // outputs).
-func (b *BatchSim[S]) collisionStep(slots []int32) []int32 {
-	oa, ob := b.collide(int64(len(slots)), func() int32 {
-		j := b.rng.IntN(len(slots))
+func (m *multiset[S]) collisionStep(slots []int32) []int32 {
+	oa, ob := m.collide(int64(len(slots)), func() int32 {
+		j := m.rng.IntN(len(slots))
 		id := slots[j]
 		slots[j] = slots[len(slots)-1]
 		slots = slots[:len(slots)-1]
@@ -540,69 +553,66 @@ func (b *BatchSim[S]) collisionStep(slots []int32) []int32 {
 // expanded into an explicit agent array (order is irrelevant — agents are
 // anonymous and the scheduler is exchangeable) and stepped exactly as the
 // reference engine does.
-func (b *BatchSim[S]) materialize() {
-	if b.forceNoSeq {
-		panic("pop: BatchSim fell back to sequential mode with forceNoSeq set")
+func (m *multiset[S]) materialize() {
+	if cap(m.agents) < m.n {
+		m.agents = make([]S, 0, m.n)
 	}
-	if cap(b.agents) < b.n {
-		b.agents = make([]S, 0, b.n)
-	}
-	b.agents = b.agents[:0]
-	for id, c := range b.counts {
+	m.agents = m.agents[:0]
+	for id, c := range m.counts {
 		for ; c > 0; c-- {
-			b.agents = append(b.agents, b.states[id])
+			m.agents = append(m.agents, m.states[id])
 		}
 	}
-	b.seqMode = true
-	b.seqRecheck = int64(seqRecheckFactor) * int64(b.n)
-	b.stats.Fallbacks++
+	m.seqMode = true
+	m.seqRecheck = int64(seqRecheckFactor) * int64(m.n)
+	m.st.fallbacks++
 }
 
 // seqStep is one agent-array interaction, identical in distribution to
 // Sim.Step. Outputs are interned so DistinctStates stays exact and
 // re-entry checks can count live states.
-func (b *BatchSim[S]) seqStep() {
-	i := b.rng.IntN(b.n)
-	j := b.rng.IntN(b.n - 1)
+func (m *multiset[S]) seqStep() {
+	i := m.rng.IntN(m.n)
+	j := m.rng.IntN(m.n - 1)
 	if j >= i {
 		j++
 	}
-	sa, sb := b.rule(b.agents[i], b.agents[j], b.ruleRng)
-	b.intern(sa)
-	b.intern(sb)
-	b.agents[i], b.agents[j] = sa, sb
-	b.interacts++
-	b.stats.SeqInteractions++
+	sa, sb := m.rule(m.agents[i], m.agents[j], m.ruleRng)
+	m.intern(sa)
+	m.intern(sb)
+	m.agents[i], m.agents[j] = sa, sb
+	m.interacts++
+	m.st.seqInteractions++
 }
 
 // seqRun executes up to k sequential-mode interactions, returning how many
 // it ran; it periodically recounts live states and re-enters batch mode
 // when the configuration re-concentrates.
-func (b *BatchSim[S]) seqRun(k int64) int64 {
-	run := min(k, b.seqRecheck)
+func (m *multiset[S]) seqRun(k int64) int64 {
+	run := min(k, m.seqRecheck)
 	for i := int64(0); i < run; i++ {
-		b.seqStep()
+		m.seqStep()
 	}
-	b.seqRecheck -= run
-	if b.seqRecheck <= 0 {
-		b.recountFromAgents()
-		if b.live <= b.qMax/2 {
-			b.seqMode = false
-			b.compact()
-			b.stats.Reentries++
+	m.seqRecheck -= run
+	if m.seqRecheck <= 0 {
+		m.recountFromAgents()
+		if m.live <= m.qMax/2 {
+			m.seqMode = false
+			m.compact()
+			m.st.seqReentries++
 		} else {
-			b.seqRecheck = int64(seqRecheckFactor) * int64(b.n)
+			m.seqRecheck = int64(seqRecheckFactor) * int64(m.n)
 		}
 	}
 	return run
 }
 
 // recountFromAgents rebuilds the counts vector from the agent array.
-func (b *BatchSim[S]) recountFromAgents() {
-	clear(b.counts)
-	b.total = 0
-	b.live = 0
-	for _, a := range b.agents {
-		b.addCount(b.intern(a), 1)
+func (m *multiset[S]) recountFromAgents() {
+	clear(m.counts)
+	m.total = 0
+	m.live = 0
+	for _, a := range m.agents {
+		m.addCount(m.intern(a), 1)
 	}
 }

@@ -127,7 +127,7 @@ func TestChurnSegmentedTime(t *testing.T) {
 }
 
 // TestChurnMidDelegation: joins and leaves while a DenseSim is delegated
-// to its internal BatchSim must round-trip — the sizes stay consistent
+// to slot batches must round-trip — the sizes stay consistent
 // through the delegated phase and across re-entry, and the protocol's
 // outcome (a max-epidemic) is still correct afterwards.
 func TestChurnMidDelegation(t *testing.T) {
@@ -143,8 +143,8 @@ func TestChurnMidDelegation(t *testing.T) {
 	n += 200
 	d.RemoveAgents(350)
 	n -= 350
-	if d.N() != n || d.inner.N() != n {
-		t.Fatalf("mid-delegation sizes: outer %d, inner %d, want %d", d.N(), d.inner.N(), n)
+	if d.N() != n {
+		t.Fatalf("mid-delegation size %d, want %d", d.N(), n)
 	}
 	if got := countsSum[int](d); got != n {
 		t.Fatalf("mid-delegation conservation: %d agents, want %d", got, n)

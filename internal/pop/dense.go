@@ -7,8 +7,8 @@
 // construction (NewDenseFromCounts accepts the multiset directly), not
 // inside a batch (participants are advanced as a matrix of state-pair
 // counts rather than a slot array), and not under live-state pressure
-// (it delegates to a counts-constructed BatchSim instead of falling back
-// to an agent array itself). Its memory footprint is O(q) for q live
+// short of the slot batches' own fallback threshold (delegation, below,
+// keeps the counts vector). Its memory footprint is O(q) for q live
 // states, which is what makes n = 10⁹–10¹⁰ populations feasible for this
 // paper's dense protocols: after the initial epidemic the number of
 // distinct states is polylog(n), so the whole configuration is a few
@@ -42,14 +42,16 @@
 // # Delegation
 //
 // The pair matrix stops paying once q² work rivals the ~√n batch length —
-// precisely the regime BatchSim's per-slot sampling is built for. DenseSim
-// reuses the batch backend's live-state heuristic: above the dense
-// threshold (default ~√n/6, see WithDenseThreshold) it hands the current
-// counts to an internal BatchSim via NewBatchFromCounts and forwards to it,
-// re-entering dense mode once the configuration re-concentrates below half
-// the threshold. Interning, compaction and the transition cache are the
-// multiset core DenseSim shares with BatchSim (multiset.go); the same Rule
-// purity contract applies.
+// precisely the regime per-slot sampling is built for. Above the
+// delegation cutoff (default ~√n/6, see WithDenseThreshold) DenseSim
+// delegates in place: its multiset core, which is BatchSim's, runs slot
+// batches (and, above WithBatchThreshold, their agent-array fallback) on
+// the same counts, rng streams, interning tables and transition cache.
+// A recheck every few parallel time units switches back to pair-matrix
+// batches once the configuration re-concentrates below half the cutoff.
+// Nothing is copied or reseeded at either switch, and the parallelism
+// class and the transition-cache size stay the dense engine's. The same
+// Rule purity contract as BatchSim's applies.
 package pop
 
 import (
@@ -62,16 +64,18 @@ import (
 // DenseStats reports how a DenseSim run was executed; it is diagnostic
 // only (exposed for tests, benchmarks and tuning).
 type DenseStats struct {
-	// Batches is the number of pair-matrix batches processed.
+	// Batches is the number of batches processed: pair-matrix batches,
+	// and slot batches while delegated.
 	Batches int64
-	// BatchedInteractions counts interactions simulated through the pair
-	// matrix (including their collision steps).
+	// BatchedInteractions counts interactions simulated inside batches of
+	// either kind (including their collision steps).
 	BatchedInteractions int64
-	// DelegatedInteractions counts interactions executed by the internal
-	// BatchSim while the live-state count exceeded the dense threshold.
+	// DelegatedInteractions counts interactions executed while delegated
+	// (the live-state count exceeded the delegation cutoff), in slot
+	// batches or the agent-array fallback.
 	DelegatedInteractions int64
-	// Delegations / Reentries count dense→batch and batch→dense mode
-	// switches.
+	// Delegations / Reentries count switches from pair-matrix to slot
+	// batches and back.
 	Delegations int64
 	Reentries   int64
 	// PairCells counts nonzero cells of the sampled pair matrices — the
@@ -80,7 +84,10 @@ type DenseStats struct {
 	// CacheHits counts interactions served from the deterministic-
 	// transition cache (with multiplicity); RuleCalls counts actual rule
 	// invocations. TableHits counts interactions resolved by the
-	// declared-table bypass (WithTable), which skips both.
+	// declared-table bypass (WithTable), which skips both. All three
+	// cover delegated stretches too, except interactions stepped in the
+	// agent-array fallback, which call the rule uncounted (as BatchSim's
+	// do).
 	CacheHits int64
 	RuleCalls int64
 	TableHits int64
@@ -95,12 +102,13 @@ const (
 	// Θ(√n) collision point for every feasible n.
 	denseMaxPairs = 1 << 20
 	// denseCacheBits sizes DenseSim's direct-mapped transition cache.
-	// Dense mode runs only below the live-state threshold, so its hot
-	// pair set is much smaller than BatchSim's.
+	// Pair-matrix batches run only below the delegation cutoff, so their
+	// hot pair set is much smaller than BatchSim's; delegated stretches
+	// keep the same cache rather than quadruple the engine's footprint.
 	denseCacheBits = 16
-	// denseRecheckFactor: while delegated, the inner engine's live-state
-	// count is rechecked every denseRecheckFactor·n interactions to
-	// decide on re-entering dense mode.
+	// denseRecheckFactor: while delegated, the live-state count is
+	// rechecked every denseRecheckFactor·n interactions to decide on
+	// re-entering pair-matrix batches.
 	denseRecheckFactor = 2
 	// denseHeavyCell: a pairing-row cell expecting at least this many
 	// partners is drawn with its own hypergeometric; lighter cells are
@@ -125,17 +133,16 @@ func defaultDenseThreshold(n int) int {
 // algorithm. It is not safe for concurrent use; run independent trials on
 // independent values (e.g. via RunTrials).
 type DenseSim[S comparable] struct {
-	multiset[S] // interacts counts interactions executed outside the current delegation
+	multiset[S]
 
-	qMaxOverride   int // WithDenseThreshold value (0 = rescale qMax with n on churn)
-	batchThreshold int // forwarded to the delegated BatchSim (0 = default)
-	parOption      int // raw WithParallelism value, forwarded to the delegated BatchSim
-
-	// Delegation state. innerBaseDistinct is the inner engine's distinct
-	// count at hand-off (states it started with, already counted here).
-	inner             *BatchSim[S]
-	innerBaseDistinct int
-	innerRecheck      int64
+	// Delegation: the live-state cutoff above which the engine runs slot
+	// batches (rescaled with √n on churn unless WithDenseThreshold fixed
+	// it to cutoffOverride), the mode flag, and the interactions until
+	// the next re-entry check.
+	cutoff         int
+	cutoffOverride int
+	delegated      bool
+	recheck        int64
 
 	// Batch scratch, indexed by state id: the receiver counts, and on the
 	// splitter path (par >= 1) the pre-drawn sender composition and the
@@ -156,12 +163,10 @@ func newDenseSim[S comparable](n int, rule Rule[S], opts []Option) *DenseSim[S] 
 	var o options
 	Combine(opts...)(&o)
 	d := &DenseSim[S]{
-		multiset:       newShell("dense", n, rule, o, denseCacheBits, denseMaxPairs),
-		qMaxOverride:   o.denseThreshold,
-		batchThreshold: o.batchThreshold,
-		parOption:      o.parallelism,
+		multiset:       newShell("dense", n, rule, o, denseCacheBits),
+		cutoffOverride: o.denseThreshold,
 	}
-	d.rescaleThreshold()
+	d.rescaleCutoff()
 	return d
 }
 
@@ -187,75 +192,29 @@ func NewDenseFromCounts[S comparable](states []S, counts []int64, rule Rule[S], 
 	return d
 }
 
-// Interactions returns the number of interactions executed so far.
-func (d *DenseSim[S]) Interactions() int64 {
-	if d.inner != nil {
-		return d.interacts + d.inner.Interactions()
-	}
-	return d.interacts
-}
-
-// Time returns the parallel time elapsed, accumulated per churn segment
-// (see Engine.Time); on a fixed population it equals interactions / n.
-// Interactions() is continuous across delegation and re-entry, so segment
-// boundaries are well defined in either mode.
-func (d *DenseSim[S]) Time() float64 { return d.timeAt(d.Interactions()) }
-
-// rescaleThreshold re-derives the √n-scaled delegation threshold after a
+// rescaleCutoff re-derives the √n-scaled delegation cutoff after a
 // population-size change (a WithDenseThreshold override stays fixed).
-func (d *DenseSim[S]) rescaleThreshold() {
-	if d.qMaxOverride > 0 {
-		d.qMax = d.qMaxOverride
+func (d *DenseSim[S]) rescaleCutoff() {
+	if d.cutoffOverride > 0 {
+		d.cutoff = d.cutoffOverride
 		return
 	}
-	d.qMax = defaultDenseThreshold(d.n)
+	d.cutoff = defaultDenseThreshold(d.n)
 }
 
-// AddAgents adds k agents in state st (a join event): one count edit in
-// dense mode, forwarded to the inner BatchSim while delegated.
+// AddAgents adds k agents in state st (a join event) and rescales the
+// delegation cutoff.
 func (d *DenseSim[S]) AddAgents(st S, k int) {
-	checkJoin(d.n, k)
-	if k == 0 {
-		return
-	}
-	d.beginSegment(d.Interactions())
-	if d.inner != nil {
-		d.inner.AddAgents(st, k)
-	} else {
-		d.addCount(d.intern(st), int64(k))
-	}
-	d.n += k
-	d.rescaleThreshold()
+	d.multiset.AddAgents(st, k)
+	d.rescaleCutoff()
 }
 
 // RemoveAgents removes k agents chosen uniformly at random without
-// replacement (a leave event), refusing to shrink the population below 2.
-// In dense mode the removed agents' states are a multivariate
-// hypergeometric sample of the counts vector; while delegated the removal
-// forwards to the inner BatchSim.
+// replacement (a leave event), refusing to shrink the population below 2,
+// and rescales the delegation cutoff.
 func (d *DenseSim[S]) RemoveAgents(k int) {
-	checkRemoval(d.n, k)
-	if k == 0 {
-		return
-	}
-	d.beginSegment(d.Interactions())
-	if d.inner != nil {
-		d.inner.RemoveAgents(k)
-	} else {
-		d.removeCounts(k)
-	}
-	d.n -= k
-	d.rescaleThreshold()
-}
-
-// DistinctStates returns the number of distinct states observed since the
-// initial configuration, tracked intrinsically by interning (same
-// re-appearance caveat as BatchSim, see intern).
-func (d *DenseSim[S]) DistinctStates() int {
-	if d.inner != nil {
-		return d.distinct + d.inner.DistinctStates() - d.innerBaseDistinct
-	}
-	return d.distinct
+	d.multiset.RemoveAgents(k)
+	d.rescaleCutoff()
 }
 
 // Stats returns execution diagnostics.
@@ -266,46 +225,9 @@ func (d *DenseSim[S]) Stats() DenseStats {
 	return s
 }
 
-// LiveStates returns the number of distinct states currently present.
-func (d *DenseSim[S]) LiveStates() int {
-	if d.inner != nil {
-		return d.inner.LiveStates()
-	}
-	return d.live
-}
-
-// Delegated reports whether the engine is currently forwarding to its
-// internal BatchSim.
-func (d *DenseSim[S]) Delegated() bool { return d.inner != nil }
-
-// Counts returns the configuration vector.
-func (d *DenseSim[S]) Counts() map[S]int {
-	if d.inner != nil {
-		return d.inner.Counts()
-	}
-	return d.multiset.Counts()
-}
-
-// Count returns the number of agents satisfying pred.
-func (d *DenseSim[S]) Count(pred func(S) bool) int {
-	if d.inner != nil {
-		return d.inner.Count(pred)
-	}
-	return d.multiset.Count(pred)
-}
-
-// All reports whether every agent satisfies pred.
-func (d *DenseSim[S]) All(pred func(S) bool) bool {
-	if d.inner != nil {
-		return d.inner.All(pred)
-	}
-	return d.multiset.All(pred)
-}
-
-// Any reports whether at least one agent satisfies pred.
-func (d *DenseSim[S]) Any(pred func(S) bool) bool {
-	return !d.All(func(s S) bool { return !pred(s) })
-}
+// Delegated reports whether the engine is currently running slot batches
+// (see the file comment).
+func (d *DenseSim[S]) Delegated() bool { return d.delegated }
 
 // RunTime executes t units of parallel time (t·n interactions, rounded
 // down).
@@ -319,36 +241,25 @@ func (d *DenseSim[S]) RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime fl
 	return runUntil[S](d, pred, checkEvery, maxTime)
 }
 
-// Step executes one interaction: an exact single-interaction multiset
-// step. It costs O(q) and exists for API completeness — Run amortizes far
-// better.
-func (d *DenseSim[S]) Step() {
-	if d.inner != nil {
-		d.inner.Step()
-		return
-	}
-	d.step()
-}
-
 // Run executes k interactions.
 func (d *DenseSim[S]) Run(k int64) {
 	for k > 0 {
-		if d.inner != nil {
-			run := min(k, d.innerRecheck)
-			d.inner.Run(run)
+		if d.delegated {
+			run := min(k, d.recheck)
+			d.runSlots(run)
 			d.stats.DelegatedInteractions += run
-			d.innerRecheck -= run
+			d.recheck -= run
 			k -= run
-			if d.innerRecheck <= 0 {
-				if d.inner.LiveStates() <= d.qMax/2 {
+			if d.recheck <= 0 {
+				if d.LiveStates() <= d.cutoff/2 {
 					d.reenter()
 				} else {
-					d.innerRecheck = int64(denseRecheckFactor) * int64(d.n)
+					d.recheck = int64(denseRecheckFactor) * int64(d.n)
 				}
 			}
 			continue
 		}
-		if d.live > d.qMax {
+		if d.live > d.cutoff {
 			d.delegate()
 			continue
 		}
@@ -356,41 +267,24 @@ func (d *DenseSim[S]) Run(k int64) {
 	}
 }
 
-// delegate hands the current configuration to an internal BatchSim — the
-// analogue of BatchSim's own sequential fallback, one level up and still
-// agent-free.
+// delegate switches to the core's slot batches in place.
 func (d *DenseSim[S]) delegate() {
 	if d.forceNoDelegate {
-		panic("pop: DenseSim delegated to BatchSim with forceNoDelegate set")
+		panic("pop: DenseSim delegated to slot batches with forceNoDelegate set")
 	}
-	opts := []Option{WithSeed(d.rng.Uint64()), WithParallelism(d.parOption)}
-	if d.batchThreshold > 0 {
-		opts = append(opts, WithBatchThreshold(d.batchThreshold))
-	}
-	if d.tbl != nil {
-		opts = append(opts, WithTable(d.tbl.c))
-	}
-	d.inner = NewBatchFromCounts(d.states, d.counts, d.rule, opts...)
-	d.innerBaseDistinct = d.inner.DistinctStates()
-	d.innerRecheck = int64(denseRecheckFactor) * int64(d.n)
+	d.delegated = true
+	d.recheck = int64(denseRecheckFactor) * int64(d.n)
 	d.stats.Delegations++
 }
 
-// reenter pulls the configuration back from the delegated BatchSim and
+// reenter leaves the agent-array fallback if it is active, compacts, and
 // resumes pair-matrix batching.
 func (d *DenseSim[S]) reenter() {
-	in := d.inner
-	if in.seqMode {
-		in.recountFromAgents()
+	if d.seqMode {
+		d.recountFromAgents()
+		d.seqMode = false
 	}
-	d.interacts += in.Interactions()
-	d.distinct += in.DistinctStates() - d.innerBaseDistinct
-	// Take over the inner engine's interning tables (compaction below drops
-	// their dead entries and reorders the rest); ids change, so the cache
-	// is invalidated first.
-	d.loadTables(in.states, in.counts)
-	d.inner = nil
-	d.invalidateCache()
+	d.delegated = false
 	d.compact()
 	d.stats.Reentries++
 }
@@ -402,7 +296,7 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	if d.par >= 1 {
 		return d.runBatchSplit(kmax)
 	}
-	ell, collided := d.batchLength(kmax)
+	ell, collided := d.batchLength(kmax, denseMaxPairs)
 	if ell == 0 {
 		d.step()
 		return 1
@@ -434,7 +328,7 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 // cells whose transition is uncached or consumes randomness defer to a
 // serial pass in (row, sender) order.
 func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
-	ell, collided := d.batchLength(kmax)
+	ell, collided := d.batchLength(kmax, denseMaxPairs)
 	if ell == 0 {
 		d.step()
 		return 1

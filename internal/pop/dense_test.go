@@ -113,7 +113,7 @@ func TestDenseCachePolicy(t *testing.T) {
 }
 
 // TestDenseDelegationTriggers: a state-exploding protocol must trip the
-// live-state threshold and delegate to the internal BatchSim.
+// live-state threshold and delegate to slot batches.
 func TestDenseDelegationTriggers(t *testing.T) {
 	d := NewDense(500, func(int, *rand.Rand) int { return 0 }, explodeRule,
 		WithSeed(3), WithDenseThreshold(32))
@@ -159,6 +159,39 @@ func TestDenseDelegationReentry(t *testing.T) {
 	}
 	if d.Interactions() != int64(80*n) {
 		t.Errorf("interaction count %d across delegation, want %d", d.Interactions(), 80*n)
+	}
+}
+
+// TestDenseCountersCoverDelegation: the transition-resolution counters
+// keep counting while the engine is delegated, and EngineCacheStats never
+// falls at a mode switch.
+func TestDenseCountersCoverDelegation(t *testing.T) {
+	d := NewDense(600, func(i int, _ *rand.Rand) int { return i }, mixedRule,
+		WithSeed(13), WithDenseThreshold(48))
+	resolved := func() int64 {
+		st := d.Stats()
+		return st.CacheHits + st.RuleCalls + st.TableHits
+	}
+	var last int64
+	delegatedSteps := 0
+	for i := 0; i < 30; i++ {
+		wasDelegated, before := d.Delegated(), resolved()
+		d.RunTime(1)
+		cs, _ := EngineCacheStats[int](d)
+		total := cs.CacheHits + cs.RuleCalls + cs.TableHits
+		if total < last {
+			t.Fatalf("step %d: EngineCacheStats total fell from %d to %d", i, last, total)
+		}
+		last = total
+		if wasDelegated {
+			delegatedSteps++
+			if resolved() <= before {
+				t.Errorf("step %d: DenseStats resolution counters stuck at %d while delegated", i, before)
+			}
+		}
+	}
+	if delegatedSteps == 0 || d.Stats().Reentries == 0 {
+		t.Fatalf("run never delegated and re-entered: %+v", d.Stats())
 	}
 }
 
@@ -239,6 +272,15 @@ func TestDenseMatchesSequentialDistribution(t *testing.T) {
 	den := run(func(tr int) Engine[int] {
 		return NewDense(n, initial, amRule, WithSeed(uint64(tr)*2+2))
 	})
+	assertSameFrequencies(t, seq, den, trials)
+}
+
+// assertSameFrequencies checks every signature's frequency in the dense
+// runs against the sequential runs' within ~5 standard errors of a
+// Bernoulli frequency at the given trial count, and returns how many
+// signatures occurred.
+func assertSameFrequencies(t *testing.T, seq, den map[string]float64, trials int) int {
+	t.Helper()
 	seen := map[string]bool{}
 	for k := range seq {
 		seen[k] = true
@@ -248,19 +290,20 @@ func TestDenseMatchesSequentialDistribution(t *testing.T) {
 	}
 	for k := range seen {
 		d := math.Abs(seq[k] - den[k])
-		// ~5 standard errors for a Bernoulli frequency at this trial count.
-		tol := 5*math.Sqrt(math.Max(seq[k], den[k])/trials) + 1e-3
+		tol := 5*math.Sqrt(math.Max(seq[k], den[k])/float64(trials)) + 1e-3
 		if d > tol {
 			t.Errorf("signature %q: seq %.4f vs dense %.4f (tol %.4f)", k, seq[k], den[k], tol)
 		}
 	}
+	return len(seen)
 }
 
 // TestDenseDelegationMatchesSequential is the distributional check of
-// delegation at n=12: thresholds this small make nearly every trial
-// delegate, fall back to the agent array inside the delegated mode and
-// re-enter, so the full end-configuration distribution of mixedRule
-// exercises every mode switch against the sequential engine.
+// delegation at n=12: thresholds this small make every trial delegate and
+// fall back to the agent array inside the delegated mode, and a few
+// hundred trials re-enter pair-matrix batches, so the full
+// end-configuration distribution of mixedRule exercises every mode switch
+// against the sequential engine.
 func TestDenseDelegationMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distribution comparison is not short")
@@ -302,22 +345,8 @@ func TestDenseDelegationMatchesSequential(t *testing.T) {
 	if st.delegations == 0 || st.reentries == 0 {
 		t.Fatalf("trials never switched modes: %d delegations, %d re-entries", st.delegations, st.reentries)
 	}
-	seen := map[string]bool{}
-	for k := range seq {
-		seen[k] = true
-	}
-	for k := range den {
-		seen[k] = true
-	}
-	for k := range seen {
-		d := math.Abs(seq[k] - den[k])
-		// ~5 standard errors, as in TestDenseMatchesSequentialDistribution.
-		tol := 5*math.Sqrt(math.Max(seq[k], den[k])/trials) + 1e-3
-		if d > tol {
-			t.Errorf("signature %q: seq %.4f vs dense %.4f (tol %.4f)", k, seq[k], den[k], tol)
-		}
-	}
-	t.Logf("%d signatures, %d delegations, %d re-entries", len(seen), st.delegations, st.reentries)
+	sigs := assertSameFrequencies(t, seq, den, trials)
+	t.Logf("%d signatures, %d delegations, %d re-entries", sigs, st.delegations, st.reentries)
 }
 
 // TestDenseDistinctStates: on a protocol that can only shuffle its initial
@@ -371,7 +400,7 @@ func TestDenseRejectsInteractionCounts(t *testing.T) {
 func TestDenseHugePopulation(t *testing.T) {
 	const n = int64(1_000_000_000)
 	d := NewDenseFromCounts([]int{1, -1}, []int64{n / 2, n - n/2}, amRule, WithSeed(21))
-	// A delegation here would hand 10⁹ agents to BatchSim (whose own
+	// A delegation here would run 10⁹ agents in slot batches (whose
 	// fallback is an agent array); trip the hook's panic at the moment of
 	// violation rather than inferring it from stats afterwards.
 	d.forceNoDelegate = true

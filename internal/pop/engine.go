@@ -144,8 +144,8 @@ const autoBatchMinN = 4096
 // batches are long relative to the live-state count; live states are
 // unknowable at construction, so the cutoff is sized for the protocols in
 // this repository (O(log⁴ n) states, ~10² live at steady state) and
-// DenseSim's own runtime heuristic delegates back to BatchSim whenever a
-// configuration disperses.
+// DenseSim's own runtime heuristic switches to slot batches, in place,
+// whenever a configuration disperses.
 const autoDenseMinN = 1 << 23
 
 // String implements fmt.Stringer.

@@ -298,12 +298,13 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 	f.Add(blob(fallback(), 20*600, keep))
 	f.Add(blob(delegated(), 2*600, keep))
 	f.Add(blob(fallback(), 20*600, func(s *Snapshot[int]) { s.SeqRecheck = -5000 }))
-	f.Add(blob(delegated(), 2*600, func(s *Snapshot[int]) { s.InnerRecheck = -7000 }))
+	f.Add(blob(delegated(), 2*600, func(s *Snapshot[int]) { s.DelegateRecheck = -7000 }))
 	f.Add(blob(NewBatch(300, init, mixedRule, WithSeed(7)), 900, func(s *Snapshot[int]) {
 		s.N = 2
 		s.States = []int{0, 1, 2}
 		s.Counts = []int64{math.MaxInt64, math.MaxInt64, 4}
 	}))
+	f.Add(blob(NewDense(600, zero, explodeRule, WithSeed(5), WithDenseThreshold(8), WithBatchThreshold(16)), 5*600, keep))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := UnmarshalSnapshot[int](data)
 		if err != nil {

@@ -101,7 +101,7 @@ func lightDraw(c, k, thresh, remPop int64) bool {
 // receiver state to realize the uniformly random pairing as a matrix of
 // ordered state-pair counts. The engines run the chain with a heavy/light
 // split against their live-state bookkeeping: removeCountsChain draws the
-// participants (DenseSim.sampleParticipants, BatchSim.sampleSlotsByState)
+// participants (DenseSim.sampleParticipants, the slot batches' sampleSlotsByState)
 // and churn removals, and pairAndApply in dense.go inlines it per row.
 func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, dst []int64) {
 	if len(dst) != len(counts) {

@@ -6,10 +6,11 @@
 // way. The multiset type below owns that representation, the rng streams,
 // the transition cache and the declared-table view, the collision-free
 // batch framing (run-length prologue, post-multiset collision step, commit
-// and conservation check), churn removal and the snapshot header, once.
-// Each engine embeds it by value and adds only how a batch's participants
-// are arranged: BatchSim a slot array plus its agent-array fallback,
-// DenseSim a pair-count matrix plus delegation to a BatchSim.
+// and conservation check), churn, the snapshot body, and the slot-batch
+// arrangement with its agent-array fallback (batch.go), once. BatchSim is
+// that core alone. DenseSim embeds the same core and adds the pair-count
+// matrix; it switches to the core's slot batches in place (delegation)
+// while the live-state count is too high for the matrix to pay.
 //
 // # Transition caching
 //
@@ -57,12 +58,15 @@ type cacheSlot struct {
 // the remaining 20 bits holding the compaction generation).
 const cacheMaxID = 1 << 22
 
-// multisetStats holds the counters both engines report under the same
-// names in BatchStats and DenseStats.
+// multisetStats holds the core's counters: the batch, resolution and
+// compaction counters both engines report under the same names in
+// BatchStats and DenseStats, and the agent-array fallback's counters
+// BatchStats reports.
 type multisetStats struct {
-	batches, batchedInteractions    int64
-	cacheHits, ruleCalls, tableHits int64
-	compactions                     int64
+	batches, batchedInteractions             int64
+	cacheHits, ruleCalls, tableHits          int64
+	compactions                              int64
+	seqInteractions, fallbacks, seqReentries int64
 }
 
 // multiset is the configuration, randomness and transition machinery both
@@ -75,8 +79,7 @@ type multiset[S comparable] struct {
 	rule     Rule[S]
 	n        int
 
-	// interacts counts the interactions this core executed; a delegated
-	// DenseSim adds its inner engine's count on top.
+	// interacts counts the interactions executed so far.
 	interacts int64
 	// Per-segment parallel-time accounting (see Engine.Time). segStart is
 	// measured on the engine's Interactions() scale.
@@ -93,9 +96,16 @@ type multiset[S comparable] struct {
 	live     int
 	distinct int
 
-	qMax     int   // live-state threshold: BatchSim's fallback, DenseSim's delegation cutoff
-	par      int   // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
-	maxPairs int64 // cap on one batch's collision-free run length
+	qMax int // live-state threshold of the slot arrangement's agent-array fallback
+	par  int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
+
+	// Agent-array fallback of the slot arrangement (batch.go): the mode
+	// flag, the agents, and the interactions until the next re-entry
+	// check. While seqMode is set the agents are the configuration and
+	// the counts vector is stale.
+	seqMode    bool
+	agents     []S
+	seqRecheck int64
 
 	// Direct-mapped transition cache of 1<<cacheBits slots. Compaction
 	// remaps ids, so it bumps cacheGen, implicitly invalidating every
@@ -112,11 +122,13 @@ type multiset[S comparable] struct {
 	// Scratch: the Fenwick tree behind per-item chain draws; the batch's
 	// post-interaction multiset (indexed by state id, growing as rule
 	// outputs intern new states mid-batch); the splitter path's
-	// composition and counts prefix sums.
-	tree fenwick
-	post []int64
-	comp []int64
-	cum  []int64
+	// composition and counts prefix sums; the slot batches' participant
+	// slots (pre states, then post states).
+	tree  fenwick
+	post  []int64
+	comp  []int64
+	cum   []int64
+	slots []int32
 
 	// batchEvents is a test hook fired at every batch commit (nil in
 	// production).
@@ -128,7 +140,7 @@ type multiset[S comparable] struct {
 // newMultiset builds a core with rng streams on pcg, an empty interning
 // table and a cold transition cache of 1<<cacheBits slots — the state
 // every constructor and Restore start from.
-func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint, maxPairs int64) multiset[S] {
+func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint) multiset[S] {
 	cs := &countingSource{src: pcg}
 	return multiset[S]{
 		pcg:       pcg,
@@ -138,7 +150,6 @@ func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], c
 		rule:      rule,
 		pos:       make(map[S]int32, posSizeFor(tbl)),
 		tbl:       tbl,
-		maxPairs:  maxPairs,
 		cache:     make([]cacheSlot, 1<<cacheBits),
 		cacheBits: cacheBits,
 		cacheGen:  1,
@@ -146,18 +157,23 @@ func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], c
 }
 
 // newShell is newMultiset for an engine constructor: it checks the
-// options a multiset engine cannot honor, seeds the rng from WithSeed and
-// attaches WithTable. backend names the engine in panic messages.
-func newShell[S comparable](backend string, n int, rule Rule[S], o options, cacheBits uint, maxPairs int64) multiset[S] {
+// options a multiset engine cannot honor, seeds the rng from WithSeed,
+// attaches WithTable and sets the fallback threshold from
+// WithBatchThreshold. backend names the engine in panic messages.
+func newShell[S comparable](backend string, n int, rule Rule[S], o options, cacheBits uint) multiset[S] {
 	if rule == nil {
 		panic("pop: nil rule")
 	}
 	if o.trackInteractions {
 		panic("pop: the " + backend + " backend cannot track per-agent interaction counts; use WithBackend(Sequential)")
 	}
-	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o), cacheBits, maxPairs)
+	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o), cacheBits)
 	m.n = n
 	m.par = resolveParallelism(o.parallelism, n)
+	m.qMax = defaultBatchThreshold
+	if o.batchThreshold > 0 {
+		m.qMax = o.batchThreshold
+	}
 	return m
 }
 
@@ -251,38 +267,6 @@ func (m *multiset[S]) beginSegment(now int64) {
 	m.segStart = now
 }
 
-// Counts returns the configuration vector.
-func (m *multiset[S]) Counts() map[S]int {
-	c := make(map[S]int, m.live)
-	for id, cnt := range m.counts {
-		if cnt > 0 {
-			c[m.states[id]] = int(cnt)
-		}
-	}
-	return c
-}
-
-// Count returns the number of agents satisfying pred.
-func (m *multiset[S]) Count(pred func(S) bool) int {
-	var k int64
-	for id, cnt := range m.counts {
-		if cnt > 0 && pred(m.states[id]) {
-			k += cnt
-		}
-	}
-	return int(k)
-}
-
-// All reports whether every agent satisfies pred.
-func (m *multiset[S]) All(pred func(S) bool) bool {
-	for id, cnt := range m.counts {
-		if cnt > 0 && !pred(m.states[id]) {
-			return false
-		}
-	}
-	return true
-}
-
 // drawLinear maps u ∈ [0, Σcounts) to a state id by linear scan.
 func (m *multiset[S]) drawLinear(u int64) int32 {
 	for id, c := range m.counts {
@@ -344,14 +328,14 @@ func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 }
 
 // batchLength samples the next batch's collision-free run length ℓ (see
-// collisionFreeRun). A cap from kmax, maxPairs or the population size just
-// ends the batch early with no collision interaction, which composes
-// exactly — each batch draws its participants from the fully committed
-// configuration. ℓ = 0 is possible only when a cap degenerated; callers
-// then take one exact step instead.
-func (m *multiset[S]) batchLength(kmax int64) (ell int64, collided bool) {
+// collisionFreeRun). A cap from kmax, the arrangement's maxPairs or the
+// population size just ends the batch early with no collision
+// interaction, which composes exactly — each batch draws its participants
+// from the fully committed configuration. ℓ = 0 is possible only when a
+// cap degenerated; callers then take one exact step instead.
+func (m *multiset[S]) batchLength(kmax, maxPairs int64) (ell int64, collided bool) {
 	n := int64(m.n)
-	return collisionFreeRun(m.rng, n, min(m.maxPairs, kmax, n/3+1))
+	return collisionFreeRun(m.rng, n, min(maxPairs, kmax, n/3+1))
 }
 
 // finishPost ends a batch whose participants' post states were
@@ -529,8 +513,9 @@ func (m *multiset[S]) invalidateCache() {
 
 // compact rebuilds the interning tables over the live states, ordered by
 // decreasing count so hot states get small ids (and the samplers' chains
-// exhaust early). Runs at construction, at re-entry into multiset mode,
-// and whenever dead states dominate the tables.
+// exhaust early). Runs at construction, at re-entry from the agent-array
+// fallback and into pair-matrix batches, and whenever dead states
+// dominate the tables.
 func (m *multiset[S]) compact() {
 	m.st.compactions++
 	type sc struct {
@@ -589,16 +574,16 @@ func (m *multiset[S]) compact() {
 	}
 }
 
-// snapshotHeader captures the fields every multiset snapshot shares.
-// Interactions is the core's own count (a delegated DenseSim's inner
-// share lives in its nested snapshot); the caller adds the interning
-// tables and its mode.
-func (m *multiset[S]) snapshotHeader(backend Backend) (*Snapshot[S], error) {
+// snapshot captures the core's full state: the header, the interning
+// tables verbatim (dead entries included) and the fallback mode. In the
+// agent-array fallback the agents are the configuration and the stale
+// counts vector is omitted. The engine adds its own fields.
+func (m *multiset[S]) snapshot(backend Backend) (*Snapshot[S], error) {
 	rng, err := m.pcg.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("pop: marshaling rng state: %w", err)
 	}
-	return &Snapshot[S]{
+	snap := &Snapshot[S]{
 		Version:      SnapshotVersion,
 		Backend:      backend.String(),
 		N:            m.n,
@@ -607,20 +592,29 @@ func (m *multiset[S]) snapshotHeader(backend Backend) (*Snapshot[S], error) {
 		SegStart:     m.segStart,
 		RNG:          rng,
 		Par:          m.par,
+		States:       append([]S(nil), m.states...),
 		Distinct:     m.distinct,
 		QMax:         m.qMax,
-	}, nil
+	}
+	if m.seqMode {
+		snap.SeqMode = true
+		snap.SeqRecheck = m.seqRecheck
+		snap.Agents = append([]S(nil), m.agents...)
+	} else {
+		snap.Counts = append([]int64(nil), m.counts...)
+	}
+	return snap, nil
 }
 
-// restoreMultiset rebuilds a multiset core from a snapshot's header and
-// rng state, with the transition cache cold (generation 1, empty) by
-// design — see the file comment.
-func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, cacheBits uint, maxPairs int64) (multiset[S], error) {
+// restoreMultiset rebuilds a multiset core from a validated snapshot,
+// with the transition cache cold (generation 1, empty) by design — see
+// the file comment. The interning tables load verbatim and in id order.
+func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, cacheBits uint) (multiset[S], error) {
 	pcg, err := restorePCG(snap.RNG)
 	if err != nil {
 		return multiset[S]{}, err
 	}
-	m := newMultiset(pcg, rule, attachTable[S](o), cacheBits, maxPairs)
+	m := newMultiset(pcg, rule, attachTable[S](o), cacheBits)
 	m.n = snap.N
 	m.interacts = snap.Interactions
 	m.timeBase = snap.TimeBase
@@ -628,21 +622,22 @@ func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, c
 	m.par = snap.Par
 	m.distinct = snap.Distinct
 	m.qMax = snap.QMax
-	return m, nil
-}
-
-// loadTables replaces the interning tables with states (duplicate-free:
-// intern assigns each state one id) and their counts (nil: all zero),
-// verbatim and in id order.
-func (m *multiset[S]) loadTables(states []S, counts []int64) {
-	m.states = append([]S(nil), states...)
-	m.pos = make(map[S]int32, 2*len(states))
-	for id, st := range states {
+	m.states = append([]S(nil), snap.States...)
+	m.pos = make(map[S]int32, 2*len(m.states))
+	for id, st := range m.states {
 		m.pos[st] = int32(id)
 	}
-	m.counts = make([]int64, len(states))
-	copy(m.counts, counts)
-	m.total, m.live = 0, 0
+	m.counts = make([]int64, len(m.states))
+	if snap.SeqMode {
+		// The fallback's counts vector is stale by invariant (nothing
+		// reads it before recountFromAgents) and was omitted; the agent
+		// array is the configuration.
+		m.seqMode = true
+		m.seqRecheck = snap.SeqRecheck
+		m.agents = append([]S(nil), snap.Agents...)
+	} else {
+		copy(m.counts, snap.Counts)
+	}
 	for _, c := range m.counts {
 		m.total += c
 		if c > 0 {
@@ -652,4 +647,5 @@ func (m *multiset[S]) loadTables(states []S, counts []int64) {
 	if m.tbl != nil {
 		m.tbl.rebuild(m.states)
 	}
+	return m, nil
 }

@@ -74,13 +74,13 @@ func WithParallelism(p int) Option {
 	return func(o *options) { o.parallelism = max(p, 0) }
 }
 
-// WithBatchThreshold overrides the batched engine's live-state fallback
+// WithBatchThreshold overrides the slot batches' live-state fallback
 // threshold: when the number of distinct states simultaneously present
-// exceeds q, BatchSim materializes an agent array and steps sequentially
-// until the configuration re-concentrates. The default (8192) suits
-// protocols with polylog(n) live states; tests use small values to
-// exercise the fallback path. DenseSim forwards the value to the BatchSim
-// it delegates to.
+// exceeds q, BatchSim — or a DenseSim delegated to slot batches —
+// materializes an agent array and steps sequentially until the
+// configuration re-concentrates. The default (8192) suits protocols with
+// polylog(n) live states; tests use small values to exercise the fallback
+// path.
 func WithBatchThreshold(q int) Option {
 	return func(o *options) { o.batchThreshold = q }
 }
@@ -102,8 +102,8 @@ func WithTable[S comparable](c *Compiled[S]) Option {
 // WithDenseThreshold overrides the count-vector engine's live-state
 // delegation threshold: when the number of distinct states simultaneously
 // present exceeds q, DenseSim's pair-matrix batches stop paying relative
-// to slot batching and it delegates to an internal BatchSim until the
-// configuration re-concentrates below q/2. The default scales with the
+// to slot batching and it runs the slot batches of its multiset core in
+// place until the configuration re-concentrates below q/2. The default scales with the
 // expected collision-free batch length (~√n/6); tests use small values to
 // exercise the delegation path.
 func WithDenseThreshold(q int) Option {

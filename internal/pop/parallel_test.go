@@ -256,9 +256,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestWorkerCountInvarianceDelegation runs the dense engine across its
 // delegation boundary (n distinct initial states force an immediate
-// hand-off to the inner BatchSim; the epidemic re-concentrates and
-// re-enters dense mode) with churn landing mid-delegation. Every par
-// value must take the identical trajectory, including the inner engine's.
+// switch to slot batches; the epidemic re-concentrates and re-enters
+// pair-matrix batches) with churn landing mid-delegation. Every par value
+// must take the identical trajectory, including its delegated stretch.
 func TestWorkerCountInvarianceDelegation(t *testing.T) {
 	shrinkSplitter(t)
 	const n = 1200
@@ -322,7 +322,7 @@ func TestSplitPairTypeExpectation(t *testing.T) {
 					e = d
 				} else {
 					b := NewBatch(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-					ran = b.runBatch(1 << 20)
+					ran = b.slotBatch(1 << 20)
 					e = b
 				}
 				done += float64(ran)

@@ -5,9 +5,12 @@
 // counts), the interaction count, the per-segment parallel-time
 // accounting, the rng stream state (rand.PCG's binary form — one PCG
 // underlies both the engine's own draws and the rule stream, so a single
-// blob covers both), the parallelism class, and the engine's mode
-// (BatchSim's sequential fallback, DenseSim's delegation, each with its
-// re-check budget). Restore rebuilds an engine from a snapshot such that
+// blob covers both), the parallelism class, and the engine's mode with
+// its re-check countdown: the multiset engines' agent-array fallback and
+// DenseSim's delegation to slot batches. Both multiset engines snapshot
+// their shared core the same way, so a delegated DenseSim is a flat
+// multiset snapshot (counts, or agents while in the fallback) plus its
+// delegation fields. Restore rebuilds an engine from a snapshot such that
 // restore-then-run is byte-identical to the uninterrupted run, for every
 // backend and parallelism class, including snapshots taken mid-fallback
 // and mid-delegation.
@@ -51,8 +54,9 @@ import (
 
 // SnapshotVersion is the current snapshot format version. Restore accepts
 // only snapshots carrying it; the version bumps whenever a field changes
-// meaning or a new field stops being optional.
-const SnapshotVersion = 1
+// meaning or a new field stops being optional. Version 2 flattened
+// DenseSim's delegated mode into the multiset fields.
+const SnapshotVersion = 2
 
 // Snapshot is the versioned, serializable full state of a simulation
 // engine. Fields beyond the common header apply only to the backends
@@ -65,9 +69,7 @@ type Snapshot[S comparable] struct {
 	Backend string `json:"backend"`
 	// N is the population size.
 	N int `json:"n"`
-	// Interactions is the engine's own interaction count. For a delegated
-	// DenseSim this excludes the inner engine's share, which lives in
-	// Inner (Engine.Interactions reports their sum).
+	// Interactions is the number of interactions executed so far.
 	Interactions int64 `json:"interactions"`
 	// TimeBase and SegStart carry the per-segment parallel-time
 	// accounting (see Engine.Time): time accumulated over completed churn
@@ -84,7 +86,7 @@ type Snapshot[S comparable] struct {
 	Par int `json:"par,omitempty"`
 
 	// Agents is the explicit agent array: the sequential engine's
-	// configuration, and the batched engine's while in its sequential
+	// configuration, and a multiset engine's while in its agent-array
 	// fallback (where the counts vector is stale and therefore omitted).
 	Agents []S `json:"agents,omitempty"`
 	// TrackStates and Seen carry the sequential engine's distinct-state
@@ -99,35 +101,27 @@ type Snapshot[S comparable] struct {
 	// States and Counts are the multiset engines' parallel interning
 	// tables, in id order and complete — including dead (zero-count)
 	// entries, which the compaction trigger depends on. Counts is omitted
-	// while the batched engine is in its sequential fallback (stale) and
-	// while the dense engine is delegated (the configuration lives in
-	// Inner).
+	// while the engine is in its agent-array fallback (stale).
 	States []S     `json:"states,omitempty"`
 	Counts []int64 `json:"counts,omitempty"`
-	// Distinct is the number of distinct states ever observed (for a
-	// delegated DenseSim, excluding the inner engine's share beyond
-	// InnerBaseDistinct).
+	// Distinct is the number of distinct states ever observed.
 	Distinct int `json:"distinct,omitempty"`
-	// QMax is the live-state threshold: BatchSim's fallback cutoff or
-	// DenseSim's delegation cutoff.
+	// QMax is the live-state threshold of the agent-array fallback.
 	QMax int `json:"qmax,omitempty"`
 
-	// SeqMode and SeqRecheck capture BatchSim's sequential fallback: mode
-	// flag and interactions remaining until the next re-entry check.
+	// SeqMode and SeqRecheck capture the multiset engines' agent-array
+	// fallback: mode flag and interactions remaining until the next
+	// re-entry check.
 	SeqMode    bool  `json:"seq_mode,omitempty"`
 	SeqRecheck int64 `json:"seq_recheck,omitempty"`
 
-	// DenseSim extras: the WithDenseThreshold override (0 = rescale with
-	// n on churn), the batch threshold forwarded to delegated engines,
-	// and the raw WithParallelism value future delegations will resolve.
-	QMaxOverride   int `json:"qmax_override,omitempty"`
-	BatchThreshold int `json:"batch_threshold,omitempty"`
-	ParOption      int `json:"par_option,omitempty"`
-	// Inner is the delegated BatchSim's own snapshot; InnerRecheck and
-	// InnerBaseDistinct are the delegation bookkeeping around it.
-	Inner             *Snapshot[S] `json:"inner,omitempty"`
-	InnerRecheck      int64        `json:"inner_recheck,omitempty"`
-	InnerBaseDistinct int          `json:"inner_base_distinct,omitempty"`
+	// DenseSim extras: the delegation cutoff and its WithDenseThreshold
+	// override (0 = rescale with n on churn), the delegation flag, and
+	// the interactions remaining until the next re-entry check.
+	Cutoff          int   `json:"cutoff,omitempty"`
+	CutoffOverride  int   `json:"cutoff_override,omitempty"`
+	Delegated       bool  `json:"delegated,omitempty"`
+	DelegateRecheck int64 `json:"delegate_recheck,omitempty"`
 }
 
 // Marshal renders the snapshot as JSON. Field order is the struct order
@@ -204,40 +198,29 @@ func (s *Snapshot[S]) validate() error {
 		if s.TrackStates && len(s.Seen) == 0 {
 			return fmt.Errorf("pop: sequential snapshot tracks states but carries none")
 		}
-	case Batched.String():
+	case Batched.String(), Dense.String():
 		if s.SeqMode && len(s.Agents) != s.N {
-			return fmt.Errorf("pop: batch snapshot in sequential fallback has %d agents for n=%d",
-				len(s.Agents), s.N)
+			return fmt.Errorf("pop: %s snapshot in the agent-array fallback has %d agents for n=%d",
+				s.Backend, len(s.Agents), s.N)
 		}
 		if err := s.validateTables(!s.SeqMode); err != nil {
 			return err
 		}
-		if s.SeqRecheck < 0 {
-			return fmt.Errorf("pop: batch snapshot has negative re-entry budget %d", s.SeqRecheck)
+		if s.SeqRecheck < 0 || s.DelegateRecheck < 0 {
+			return fmt.Errorf("pop: %s snapshot has a negative re-entry budget (seq_recheck %d, delegate_recheck %d)",
+				s.Backend, s.SeqRecheck, s.DelegateRecheck)
 		}
 		if s.QMax <= 0 {
-			return fmt.Errorf("pop: batch snapshot has no live-state threshold")
+			return fmt.Errorf("pop: %s snapshot has no live-state threshold", s.Backend)
 		}
-	case Dense.String():
-		if s.Inner != nil {
-			if s.Inner.Backend != Batched.String() {
-				return fmt.Errorf("pop: dense snapshot delegates to backend %q, want %q",
-					s.Inner.Backend, Batched)
-			}
-			if err := s.Inner.validate(); err != nil {
-				return fmt.Errorf("pop: dense snapshot's inner engine: %w", err)
-			}
-			if s.Inner.N != s.N {
-				return fmt.Errorf("pop: dense snapshot has n=%d but its inner engine n=%d", s.N, s.Inner.N)
-			}
-		} else if err := s.validateTables(true); err != nil {
-			return err
+		if s.Backend != Dense.String() {
+			break
 		}
-		if s.InnerRecheck < 0 {
-			return fmt.Errorf("pop: dense snapshot has negative re-entry budget %d", s.InnerRecheck)
+		if s.Cutoff <= 0 {
+			return fmt.Errorf("pop: dense snapshot has no delegation cutoff")
 		}
-		if s.QMax <= 0 {
-			return fmt.Errorf("pop: dense snapshot has no live-state threshold")
+		if s.SeqMode && !s.Delegated {
+			return fmt.Errorf("pop: dense snapshot is in the agent-array fallback without being delegated")
 		}
 	default:
 		return fmt.Errorf("pop: snapshot backend %q is unknown (want %q, %q or %q)",
@@ -343,48 +326,21 @@ func (s *Sim[S]) Snapshot() (*Snapshot[S], error) {
 	return snap, nil
 }
 
-// Snapshot captures the batched engine's full state. In multiset mode the
-// interning tables are serialized verbatim (dead entries included); in the
-// sequential fallback the agent array is authoritative and the stale
-// counts vector is omitted.
-func (b *BatchSim[S]) Snapshot() (*Snapshot[S], error) {
-	snap, err := b.snapshotHeader(Batched)
-	if err != nil {
-		return nil, err
-	}
-	snap.States = append([]S(nil), b.states...)
-	if b.seqMode {
-		snap.SeqMode = true
-		snap.SeqRecheck = b.seqRecheck
-		snap.Agents = append([]S(nil), b.agents...)
-	} else {
-		snap.Counts = append([]int64(nil), b.counts...)
-	}
-	return snap, nil
-}
+// Snapshot captures the batched engine's full state (see
+// multiset.snapshot).
+func (b *BatchSim[S]) Snapshot() (*Snapshot[S], error) { return b.snapshot(Batched) }
 
-// Snapshot captures the dense engine's full state. While delegated, the
-// configuration lives in the inner BatchSim's nested snapshot and the
-// outer tables (stale — re-entry rebuilds them wholesale from the inner
-// engine) are omitted.
+// Snapshot captures the dense engine's full state: the multiset core's,
+// plus the delegation cutoff, mode and re-entry countdown.
 func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
-	snap, err := d.snapshotHeader(Dense)
+	snap, err := d.snapshot(Dense)
 	if err != nil {
 		return nil, err
 	}
-	snap.QMaxOverride = d.qMaxOverride
-	snap.BatchThreshold = d.batchThreshold
-	snap.ParOption = d.parOption
-	if d.inner != nil {
-		if snap.Inner, err = d.inner.Snapshot(); err != nil {
-			return nil, err
-		}
-		snap.InnerRecheck = d.innerRecheck
-		snap.InnerBaseDistinct = d.innerBaseDistinct
-	} else {
-		snap.States = append([]S(nil), d.states...)
-		snap.Counts = append([]int64(nil), d.counts...)
-	}
+	snap.Cutoff = d.cutoff
+	snap.CutoffOverride = d.cutoffOverride
+	snap.Delegated = d.delegated
+	snap.DelegateRecheck = d.recheck
 	return snap, nil
 }
 
@@ -411,9 +367,18 @@ func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Eng
 	case Sequential.String():
 		return restoreSim(snap, rule)
 	case Batched.String():
-		return restoreBatch(snap, rule, o)
+		m, err := restoreMultiset(snap, rule, o, cacheBits)
+		if err != nil {
+			return nil, err
+		}
+		return &BatchSim[S]{multiset: m}, nil
 	default:
-		return restoreDense(snap, rule, o)
+		m, err := restoreMultiset(snap, rule, o, denseCacheBits)
+		if err != nil {
+			return nil, err
+		}
+		return &DenseSim[S]{multiset: m, cutoff: snap.Cutoff, cutoffOverride: snap.CutoffOverride,
+			delegated: snap.Delegated, recheck: snap.DelegateRecheck}, nil
 	}
 }
 
@@ -442,50 +407,4 @@ func restoreSim[S comparable](snap *Snapshot[S], rule Rule[S]) (*Sim[S], error) 
 		s.icounts = append([]int64(nil), snap.ICounts...)
 	}
 	return s, nil
-}
-
-// restoreBatch rebuilds a batched engine.
-func restoreBatch[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*BatchSim[S], error) {
-	m, err := restoreMultiset(snap, rule, o, cacheBits, maxBatchPairs)
-	if err != nil {
-		return nil, err
-	}
-	b := &BatchSim[S]{multiset: m}
-	counts := snap.Counts
-	if snap.SeqMode {
-		// The fallback's counts vector is stale by invariant (nothing
-		// reads it before recountFromAgents) and was omitted; the agent
-		// array is the configuration.
-		b.seqMode = true
-		b.seqRecheck = snap.SeqRecheck
-		b.agents = append([]S(nil), snap.Agents...)
-		counts = nil
-	}
-	b.loadTables(snap.States, counts)
-	return b, nil
-}
-
-// restoreDense rebuilds a dense engine, recursing into the delegated
-// BatchSim's nested snapshot when one is present.
-func restoreDense[S comparable](snap *Snapshot[S], rule Rule[S], o options) (*DenseSim[S], error) {
-	m, err := restoreMultiset(snap, rule, o, denseCacheBits, denseMaxPairs)
-	if err != nil {
-		return nil, err
-	}
-	d := &DenseSim[S]{
-		multiset:       m,
-		qMaxOverride:   snap.QMaxOverride,
-		batchThreshold: snap.BatchThreshold,
-		parOption:      snap.ParOption,
-	}
-	if snap.Inner != nil {
-		if d.inner, err = restoreBatch(snap.Inner, rule, o); err != nil {
-			return nil, err
-		}
-		d.innerRecheck = snap.InnerRecheck
-		d.innerBaseDistinct = snap.InnerBaseDistinct
-		return d, nil
-	}
-	d.loadTables(snap.States, snap.Counts)
-	return d, nil
 }

@@ -153,22 +153,33 @@ func TestSnapshotMidFallback(t *testing.T) {
 }
 
 // TestSnapshotMidDelegation snapshots a DenseSim while it is delegated to
-// its internal BatchSim and asserts the nested snapshot restores the
-// delegation byte-identically — including the inner engine's own rng and
-// the re-entry countdown.
+// slot batches, and while delegated inside their agent-array fallback, and
+// asserts the restored engine resumes byte-identically — including both
+// re-entry countdowns.
 func TestSnapshotMidDelegation(t *testing.T) {
 	const n = 600
-	mk := func() Engine[int] {
-		return NewDense(n, func(i int, _ *rand.Rand) int { return 0 }, explodeRule,
-			WithSeed(5), WithDenseThreshold(8))
+	for _, tc := range []struct {
+		name     string
+		pre      int64
+		fallback bool
+		opts     []Option
+	}{
+		{"slots", 2 * n, false, []Option{WithSeed(5), WithDenseThreshold(8)}},
+		{"fallback", 5 * n, true, []Option{WithSeed(5), WithDenseThreshold(8), WithBatchThreshold(16)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() Engine[int] {
+				return NewDense(n, func(i int, _ *rand.Rand) int { return 0 }, explodeRule, tc.opts...)
+			}
+			e := mk()
+			e.Run(tc.pre)
+			if d := e.(*DenseSim[int]); !d.Delegated() || d.seqMode != tc.fallback {
+				t.Fatalf("test setup: delegated %v, fallback %v", d.Delegated(), d.seqMode)
+			}
+			roundTrip(t, mk, explodeRule, []snapOp{opRun(tc.pre)}, []snapOp{opRun(3 * n)})
+			roundTrip(t, mk, explodeRule, []snapOp{opRun(tc.pre)}, []snapOp{opRun(40 * n)})
+		})
 	}
-	e := mk()
-	e.Run(2 * n)
-	if !e.(*DenseSim[int]).Delegated() {
-		t.Fatal("test setup: engine did not delegate to the batch backend")
-	}
-	roundTrip(t, mk, explodeRule, []snapOp{opRun(2 * n)}, []snapOp{opRun(3 * n)})
-	roundTrip(t, mk, explodeRule, []snapOp{opRun(2 * n)}, []snapOp{opRun(40 * n)})
 }
 
 // TestSnapshotFile round-trips a snapshot through the file helpers.
@@ -213,10 +224,11 @@ func TestSnapshotValidation(t *testing.T) {
 	fallback := snapOf(NewBatch(600, func(int, *rand.Rand) int { return 0 }, explodeRule,
 		WithSeed(5), WithBatchThreshold(16)), 20*600)
 	delegated := snapOf(NewDense(600, func(int, *rand.Rand) int { return 0 }, explodeRule,
-		WithSeed(5), WithDenseThreshold(8)), 2*600)
-	if !fallback.SeqMode || delegated.Inner == nil {
+		WithSeed(5), WithDenseThreshold(8), WithBatchThreshold(16)), 5*600)
+	if !fallback.SeqMode || !delegated.Delegated || !delegated.SeqMode {
 		t.Fatal("test setup: engines did not reach fallback and delegation")
 	}
+	dense := snapOf(NewDense(500, func(i int, _ *rand.Rand) int { return i % 3 }, amRule, WithSeed(3)), 1000)
 	cases := []struct {
 		name   string
 		base   *Snapshot[int]
@@ -224,6 +236,7 @@ func TestSnapshotValidation(t *testing.T) {
 		want   string
 	}{
 		{"version", batch, func(s *Snapshot[int]) { s.Version = 99 }, "version"},
+		{"version-1", delegated, func(s *Snapshot[int]) { s.Version = 1 }, "version 1 is not supported"},
 		{"backend", batch, func(s *Snapshot[int]) { s.Backend = "quantum" }, "unknown"},
 		{"counts-total", batch, func(s *Snapshot[int]) { s.Counts[0]++ }, "total"},
 		{"no-rng", batch, func(s *Snapshot[int]) { s.RNG = nil }, "rng"},
@@ -232,7 +245,9 @@ func TestSnapshotValidation(t *testing.T) {
 		{"negative-seg-start", batch, func(s *Snapshot[int]) { s.SegStart = -1 }, "negative"},
 		{"negative-time-base", batch, func(s *Snapshot[int]) { s.TimeBase = -0.5 }, "negative"},
 		{"negative-seq-recheck", fallback, func(s *Snapshot[int]) { s.SeqRecheck = -5000 }, "negative"},
-		{"negative-inner-recheck", delegated, func(s *Snapshot[int]) { s.InnerRecheck = -7000 }, "negative"},
+		{"negative-delegate-recheck", delegated, func(s *Snapshot[int]) { s.DelegateRecheck = -7000 }, "negative"},
+		{"no-cutoff", dense, func(s *Snapshot[int]) { s.Cutoff = 0 }, "cutoff"},
+		{"fallback-undelegated", delegated, func(s *Snapshot[int]) { s.Delegated = false }, "without being delegated"},
 		{"counts-overflow", batch, func(s *Snapshot[int]) {
 			s.N = 2
 			s.States = []int{-1, 0, 1}

@@ -356,7 +356,7 @@ func (v *tableView[S]) noteIntern(s S, id int32) {
 }
 
 // rebuild re-derives both translations from a rebuilt interning table
-// (compaction, delegation re-entry, restore).
+// (compaction, restore).
 func (v *tableView[S]) rebuild(states []S) {
 	v.tblOf = v.tblOf[:0]
 	for i := range v.engOf {
@@ -420,8 +420,9 @@ func posSizeFor[S comparable](v *tableView[S]) int {
 // CacheStats is the transition-resolution accounting surfaced per run
 // (cmd/popsim -stats): how many pair transitions were resolved by the
 // declared-table bypass, the deterministic-transition cache, and actual
-// rule invocations. For a delegated DenseSim the counters include the
-// inner engine's share of the current delegation.
+// rule invocations. The counters only grow over a run, across DenseSim's
+// delegated stretches too; interactions stepped in an agent-array
+// fallback call the rule uncounted.
 type CacheStats struct {
 	TableHits int64
 	CacheHits int64
@@ -438,14 +439,7 @@ func EngineCacheStats[S comparable](e Engine[S]) (CacheStats, bool) {
 		return CacheStats{TableHits: st.TableHits, CacheHits: st.CacheHits, RuleCalls: st.RuleCalls}, true
 	case *DenseSim[S]:
 		st := v.Stats()
-		cs := CacheStats{TableHits: st.TableHits, CacheHits: st.CacheHits, RuleCalls: st.RuleCalls}
-		if v.inner != nil {
-			ist := v.inner.Stats()
-			cs.TableHits += ist.TableHits
-			cs.CacheHits += ist.CacheHits
-			cs.RuleCalls += ist.RuleCalls
-		}
-		return cs, true
+		return CacheStats{TableHits: st.TableHits, CacheHits: st.CacheHits, RuleCalls: st.RuleCalls}, true
 	}
 	return CacheStats{}, false
 }

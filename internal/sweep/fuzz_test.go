@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -57,6 +58,46 @@ func FuzzValuesRoundTrip(f *testing.F) {
 		}
 		if string(blob) != string(blob2) {
 			t.Fatalf("marshal not canonical: %s then %s", blob, blob2)
+		}
+	})
+}
+
+// FuzzDecodeSpecRequest feeds arbitrary bytes to the daemon's request
+// decoder: it must return an error, or a request that passes Validate and
+// survives a marshal → decode round trip with identical encoding.
+func FuzzDecodeSpecRequest(f *testing.F) {
+	f.Add([]byte(`{"experiments":["F2","E6"],"ns":[1024,4096],"trials":4,"quick":true,"backend":"dense","workers":2,"par":3,"seed":9}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"ns":[]}`))
+	f.Add([]byte(`{"ns":[16,16]}`))
+	f.Add([]byte(`{"trials":-1}`))
+	f.Add([]byte(`{"backend":"quantum"}`))
+	f.Add([]byte(`{"seed":18446744073709551615}`))
+	f.Add([]byte(`{"experimentz":["F2"]}`))
+	f.Add([]byte(`{} {}`))
+	f.Add([]byte(`{"experiments":["\u003c\ud800"]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeSpecRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := req.Validate(); err != nil {
+			t.Fatalf("decoded request %+v fails Validate: %v", req, err)
+		}
+		blob, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", req, err)
+		}
+		again, err := DecodeSpecRequest(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", blob, err)
+		}
+		blob2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, blob2) {
+			t.Fatalf("round trip changed the request: %s then %s", blob, blob2)
 		}
 	})
 }

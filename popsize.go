@@ -55,9 +55,9 @@
 //     expected time (an HRUA rejection sampler above the light-state
 //     crossover, overflow-safe to N = 10¹²), and no agent-sized
 //     allocation exists anywhere — populations of 10⁹–10¹⁰ agents are
-//     routine. It delegates to the
-//     batched engine while a configuration holds more live states than
-//     its √n-scaled threshold.
+//     routine. It switches to the batched engine's slot batches, in
+//     place, while a configuration holds more live states than its
+//     √n-scaled threshold.
 //
 // The default (pop.Auto) picks the batched engine for populations of at
 // least 4096 agents and the dense engine beyond ~8 million (2²³).
