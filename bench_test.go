@@ -7,9 +7,11 @@
 package popsize
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -101,13 +103,42 @@ func warmedConfigLocked(n int) warmedMultiset {
 			e.RunTime(60)
 		}
 	}
+	// Cache the states in cmpState order, not map order: the engines
+	// intern states in the order given, so a map-ordered configuration
+	// would start each process's benchmark on a different trajectory.
+	counts := e.Counts()
 	var cfg warmedMultiset
-	for st, cnt := range e.Counts() {
+	for st := range counts {
 		cfg.states = append(cfg.states, st)
-		cfg.counts = append(cfg.counts, int64(cnt))
+	}
+	slices.SortFunc(cfg.states, cmpState)
+	for _, st := range cfg.states {
+		cfg.counts = append(cfg.counts, int64(counts[st]))
 	}
 	warmedConfigs[n] = cfg
 	return cfg
+}
+
+// cmpState is a field-wise total order on core.State.
+func cmpState(a, b core.State) int {
+	bit := func(v bool) int {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return cmp.Or(
+		cmp.Compare(a.Role, b.Role),
+		cmp.Compare(a.LogSize2, b.LogSize2),
+		cmp.Compare(a.GR, b.GR),
+		cmp.Compare(a.Time, b.Time),
+		cmp.Compare(a.Epoch, b.Epoch),
+		cmp.Compare(a.Sum, b.Sum),
+		cmp.Compare(bit(a.Done), bit(b.Done)),
+		cmp.Compare(bit(a.HasOutput), bit(b.HasOutput)),
+		cmp.Compare(a.OutSum, b.OutSum),
+		cmp.Compare(a.OutK, b.OutK),
+	)
 }
 
 // BenchmarkEngineInteractions is the core-protocol backend comparison:

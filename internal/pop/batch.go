@@ -35,7 +35,11 @@
 // trajectory is consequently distributed identically to the sequential
 // engine's, up to float64 rounding in two inverse-transform samplers (the
 // same caveat as any floating-point sampler) — batching is a change of
-// simulation algorithm, not of model.
+// simulation algorithm, not of model. The run-length survival product
+// depends only on n, so the core keeps it as a table of checkpoints every
+// 64 steps: a draw costs a binary search plus at most one stride,
+// O(log ℓ + 64) rather than O(ℓ), and returns exactly what the
+// step-by-step walk would.
 //
 // # Fallback
 //

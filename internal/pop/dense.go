@@ -33,11 +33,14 @@
 // with multiplicity C[a][b], and only transitions that consume randomness
 // degrade to per-pair rule draws. The collision interaction that ends a
 // batch is resolved exactly as in BatchSim, with the slot array replaced
-// by the participants' post-state multiset. Per-batch work is O(q·H) for
-// the two participant samples plus O(nonzero matrix cells) ≤ O(q²) for
-// the pairing — independent of ℓ for concentrated configurations — and
-// the trajectory is distributed identically to the sequential engine's,
-// up to float64 rounding in the inverse-transform samplers.
+// by the participants' post-state multiset. Per-batch work is
+// O(log ℓ + 64) for the run length (a search of the core's survival
+// checkpoints plus at most one 64-step stride), O(q·H) for the two
+// participant samples and O(nonzero matrix cells) ≤ O(q²) for the
+// pairing — independent of ℓ up to the logarithm for concentrated
+// configurations — and the trajectory is distributed identically to the
+// sequential engine's, up to float64 rounding in the inverse-transform
+// samplers.
 //
 // # Delegation
 //
@@ -97,9 +100,9 @@ type DenseStats struct {
 
 const (
 	// denseMaxPairs caps a single pair-matrix batch's length. Dense
-	// batches have no per-slot scratch, so the cap only bounds the O(ℓ)
-	// run-length inverse transform; it binds well above the natural
-	// Θ(√n) collision point for every feasible n.
+	// batches have no per-slot scratch, so the cap only bounds the
+	// run-length table, at most denseMaxPairs/64 checkpoints; it binds
+	// well above the natural Θ(√n) collision point for every feasible n.
 	denseMaxPairs = 1 << 20
 	// denseCacheBits sizes DenseSim's direct-mapped transition cache.
 	// Pair-matrix batches run only below the delegation cutoff, so their

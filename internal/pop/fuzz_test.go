@@ -1,13 +1,13 @@
 // Native fuzz targets for the sampling substrate — the univariate and
-// multivariate hypergeometric samplers, the Fenwick tree, and the churn
-// removal chains — and for snapshot decoding. Each asserts structural
-// invariants (support bounds, sum
-// conservation, no panics, draws confined to the permitted range) rather
-// than distributions — the statistical properties are covered by the
-// moment and equivalence suites; fuzzing hunts the inputs those suites
-// never reach (degenerate classes, forced draws, extreme skew). The seed
-// corpus doubles as a unit test under plain `go test`; CI additionally
-// runs each target with -fuzztime=15s.
+// multivariate hypergeometric samplers, the Fenwick tree, the churn
+// removal chains and the run-length sampler — and for snapshot decoding.
+// Each asserts structural invariants (support bounds, sum conservation,
+// agreement with a reference oracle, no panics, draws confined to the
+// permitted range) rather than distributions — the statistical
+// properties are covered by the moment and equivalence suites; fuzzing
+// hunts the inputs those suites never reach (degenerate classes, forced
+// draws, extreme skew). The seed corpus doubles as a unit test under
+// plain `go test`; CI additionally runs each target with -fuzztime=15s.
 package pop
 
 import (
@@ -259,6 +259,26 @@ func FuzzRemoveCountsChain(f *testing.F) {
 		run("splitter", func(cs []int64, debit func(id int32, d int64)) {
 			removeCountsSplit(1, seed, cs, total, k, debit, nil, nil)
 		})
+	})
+}
+
+// FuzzRunLengths checks the checkpointed run-length sampler against the
+// reference loop for n in [8, 2⁴⁰], a cap up to the dense production
+// cap, and the uniform given by one source word. The table is drawn from
+// at n, then at a second population and at n again, so both resets (a
+// churn event and its reversal) must reproduce the loop too.
+func FuzzRunLengths(f *testing.F) {
+	f.Add(uint64(10000), uint64(10001), uint64(1)<<52, uint64(1<<20))
+	f.Add(uint64(0), uint64(1), uint64(0), uint64(0))
+	f.Add(uint64(1e9), uint64(1e9-1), uint64(12345), uint64(65535))
+	f.Add(uint64(1<<40), uint64(64), uint64(1)<<53-1, uint64(63))
+	f.Fuzz(func(t *testing.T, nRaw, n2Raw, word, capRaw uint64) {
+		var r runLengths
+		for _, raw := range []uint64{nRaw, n2Raw, nRaw} {
+			n := int64(8 + raw%(1<<40-7))
+			maxPairs := 1 + int64(capRaw%uint64(min(denseMaxPairs, n/3+1)))
+			checkDraw(t, &r, wordSource(word), wordSource(word), n, maxPairs)
+		}
 	})
 }
 

@@ -139,43 +139,51 @@ func TestHypergeometricChiSquare(t *testing.T) {
 				}
 				pmf[x] = math.Exp(lnChoose(c.k, x) + lnChoose(c.n-c.k, c.m-x) - lnAll)
 			}
-			type cell struct {
-				obs float64
-				exp float64
-			}
-			var cells []cell
-			var acc cell
-			for x := range pmf {
-				acc.obs += float64(counts[x])
-				acc.exp += pmf[x] * samples
-				if acc.exp >= 5 {
-					cells = append(cells, acc)
-					acc = cell{}
-				}
-			}
-			if acc.exp > 0 && len(cells) > 0 {
-				cells[len(cells)-1].obs += acc.obs
-				cells[len(cells)-1].exp += acc.exp
-			}
-			if len(cells) < 3 {
-				t.Fatalf("degenerate binning: %d cells", len(cells))
-			}
-			var chi2 float64
-			for _, cl := range cells {
-				d := cl.obs - cl.exp
-				chi2 += d * d / cl.exp
-			}
-			// Wilson–Hilferty 99.99% quantile of χ²(df): with fixed seeds
-			// the test is deterministic, so this bounds the one-time risk
-			// of pinning an unlucky seed, not a per-run flake rate.
-			df := float64(len(cells) - 1)
-			z := 3.719
-			q := df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
-			if chi2 > q {
-				t.Errorf("chi-square %.1f > %.1f (df %d) for Hyp(%d,%d,%d)",
-					chi2, q, len(cells)-1, c.n, c.k, c.m)
-			}
+			assertChiSquare(t, counts, pmf, samples)
 		})
+	}
+}
+
+// assertChiSquare runs a chi-square goodness-of-fit test of the observed
+// counts against the exact pmf over the same support. Cells with exact
+// expectation below 5 are lumped into the next cell (the last into its
+// predecessor) so the chi-square approximation holds.
+func assertChiSquare(t *testing.T, counts []int64, pmf []float64, samples int) {
+	t.Helper()
+	type cell struct {
+		obs float64
+		exp float64
+	}
+	var cells []cell
+	var acc cell
+	for x := range pmf {
+		acc.obs += float64(counts[x])
+		acc.exp += pmf[x] * float64(samples)
+		if acc.exp >= 5 {
+			cells = append(cells, acc)
+			acc = cell{}
+		}
+	}
+	if acc.exp > 0 && len(cells) > 0 {
+		cells[len(cells)-1].obs += acc.obs
+		cells[len(cells)-1].exp += acc.exp
+	}
+	if len(cells) < 3 {
+		t.Fatalf("degenerate binning: %d cells", len(cells))
+	}
+	var chi2 float64
+	for _, cl := range cells {
+		d := cl.obs - cl.exp
+		chi2 += d * d / cl.exp
+	}
+	// Wilson–Hilferty 99.99% quantile of χ²(df): with fixed seeds the
+	// test is deterministic, so this bounds the one-time risk of pinning
+	// an unlucky seed, not a per-run flake rate.
+	df := float64(len(cells) - 1)
+	z := 3.719
+	q := df * math.Pow(1-2/(9*df)+z*math.Sqrt(2/(9*df)), 3)
+	if chi2 > q {
+		t.Errorf("chi-square %.1f > %.1f (df %d)", chi2, q, len(cells)-1)
 	}
 }
 
@@ -258,7 +266,9 @@ var (
 
 // BenchmarkHypergeometric measures ns/draw at fixed K = m = N/2 across
 // three decades of standard deviation (σ ≈ √N/4). The HRUA sampler's
-// cost must stay flat; the pre-fix mode walk scaled linearly in σ.
+// cost must stay flat; the pre-fix mode walk scaled linearly in σ. It
+// also reports uniforms/draw, counted as source words (one per Float64):
+// two per HRUA trial, so 2 over the acceptance rate.
 func BenchmarkHypergeometric(b *testing.B) {
 	cases := []struct {
 		name string
@@ -270,12 +280,14 @@ func BenchmarkHypergeometric(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			r := rand.New(rand.NewPCG(1, uint64(c.n)))
+			cs := &countingSource{src: rand.NewPCG(1, uint64(c.n))}
+			r := rand.New(cs)
 			var sink int64
 			for i := 0; i < b.N; i++ {
 				sink += hypergeometric(r, c.n, c.n/2, c.n/2)
 			}
 			benchSink = sink
+			b.ReportMetric(float64(cs.words)/float64(b.N), "uniforms/draw")
 		})
 	}
 }

@@ -130,6 +130,11 @@ type multiset[S comparable] struct {
 	cum   []int64
 	slots []int32
 
+	// runs memoizes the run-length survival product for the current n. It
+	// is a pure function of n, so snapshots omit it and a restored core
+	// rebuilds it on its first batch.
+	runs runLengths
+
 	// batchEvents is a test hook fired at every batch commit (nil in
 	// production).
 	batchEvents func(ell int, collided bool)
@@ -327,15 +332,16 @@ func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 	return runBatch(k)
 }
 
-// batchLength samples the next batch's collision-free run length ℓ (see
-// collisionFreeRun). A cap from kmax, the arrangement's maxPairs or the
-// population size just ends the batch early with no collision
-// interaction, which composes exactly — each batch draws its participants
-// from the fully committed configuration. ℓ = 0 is possible only when a
-// cap degenerated; callers then take one exact step instead.
+// batchLength samples the next batch's collision-free run length ℓ from
+// the core's checkpointed survival table (see runLengths) in O(log ℓ)
+// plus one stride of the product. A cap from kmax, the arrangement's
+// maxPairs or the population size just ends the batch early with no
+// collision interaction, which composes exactly — each batch draws its
+// participants from the fully committed configuration. ℓ = 0 is possible
+// only when a cap degenerated; callers then take one exact step instead.
 func (m *multiset[S]) batchLength(kmax, maxPairs int64) (ell int64, collided bool) {
 	n := int64(m.n)
-	return collisionFreeRun(m.rng, n, min(maxPairs, kmax, n/3+1))
+	return m.runs.draw(m.rng, n, min(maxPairs, kmax, n/3+1))
 }
 
 // finishPost ends a batch whose participants' post states were

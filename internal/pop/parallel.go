@@ -39,6 +39,7 @@ package pop
 import (
 	"math/rand/v2"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -403,19 +404,68 @@ func multisetSeqSplit(g *parGroup, seed, path uint64, comp []int64, out []int32,
 	}
 }
 
-// collisionFreeRun inverse-transform samples the collision-free run
-// length ℓ shared by both batched engines: after t collision-free
-// interactions the next is collision-free with probability
-// (n−2t)(n−2t−1)/(n(n−1)). A cap just ends the batch early with no
-// collision interaction, which composes exactly. It consumes exactly one
-// Float64 from rng.
-func collisionFreeRun(rng *rand.Rand, n, maxPairs int64) (ell int64, collided bool) {
-	u := rng.Float64()
-	surv := 1.0
-	invNN := 1 / (float64(n) * float64(n-1))
+// runStride is the number of run-length loop steps between two survival
+// checkpoints.
+const runStride = 64
+
+// runTableMaxN bounds the populations the checkpoint search serves. For
+// n ≤ runTableMaxN every loop step from ℓ = 1 on scales a normal surv by
+// (n−2ℓ)(n−2ℓ−1)/(n(n−1)) < 1 − 3/n, and the five roundings involved (two
+// in invNN, three in the step) add a relative error under
+// 6·2⁻⁵³ < 2⁻⁵⁰ ≤ 1/n. So surv strictly decreases until it is subnormal,
+// then stays below 2⁻¹⁰²⁰, far under any nonzero u that Float64 returns
+// (≥ 2⁻⁵³), and zero is absorbing: the checkpoints above u form a prefix
+// that ends in the block holding the loop's first crossing. Above the bound n and n−2 may round to one
+// float64, so larger populations start the loop at checkpoint 0.
+const runTableMaxN = 1 << 50
+
+// runLengths inverse-transform samples the collision-free run length ℓ
+// shared by both batched engines: after t collision-free interactions the
+// next is collision-free with probability (n−2t)(n−2t−1)/(n(n−1)), so ℓ
+// is the first t whose survival product S(t+1) falls to the uniform u. A
+// cap just ends the batch early with no collision interaction, which
+// composes exactly.
+//
+// Walking the product from t = 0 costs O(ℓ) dependent multiplies per
+// batch, so ck memoizes it: ck[j] is the loop's surv after j·runStride
+// steps, computed with the loop's own expression. A draw binary-searches
+// ck for the last checkpoint above u and walks at most one stride from
+// there, returning exactly what the walk from t = 0 returns. ck is a pure
+// function of n, extended lazily and reset when n changes (churn).
+type runLengths struct {
+	n     int64
+	invNN float64
+	ck    []float64
+}
+
+// draw samples ℓ for a population of n ≥ 2 with a cap maxPairs ≥ 0. It
+// consumes exactly one Float64 from rng.
+func (r *runLengths) draw(rng *rand.Rand, n, maxPairs int64) (ell int64, collided bool) {
+	return r.run(rng.Float64(), n, maxPairs)
+}
+
+// run is draw with the uniform u supplied.
+func (r *runLengths) run(u float64, n, maxPairs int64) (ell int64, collided bool) {
+	if n != r.n {
+		r.n, r.invNN, r.ck = n, 1/(float64(n)*float64(n-1)), append(r.ck[:0], 1)
+	}
+	for last := len(r.ck) - 1; n <= runTableMaxN && r.ck[last] > u && int64(last)*runStride < maxPairs; last++ {
+		surv := r.ck[last]
+		for t := int64(last) * runStride; t < int64(last+1)*runStride; t++ {
+			a := float64(n - 2*t)
+			surv = surv * a * (a - 1) * r.invNN
+		}
+		r.ck = append(r.ck, surv)
+	}
+	j := sort.Search(len(r.ck), func(j int) bool { return r.ck[j] <= u }) - 1
+	ell = int64(j) * runStride
+	if ell >= maxPairs {
+		return maxPairs, false
+	}
+	surv := r.ck[j]
 	for ell < maxPairs {
 		a := float64(n - 2*ell)
-		next := surv * a * (a - 1) * invNN
+		next := surv * a * (a - 1) * r.invNN
 		if next <= u {
 			return ell, true
 		}
