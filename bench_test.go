@@ -158,12 +158,11 @@ func cmpState(a, b core.State) int {
 // warmedConfig).
 // Sub-benchmark rows carry a parallelism dimension on the multiset
 // backends: the bare row (no /par segment) is the default configuration
-// (legacy serial samplers below pop's auto threshold of ~1.7·10⁷ agents,
-// the splitter path with a GOMAXPROCS worker target above), /par=1 is the
-// node-seeded splitter path executed serially, and /par=8 the same path
-// with an 8-worker target — byte-identical trajectories by construction,
-// so their ns/interaction ratio is pure execution speedup. The sequential
-// backend ignores parallelism and benches only bare.
+// (a GOMAXPROCS worker target), /par=1 executes the same sampler
+// serially, and /par=8 with an 8-worker target — byte-identical
+// trajectories by construction, so their ns/interaction ratio is pure
+// execution speedup. The sequential backend ignores parallelism and
+// benches only bare.
 func BenchmarkEngineInteractions(b *testing.B) {
 	p := core.MustNew(core.FastConfig())
 	all := []pop.Backend{pop.Sequential, pop.Batched, pop.Dense}

@@ -72,7 +72,7 @@ func TestRunSmoke(t *testing.T) {
 // figure for a fixed seed (worker-count invariance at the CLI level).
 func TestRunParDeterminism(t *testing.T) {
 	outs := map[string]string{}
-	for _, par := range []string{"1", "4"} {
+	for _, par := range []string{"0", "1", "4"} {
 		var buf bytes.Buffer
 		err := run([]string{"-ns", "64,128", "-trials", "1", "-seed", "5",
 			"-backend", "batch", "-par", par, "-out", ""}, &buf)
@@ -81,7 +81,9 @@ func TestRunParDeterminism(t *testing.T) {
 		}
 		outs[par] = buf.String()
 	}
-	if outs["1"] != outs["4"] {
-		t.Errorf("-par 1 and -par 4 render different figures:\n%s\nvs\n%s", outs["1"], outs["4"])
+	for _, par := range []string{"0", "4"} {
+		if outs[par] != outs["1"] {
+			t.Errorf("-par %s and -par 1 render different figures:\n%s\nvs\n%s", par, outs[par], outs["1"])
+		}
 	}
 }

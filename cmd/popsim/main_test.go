@@ -83,11 +83,11 @@ func TestRunWeakProtocolBackendsAndJSONL(t *testing.T) {
 }
 
 // TestRunParDeterminism is the CLI-level worker-count invariance check:
-// -par 1 and -par 3 must print byte-identical per-trial results for the
-// same seed on a multiset backend.
+// -par 0 (auto), 1 and 3 must print byte-identical per-trial results for
+// the same seed on a multiset backend.
 func TestRunParDeterminism(t *testing.T) {
 	outs := map[string]string{}
-	for _, par := range []string{"1", "3"} {
+	for _, par := range []string{"0", "1", "3"} {
 		var buf bytes.Buffer
 		err := run([]string{"-protocol", "main", "-n", "400", "-trials", "2", "-seed", "11",
 			"-backend", "batch", "-par", par}, &buf)
@@ -96,8 +96,10 @@ func TestRunParDeterminism(t *testing.T) {
 		}
 		outs[par] = buf.String()
 	}
-	if outs["1"] != outs["3"] {
-		t.Errorf("-par 1 and -par 3 disagree:\n%s\nvs\n%s", outs["1"], outs["3"])
+	for _, par := range []string{"0", "3"} {
+		if outs[par] != outs["1"] {
+			t.Errorf("-par %s and -par 1 disagree:\n%s\nvs\n%s", par, outs[par], outs["1"])
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func (d Def) Table(seedBase uint64) stats.Table {
 // the spec from the env the points were bound to.
 func runLocal(env Env, points []sweep.Point, seedBase uint64) *sweep.Results {
 	res, err := sweep.Run(
-		sweep.Spec{Points: points, BaseSeed: seedBase, Backend: env.Backend, Par: env.Par},
+		sweep.Spec{Points: points, BaseSeed: seedBase, Backend: env.Backend},
 		sweep.Options{})
 	if err != nil {
 		// Run errs only on checkpoint mismatches and stream writes,

@@ -17,7 +17,7 @@ import (
 func runEnvSweep(d Def, seed uint64) ([]byte, error) {
 	var out bytes.Buffer
 	res, err := sweep.RunContext(context.Background(),
-		sweep.Spec{Points: d.Points, BaseSeed: seed, Backend: d.Env.Backend, Par: d.Env.Par},
+		sweep.Spec{Points: d.Points, BaseSeed: seed, Backend: d.Env.Backend},
 		sweep.Options{Out: &out})
 	if err != nil {
 		return nil, err

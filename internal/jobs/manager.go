@@ -321,7 +321,6 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 		BaseSeed: seed,
 		Backend:  j.env.backend,
 		Workers:  j.req.Workers,
-		Par:      j.env.par,
 	}
 	// Every job may spawn up to the whole pool's worth of worker
 	// goroutines; actual concurrency is governed by slot acquisition, so

@@ -334,27 +334,33 @@ func (m *multiset[S]) runSlots(k int64) {
 
 // slotBatch simulates one collision-free slot batch (plus its collision
 // interaction, if one was sampled) of at most kmax interactions, and
-// returns how many interactions it executed.
+// returns how many interactions it executed. Every batch draws one seed
+// word; a batch of at most seqLeafSlots slots is the splitter's root leaf
+// and runs the serial chains under leafRand, a larger one the splitter
+// tree (slotBatchSplit).
 func (m *multiset[S]) slotBatch(kmax int64) int64 {
-	if m.par >= 1 {
-		return m.slotBatchSplit(kmax)
-	}
 	ell, collided := m.batchLength(kmax, maxBatchPairs)
 	if ell == 0 {
 		m.step()
 		return 1
 	}
 	parts := 2 * ell
-
-	// Draw the 2ℓ participant states without replacement and pair them.
+	seed := m.rng.Uint64()
 	if cap(m.slots) < int(parts)+2 {
 		m.slots = make([]int32, parts+2)
 	}
 	slots := m.slots[:parts]
-	if parts >= int64(stateSampleFactor*m.live) {
-		m.sampleSlotsByState(slots)
+	byState := parts >= int64(stateSampleFactor*m.live)
+	if parts > seqLeafSlots {
+		return m.slotBatchSplit(seed, slots, byState, ell, collided)
+	}
+
+	// Draw the 2ℓ participant states without replacement and pair them.
+	r := m.leafRand(seed)
+	if byState {
+		m.sampleSlotsByState(r, slots)
 	} else {
-		m.sampleSlotsByFenwick(slots)
+		m.sampleSlotsByFenwick(r, slots)
 	}
 
 	// Apply the rule to each ordered pair, rewriting the slot array in
@@ -373,43 +379,33 @@ func (m *multiset[S]) slotBatch(kmax int64) int64 {
 	return m.endBatch(ell, collided)
 }
 
-// slotBatchSplit is slotBatch on the node-seeded splitter path (par >= 1):
-// the same collision-free batch law, with every draw below the batch's
-// one seed word derived from (seed, node path) so the trajectory is
-// byte-identical for any worker count. The batch proceeds in phases —
-// participant composition (mvhSplitComp), uniform arrangement
-// (multisetSeqSplit), a read-only cache-hit pair pass over independent
+// slotBatchSplit is slotBatch above the root leaf: the same
+// collision-free batch law, with every draw below the batch's seed word
+// derived from (seed, node path) so the trajectory is byte-identical for
+// any worker count. The batch proceeds in phases — participant
+// composition (mvhSplitComp) and uniform arrangement (multisetSeqSplit),
+// or per-slot Fenwick draws when the batch is short relative to the
+// live-state count, a read-only cache-hit pair pass over independent
 // chunks, a serial pass over the cache misses (rule calls consume the
 // shared rule stream in slot order), collision resolution over the post
 // multiset, and an O(q) commit. Only the composition, arrangement and
 // cache-hit phases fan out; everything touching the engine's own rng or
 // the rule stream stays serial and ordered.
-func (m *multiset[S]) slotBatchSplit(kmax int64) int64 {
-	ell, collided := m.batchLength(kmax, maxBatchPairs)
-	if ell == 0 {
-		m.step()
-		return 1
-	}
-	parts := 2 * ell
-	batchSeed := m.rng.Uint64()
+func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, ell int64, collided bool) int64 {
+	parts := int64(len(slots))
 	workers := effectiveWorkers(m.par)
 	fanOut := workers > 1 && parts >= 2*parMinForkItems
-
-	if cap(m.slots) < int(parts)+2 {
-		m.slots = make([]int32, parts+2)
-	}
-	slots := m.slots[:parts]
-	q := len(m.counts)
-	if parts >= int64(stateSampleFactor*m.live) {
-		// Long batch: draw the participants' composition, debit it, then
-		// realize a uniformly random arrangement (the pairing).
+	if byState {
+		// Draw the participants' composition, debit it, then realize a
+		// uniformly random arrangement (the pairing).
+		q := len(m.counts)
 		m.comp = resizeZero(m.comp, q)
 		m.cum = prefixSums(m.cum, m.counts)
 		var g *parGroup
 		if fanOut {
 			g = newParGroup(workers)
 		}
-		mvhSplitComp(g, deriveSeed(batchSeed, 1), 1, m.counts, m.cum, 0, q, m.total, parts, m.comp)
+		mvhSplitComp(g, deriveSeed(seed, 1), 1, m.counts, m.cum, 0, q, m.total, parts, m.comp)
 		g.wait()
 		for id, k := range m.comp {
 			if k > 0 {
@@ -419,21 +415,12 @@ func (m *multiset[S]) slotBatchSplit(kmax int64) int64 {
 		if fanOut {
 			g = newParGroup(workers)
 		}
-		multisetSeqSplit(g, deriveSeed(batchSeed, 2), 1, m.comp, slots, nil)
+		multisetSeqSplit(g, deriveSeed(seed, 2), 1, m.comp, slots, nil)
 		g.wait()
 	} else {
-		// Short batch relative to the live-state count: per-slot Fenwick
-		// draws chain through one node stream (no fan-out — each draw
-		// conditions on the previous ones).
-		r := nodeRand(deriveSeed(batchSeed, 1), 1)
-		m.tree.reset(m.counts)
-		rem := m.total
-		for i := range slots {
-			id := int32(m.tree.findAndDec(r.Int64N(rem)))
-			rem--
-			m.addCount(id, -1)
-			slots[i] = id
-		}
+		// Per-slot draws chain through the root node stream (no fan-out —
+		// each draw conditions on the previous ones).
+		m.sampleSlotsByFenwick(m.leafRand(seed), slots)
 	}
 
 	// Cache-hit pair pass: chunks are independent and read-only on engine
@@ -506,10 +493,11 @@ func (m *multiset[S]) slotBatchSplit(kmax int64) int64 {
 // sampleSlotsByState fills slots with a uniform without-replacement sample
 // of participant states in O(q·H + |slots|) — the removeCountsChain draw,
 // recorded slot by slot in id order as it debits the counts — then a
-// Fisher–Yates shuffle realizes the uniformly random pairing.
-func (m *multiset[S]) sampleSlotsByState(slots []int32) {
+// Fisher–Yates shuffle realizes the uniformly random pairing. All draws
+// come from r.
+func (m *multiset[S]) sampleSlotsByState(r *rand.Rand, slots []int32) {
 	w := 0
-	removeCountsChain(m.rng, &m.tree, m.counts, m.total, int64(len(slots)), func(id int32, d int64) {
+	removeCountsChain(r, &m.tree, m.counts, m.total, int64(len(slots)), func(id int32, d int64) {
 		m.addCount(id, d)
 		for ; d < 0; d++ {
 			slots[w] = id
@@ -519,19 +507,20 @@ func (m *multiset[S]) sampleSlotsByState(slots []int32) {
 	// Fisher–Yates: a uniform permutation makes consecutive slot pairs a
 	// uniformly random ordered pairing of the sampled multiset.
 	for i := len(slots) - 1; i > 0; i-- {
-		j := m.rng.IntN(i + 1)
+		j := r.IntN(i + 1)
 		slots[i], slots[j] = slots[j], slots[i]
 	}
 }
 
-// sampleSlotsByFenwick fills slots via per-slot weighted draws without
-// replacement in O(|slots|·log q), for configurations whose state count is
-// large relative to the batch. Counts are debited as part of sampling.
-func (m *multiset[S]) sampleSlotsByFenwick(slots []int32) {
+// sampleSlotsByFenwick fills slots via per-slot weighted draws from r
+// without replacement in O(|slots|·log q), for configurations whose state
+// count is large relative to the batch. Counts are debited as part of
+// sampling.
+func (m *multiset[S]) sampleSlotsByFenwick(r *rand.Rand, slots []int32) {
 	m.tree.reset(m.counts)
 	remaining := m.total
 	for i := range slots {
-		id := int32(m.tree.findAndDec(m.rng.Int64N(remaining)))
+		id := int32(m.tree.findAndDec(r.Int64N(remaining)))
 		remaining--
 		m.addCount(id, -1)
 		slots[i] = id

@@ -52,8 +52,8 @@
 // the same counts, rng streams, interning tables and transition cache.
 // A recheck every few parallel time units switches back to pair-matrix
 // batches once the configuration re-concentrates below half the cutoff.
-// Nothing is copied or reseeded at either switch, and the parallelism
-// class and the transition-cache size stay the dense engine's. The same
+// Nothing is copied or reseeded at either switch, and the worker target
+// and the transition-cache size stay the dense engine's. The same
 // Rule purity contract as BatchSim's applies.
 package pop
 
@@ -147,9 +147,9 @@ type DenseSim[S comparable] struct {
 	delegated      bool
 	recheck        int64
 
-	// Batch scratch, indexed by state id: the receiver counts, and on the
-	// splitter path (par >= 1) the pre-drawn sender composition and the
-	// receiver-row index/prefix arrays.
+	// Batch scratch, indexed by state id: the receiver counts, and above
+	// the root leaf the pre-drawn sender composition and the receiver-row
+	// index/prefix arrays.
 	recv   []int64
 	send   []int64
 	rows   []int32
@@ -294,64 +294,45 @@ func (d *DenseSim[S]) reenter() {
 
 // runBatch simulates one pair-matrix batch (plus its collision
 // interaction, if one was sampled) of at most kmax interactions, and
-// returns how many interactions it executed.
+// returns how many interactions it executed. Every batch draws one seed
+// word. A batch of at most splitLeafMass receivers is the splitter's root
+// leaf: the receivers are a multivariate hypergeometric sample of the
+// (debited) counts vector, and senders are then drawn row by row from the
+// remaining population inside pairAndApply — jointly equivalent, by
+// exchangeability, to drawing 2ℓ agents without replacement and pairing
+// them at random — all from leafRand. A larger batch runs the splitter
+// tree: it pre-draws the sender block as a second composition sample
+// (jointly identical by the same exchangeability) and distributes that
+// multiset over the receiver rows (pairRowsSplit), every draw derived
+// from (seed, node path) so the trajectory is byte-identical for any
+// worker count.
 func (d *DenseSim[S]) runBatch(kmax int64) int64 {
-	if d.par >= 1 {
-		return d.runBatchSplit(kmax)
-	}
 	ell, collided := d.batchLength(kmax, denseMaxPairs)
 	if ell == 0 {
 		d.step()
 		return 1
 	}
-
-	// Receiver states: a multivariate hypergeometric sample of the
-	// (debited) counts vector. Senders are then drawn row by row from the
-	// remaining population inside pairAndApply — jointly equivalent, by
-	// exchangeability, to drawing 2ℓ agents without replacement and
-	// pairing them at random.
+	seed := d.rng.Uint64()
 	q := len(d.counts)
 	d.recv = resizeZero(d.recv, q)
 	d.post = resizeZero(d.post, q)
-	d.sampleParticipants(d.recv, ell)
-	d.pairAndApply(ell)
-	return d.finishPost(ell, collided)
-}
-
-// runBatchSplit is runBatch on the node-seeded splitter path (par >= 1):
-// the same pair-matrix law, with every draw below the batch's one seed
-// word derived from (seed, node path), so the trajectory is byte-identical
-// for any worker count. Instead of drawing each row's partners from the
-// shared remaining pool (a chain across rows), it pre-draws the sender
-// block as a second composition sample — jointly identical by
-// exchangeability, as pairAndApply's comment already exploits — and then
-// distributes that multiset over the receiver rows by recursive
-// hypergeometric splits of the row range, each subtree independent under
-// its node stream. Cached (deterministic) cells apply concurrently;
-// cells whose transition is uncached or consumes randomness defer to a
-// serial pass in (row, sender) order.
-func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
-	ell, collided := d.batchLength(kmax, denseMaxPairs)
-	if ell == 0 {
-		d.step()
-		return 1
+	if ell <= splitLeafMass {
+		r := d.leafRand(seed)
+		d.sampleParticipants(r, d.recv, ell)
+		d.pairAndApply(r, ell)
+		return d.finishPost(ell, collided)
 	}
-	batchSeed := d.rng.Uint64()
-	workers := effectiveWorkers(d.par)
-
-	q := len(d.counts)
-	d.recv = resizeZero(d.recv, q)
-	d.send = resizeZero(d.send, q)
-	d.post = resizeZero(d.post, q)
 
 	// Receiver composition, then sender composition from the remainder.
+	workers := effectiveWorkers(d.par)
+	d.send = resizeZero(d.send, q)
 	for pass, dst := range [2][]int64{d.recv, d.send} {
 		d.cum = prefixSums(d.cum, d.counts)
 		var g *parGroup
 		if workers > 1 && ell >= 2*parMinForkItems {
 			g = newParGroup(workers)
 		}
-		mvhSplitComp(g, deriveSeed(batchSeed, uint64(pass+1)), 1, d.counts, d.cum, 0, q, d.total, ell, dst)
+		mvhSplitComp(g, deriveSeed(seed, uint64(pass+1)), 1, d.counts, d.cum, 0, q, d.total, ell, dst)
 		g.wait()
 		for id, k := range dst {
 			if k > 0 {
@@ -361,7 +342,7 @@ func (d *DenseSim[S]) runBatchSplit(kmax int64) int64 {
 	}
 
 	// Pairing: distribute the sender multiset over the receiver rows.
-	d.pairRowsSplit(workers, deriveSeed(batchSeed, 3), ell)
+	d.pairRowsSplit(workers, deriveSeed(seed, 3), ell)
 	return d.finishPost(ell, collided)
 }
 
@@ -380,7 +361,7 @@ type denseMiss struct {
 // of S (one chain with the node's stream), and recurses — forked to
 // another worker when both halves carry enough receivers. Once a node's
 // receiver mass drops to splitLeafMass it stops splitting and runs the
-// legacy-style sequential multi-row chain (heavy cells by hypergeometric,
+// sequential multi-row chain (heavy cells by hypergeometric,
 // light tails by suffix-restricted descents) under its own stream, so the
 // splitter's total per-item work stays within one shallow tree of the
 // serial chain's. Cached cells accumulate into the post multiset (merged
@@ -502,8 +483,8 @@ func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseM
 }
 
 // pairRowsLeaf distributes the leaf's sender multiset snd (Σ snd = R)
-// over rows [rlo, rhi) sequentially, mirroring the legacy pairAndApply
-// chain: per row, heavy cells draw one hypergeometric each and the light
+// over rows [rlo, rhi) sequentially, mirroring the root leaf's
+// pairAndApply chain: per row, heavy cells draw one hypergeometric each and the light
 // tail costs one Fenwick descent per partner restricted to the chain's
 // remaining suffix. All randomness comes from the leaf's node stream r.
 // Cached cells accumulate into a leaf-local post vector (merged once
@@ -597,10 +578,10 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 
 // sampleParticipants draws a uniform without-replacement sample of m
 // agents as per-state counts into dst (zeroed, len ≥ len(counts)),
-// debiting the configuration: the removeCountsChain draw, recorded per
-// state.
-func (d *DenseSim[S]) sampleParticipants(dst []int64, m int64) {
-	removeCountsChain(d.rng, &d.tree, d.counts, d.total, m, func(id int32, k int64) {
+// debiting the configuration: the removeCountsChain draw from r, recorded
+// per state.
+func (d *DenseSim[S]) sampleParticipants(r *rand.Rand, dst []int64, m int64) {
+	removeCountsChain(r, &d.tree, d.counts, d.total, m, func(id int32, k int64) {
 		d.addCount(id, k)
 		dst[id] -= k
 	})
@@ -618,8 +599,8 @@ func (d *DenseSim[S]) sampleParticipants(dst []int64, m int64) {
 // the remaining partners cost one Fenwick descent each over the whole
 // remaining pool, the tree staying in sync with the chain's debits. For
 // concentrated configurations rows exhaust within the first few sender
-// states and the matrix work stays far below q².
-func (d *DenseSim[S]) pairAndApply(ell int64) {
+// states and the matrix work stays far below q². All draws come from r.
+func (d *DenseSim[S]) pairAndApply(r *rand.Rand, ell int64) {
 	d.tree.reset(d.counts)
 	for a := 0; a < len(d.recv) && ell > 0; a++ {
 		ra := d.recv[a]
@@ -640,7 +621,7 @@ func (d *DenseSim[S]) pairAndApply(ell int64) {
 			if remPop == ra {
 				k = c // forced: every remaining agent partners this state
 			} else {
-				k = hypergeometric(d.rng, remPop, c, ra)
+				k = hypergeometric(r, remPop, c, ra)
 			}
 			remPop -= c
 			ra -= k
@@ -658,7 +639,7 @@ func (d *DenseSim[S]) pairAndApply(ell int64) {
 		// full tree to exactly that suffix.
 		prefix := d.total - remPop
 		for ; ra > 0; ra-- {
-			bs := int32(d.tree.findAndDec(prefix + d.rng.Int64N(remPop)))
+			bs := int32(d.tree.findAndDec(prefix + r.Int64N(remPop)))
 			remPop--
 			d.addCount(bs, -1)
 			d.stats.PairCells++

@@ -603,7 +603,7 @@ func TestDenseSamplerMatchesReferenceChain(t *testing.T) {
 	for tr := 0; tr < trials/10; tr++ { // constructor cost bounds the trials
 		d := NewDenseFromCounts(states, counts, idRule, WithSeed(uint64(tr)*19+7))
 		d.recv = resizeZero(d.recv, len(d.counts))
-		d.sampleParticipants(d.recv, m)
+		d.sampleParticipants(d.rng, d.recv, m)
 		for id, k := range d.recv {
 			got[d.states[id]] += float64(k)
 		}

@@ -28,9 +28,9 @@ import (
 // equivBackends are the engines under comparison: the sequential engine
 // is the reference, every other backend's metric distribution must match
 // it. Seed offsets keep the backends' trial streams disjoint. The par
-// variants run the node-seeded splitter sampling path (pop.
-// WithParallelism), whose draws differ from the legacy chains' and so
-// need their own distributional check against the reference.
+// variants set an explicit worker target (pop.WithParallelism); it never
+// moves a trajectory, so under their own seed offsets they are one more
+// independent sample of the same sampler.
 var equivBackends = []struct {
 	backend pop.Backend
 	par     int

@@ -74,6 +74,8 @@ type multisetStats struct {
 type multiset[S comparable] struct {
 	pcg      *rand.PCG // rng's source, retained for snapshotting
 	rng      *rand.Rand
+	leafPCG  *rand.PCG       // reseeded per root-leaf batch (see leafRand)
+	leafRng  *rand.Rand      // leafPCG's Rand
 	ruleRand *countingSource // the same PCG, counting the words rules draw
 	ruleRng  *rand.Rand
 	rule     Rule[S]
@@ -97,7 +99,7 @@ type multiset[S comparable] struct {
 	distinct int
 
 	qMax int // live-state threshold of the slot arrangement's agent-array fallback
-	par  int // 0 = legacy serial samplers; >= 1 = node-seeded splitter path with this worker target
+	par  int // intra-trial worker target (>= 1); never affects a draw
 
 	// Agent-array fallback of the slot arrangement (batch.go): the mode
 	// flag, the agents, and the interactions until the next re-entry
@@ -147,9 +149,12 @@ type multiset[S comparable] struct {
 // every constructor and Restore start from.
 func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint) multiset[S] {
 	cs := &countingSource{src: pcg}
+	leaf := new(rand.PCG)
 	return multiset[S]{
 		pcg:       pcg,
 		rng:       rand.New(pcg),
+		leafPCG:   leaf,
+		leafRng:   rand.New(leaf),
 		ruleRand:  cs,
 		ruleRng:   rand.New(cs),
 		rule:      rule,
@@ -174,7 +179,7 @@ func newShell[S comparable](backend string, n int, rule Rule[S], o options, cach
 	}
 	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o), cacheBits)
 	m.n = n
-	m.par = resolveParallelism(o.parallelism, n)
+	m.par = resolveParallelism(o.parallelism)
 	m.qMax = defaultBatchThreshold
 	if o.batchThreshold > 0 {
 		m.qMax = o.batchThreshold
@@ -306,15 +311,18 @@ func (m *multiset[S]) step() {
 
 // removeCounts removes k agents chosen uniformly at random without
 // replacement: their states are a multivariate hypergeometric sample of
-// the counts vector, drawn by the splitter on the node-seeded path and by
-// the heavy/light chain otherwise.
+// the counts vector, drawn by removeCountsSplit from one seed word.
 func (m *multiset[S]) removeCounts(k int) {
-	if m.par >= 1 {
-		m.comp, m.cum = removeCountsSplit(effectiveWorkers(m.par), m.rng.Uint64(),
-			m.counts, m.total, int64(k), m.addCount, m.comp, m.cum)
-	} else {
-		removeCountsChain(m.rng, &m.tree, m.counts, m.total, int64(k), m.addCount)
-	}
+	m.comp, m.cum = removeCountsSplit(effectiveWorkers(m.par), m.rng.Uint64(),
+		m.counts, m.total, int64(k), m.addCount, m.comp, m.cum)
+}
+
+// leafRand returns a root-leaf batch's stream: the root node stream
+// nodeRand(deriveSeed(seed, 1), 1) of the batch's seed word, realized by
+// reseeding the engine's leaf PCG so that no batch allocates.
+func (m *multiset[S]) leafRand(seed uint64) *rand.Rand {
+	seedNodePCG(m.leafPCG, deriveSeed(seed, 1), 1)
+	return m.leafRng
 }
 
 // advance runs at most k multiset-mode interactions and returns how many
@@ -597,7 +605,6 @@ func (m *multiset[S]) snapshot(backend Backend) (*Snapshot[S], error) {
 		TimeBase:     m.timeBase,
 		SegStart:     m.segStart,
 		RNG:          rng,
-		Par:          m.par,
 		States:       append([]S(nil), m.states...),
 		Distinct:     m.distinct,
 		QMax:         m.qMax,
@@ -625,7 +632,7 @@ func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, c
 	m.interacts = snap.Interactions
 	m.timeBase = snap.TimeBase
 	m.segStart = snap.SegStart
-	m.par = snap.Par
+	m.par = resolveParallelism(o.parallelism)
 	m.distinct = snap.Distinct
 	m.qMax = snap.QMax
 	m.states = append([]S(nil), snap.States...)

@@ -59,14 +59,11 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// WithParallelism sets the multiset engines' intra-trial worker target.
-// p = 0 (the default) is automatic: populations of at least parAutoMinN
-// agents use the node-seeded divide-and-conquer sampling path with a
-// GOMAXPROCS worker target, smaller ones keep the legacy serial samplers.
-// p >= 1 forces the divide-and-conquer path with up to p workers at any
-// size. Every p >= 1 produces the byte-identical trajectory for a given
-// seed — worker count changes only the execution schedule, never a random
-// draw (see parallel.go) — and the effective worker count is additionally
+// WithParallelism sets the multiset engines' intra-trial worker target:
+// p >= 1 allows up to p workers, and p = 0 (the default) means GOMAXPROCS.
+// Every value produces the byte-identical trajectory for a given seed —
+// worker count changes only the execution schedule, never a random draw
+// (see parallel.go) — and the effective worker count is additionally
 // capped so RunTrials-level and intra-trial parallelism never
 // oversubscribe GOMAXPROCS. The sequential engine ignores the option.
 // Negative values are treated as 0.

@@ -21,9 +21,19 @@
 // being the node's heap index (root 1, children 2p and 2p+1) — never
 // from worker identity or scheduling. A batch draws one word from the
 // engine's main stream as the draw seed; everything below is a pure
-// function of that word, so `-par 1` and `-par 16` produce byte-identical
-// trajectories and the number of workers (or whether subtrees run inline
+// function of that word, so every -par value produces the byte-identical
+// trajectory and the number of workers (or whether subtrees run inline
 // or on goroutines) cannot influence a single sample.
+//
+// # Root leaf
+//
+// A batch no larger than a splitter leaf (seqLeafSlots slots, or
+// splitLeafMass receivers for a pair-matrix batch) is the tree's root
+// leaf: it runs the engine's serial chains under the root node stream,
+// reseeding one engine-owned PCG (leafRand) instead of allocating node
+// streams, composition vectors or a fork-join group. Short batches are
+// the common case below n ≈ 10⁷, so this keeps one sampling path at every
+// population size without paying the tree's per-node overhead there.
 //
 // # Worker budget
 //
@@ -44,27 +54,15 @@ import (
 	"sync/atomic"
 )
 
-// parAutoMinN is the population size above which auto parallelism
-// (WithParallelism(0), the default) switches the multiset engines to the
-// divide-and-conquer sampling path with a GOMAXPROCS worker target.
-// Below it batches are short enough that the legacy serial samplers win;
-// the cutoff depends only on n, so auto-resolved runs are reproducible
-// across machines with different core counts.
-const parAutoMinN = 1 << 24
-
 // resolveParallelism turns the WithParallelism option into the engine's
-// sampling mode: 0 keeps the legacy serial samplers, p >= 1 selects the
-// node-seeded splitter path with a worker target of p. The resolution is
-// fixed at construction (churn does not re-resolve it), so a trajectory's
-// sampling algorithm never changes mid-run.
-func resolveParallelism(par, n int) int {
+// worker target: p >= 1 is kept, 0 (auto) means GOMAXPROCS. The target
+// only schedules work — every value takes the byte-identical trajectory —
+// and is fixed at construction (and at Restore).
+func resolveParallelism(par int) int {
 	if par > 0 {
 		return par
 	}
-	if n >= parAutoMinN {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 0
+	return runtime.GOMAXPROCS(0)
 }
 
 // activeTrialWorkers counts RunTrials workers currently running, the
@@ -157,8 +155,15 @@ func deriveSeed(seed, domain uint64) uint64 {
 // paths yield uncorrelated streams, and a node's stream is independent
 // of which worker executes it.
 func nodeRand(seed, path uint64) *rand.Rand {
+	return rand.New(seedNodePCG(new(rand.PCG), seed, path))
+}
+
+// seedNodePCG seeds pcg with the node stream of (draw seed, node path)
+// and returns it.
+func seedNodePCG(pcg *rand.PCG, seed, path uint64) *rand.PCG {
 	h := splitmix64(seed ^ splitmix64(path))
-	return rand.New(rand.NewPCG(h, splitmix64(h)))
+	pcg.Seed(h, splitmix64(h))
+	return pcg
 }
 
 // Granularity knobs of the splitter path. They are vars so the tests can
@@ -178,12 +183,14 @@ var (
 	// (goroutine handoff would cost more than the draw).
 	parMinForkItems int64 = 1 << 11
 	// seqLeafSlots: arrangement-splitter leaves of at most this many
-	// slots are written and shuffled in place. Even, so batch pairs
+	// slots are written and shuffled in place, and a slot batch of at
+	// most this many slots is the root leaf. Even, so batch pairs
 	// (2i, 2i+1) never straddle a leaf boundary.
 	seqLeafSlots int64 = 1 << 12
 	// splitLeafMass: the dense row splitter stops bisecting once a node's
-	// receiver mass is at most this and runs the legacy-style sequential
-	// multi-row chain under the node's stream. Bisection redistributes
+	// receiver mass is at most this and runs the sequential multi-row
+	// chain under the node's stream, and a pair-matrix batch of at most
+	// this many receivers is the root leaf. Bisection redistributes
 	// the same items at every level (O(R·depth) descents), so leaves must
 	// carry enough mass that the tree stays shallow; like the other leaf
 	// knobs this one decides where node streams are consumed and must be
@@ -195,14 +202,14 @@ var (
 )
 
 // fenwickPool recycles the node-local Fenwick trees behind chainTail:
-// splitter nodes run concurrently, so they cannot share an engine's
-// scratch tree the way the legacy serial chains do.
+// splitter nodes run concurrently, so they cannot share the engine's
+// scratch tree the way the root leaf's chains do.
 var fenwickPool = sync.Pool{New: func() any { return new(fenwick) }}
 
 // int64Pool recycles the splitter nodes' per-node count vectors — left-
 // half compositions, sender shares, leaf-local post multisets. Nodes run
 // concurrently, so they cannot share an engine-owned scratch slice the
-// way the legacy serial chains do, and allocating one per node made the
+// way the root leaf's chains do, and allocating one per node made the
 // allocator a measurable per-batch cost of the dense pairing path.
 // getInts returns a zeroed length-n slice along with its pool pointer;
 // the pointer must go back via int64Pool.Put exactly once, after the
@@ -222,8 +229,8 @@ func getInts(n int) (*[]int64, []int64) {
 	return p, *p
 }
 
-// chainTail finishes a composition chain the way the legacy samplers do
-// (see sampleSlotsByState): once every remaining class expects only a few
+// chainTail finishes a composition chain the way removeCountsChain does:
+// once every remaining class expects only a few
 // items, the remaining m draws fall back to one weighted descent each
 // over the class suffix src[i0:end] (total remaining weight rem), costing
 // O(suffix + m·log suffix) instead of one hypergeometric per class. add
@@ -475,9 +482,9 @@ func (r *runLengths) run(u float64, n, maxPairs int64) (ell int64, collided bool
 	return ell, false
 }
 
-// removeCountsSplit is removeCountsChain's splitter form, used by the
-// multiset engines whenever the node-seeded sampling path is active: the
-// leavers' composition is drawn by mvhSplitComp from (seed), then debited
+// removeCountsSplit is the multiset engines' churn removal: the leavers'
+// composition is drawn by mvhSplitComp from (seed) — a single chain leaf
+// at the root while at most mvhLeafClasses states exist — then debited
 // through debit in id order. One seed word fully determines the removal,
 // so churn is byte-identical across worker counts.
 func removeCountsSplit(workers int, seed uint64, counts []int64, total, k int64, debit func(id int32, d int64), comp, cum []int64) ([]int64, []int64) {

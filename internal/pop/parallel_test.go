@@ -34,15 +34,12 @@ func shrinkSplitter(t *testing.T) {
 }
 
 func TestResolveParallelism(t *testing.T) {
-	if got := resolveParallelism(0, parAutoMinN-1); got != 0 {
-		t.Errorf("auto below threshold: %d, want 0 (legacy)", got)
-	}
-	if got := resolveParallelism(0, parAutoMinN); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("auto above threshold: %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := resolveParallelism(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("auto: %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	for _, p := range []int{1, 2, 7} {
-		if got := resolveParallelism(p, 100); got != p {
-			t.Errorf("explicit par %d at tiny n: %d, want %d", p, got, p)
+		if got := resolveParallelism(p); got != p {
+			t.Errorf("explicit par %d: %d, want %d", p, got, p)
 		}
 	}
 }
@@ -212,7 +209,7 @@ func parSignature[S comparable](e Engine[S]) string {
 }
 
 // TestWorkerCountInvariance is the headline determinism guarantee: a
-// pinned-seed run at -par 1 and -par 8 (and 2, and 7) produces identical
+// pinned-seed run at -par 0 (auto), 1 and 8 (and 2, and 7) produces identical
 // end configurations and segment times on both multiset backends, for a
 // deterministic rule, a randomness-consuming rule, and a mid-run churn
 // schedule.
@@ -230,7 +227,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		},
 	}
 	const n = 3000
-	pars := []int{1, 2, 7, 8, runtime.GOMAXPROCS(0)}
+	pars := []int{0, 1, 2, 7, 8, runtime.GOMAXPROCS(0)}
 	for bname, mk := range backends {
 		for rname, rule := range rules {
 			t.Run(bname+"/"+rname, func(t *testing.T) {
@@ -263,7 +260,7 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 	shrinkSplitter(t)
 	const n = 1200
 	var want string
-	for _, par := range []int{1, 2, 7} {
+	for _, par := range []int{0, 1, 2, 7} {
 		d := NewDense(n, func(i int, _ *rand.Rand) int { return i }, maxRule,
 			WithSeed(9), WithDenseThreshold(48), WithParallelism(par))
 		d.Run(int64(n)) // delegates immediately: n distinct states
@@ -285,23 +282,18 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 	}
 }
 
-// TestSplitPairTypeExpectation is TestDensePairTypeExpectation on the
-// splitter path, for both multiset backends: within one batch every
-// interaction is marginally a uniform ordered pair, so the one-way
+// TestSplitPairTypeExpectation is TestDensePairTypeExpectation for both
+// multiset backends on both sides of the root-leaf size: within one batch
+// every interaction is marginally a uniform ordered pair, so the one-way
 // epidemic's per-interaction infection rate must equal (S/n)·(I/(n−1)).
-// This is the observable that catches receiver/sender conditioning bugs
-// in the pre-drawn sender block and its row distribution.
+// "leaf" runs the batch as the root leaf (serial chains), "tree" through
+// the splitter. This is the observable that catches receiver/sender
+// conditioning bugs in the pre-drawn sender block and its row
+// distribution.
 func TestSplitPairTypeExpectation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pair-type expectation estimation is not short")
 	}
-	shrinkSplitter(t)
-	// Inline execution: the pairing law cannot depend on scheduling, and
-	// forking every tiny batch of 10⁴ trials would cost minutes of pure
-	// goroutine overhead (the fork path is covered by the invariance
-	// suites). The shrunken leaf knobs stay — they are what make the
-	// splitter recurse at this scale.
-	parMinForkItems = 1 << 11
 	const n, inf, trials = 2000, 40, 6000
 	initial := func(i int, _ *rand.Rand) int {
 		if i < inf {
@@ -311,66 +303,80 @@ func TestSplitPairTypeExpectation(t *testing.T) {
 	}
 	for _, backend := range []string{"batch", "dense"} {
 		t.Run(backend, func(t *testing.T) {
-			var newInf, done float64
-			for tr := 0; tr < trials; tr++ {
-				seed := uint64(tr)*13 + 5
-				var e Engine[int]
-				var ran int64
-				if backend == "dense" {
-					d := NewDense(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-					ran = d.runBatch(1 << 20)
-					e = d
-				} else {
-					b := NewBatch(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-					ran = b.slotBatch(1 << 20)
-					e = b
+			forEachLeafSide(t, func(t *testing.T) {
+				var newInf, done float64
+				for tr := 0; tr < trials; tr++ {
+					seed := uint64(tr)*13 + 5
+					var e Engine[int]
+					var ran int64
+					if backend == "dense" {
+						d := NewDense(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
+						ran = d.runBatch(1 << 20)
+						e = d
+					} else {
+						b := NewBatch(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
+						ran = b.slotBatch(1 << 20)
+						e = b
+					}
+					done += float64(ran)
+					newInf += float64(e.Count(func(s int) bool { return s == 1 }) - inf)
 				}
-				done += float64(ran)
-				newInf += float64(e.Count(func(s int) bool { return s == 1 }) - inf)
-			}
-			got := newInf / done
-			want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
-			// ~5 SE of the per-batch estimator is well under 10% relative at
-			// this trial count; the historical suffix bug sat at −51%.
-			if math.Abs(got-want) > 0.1*want {
-				t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
-			}
+				got := newInf / done
+				want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
+				// ~5 SE of the per-batch estimator is well under 10% relative at
+				// this trial count; the historical suffix bug sat at −51%.
+				if math.Abs(got-want) > 0.1*want {
+					t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
+				}
+			})
 		})
 	}
 }
 
-// TestRemoveCountsSplitMarginals: the splitter-path removal must keep the
-// multivariate hypergeometric per-state marginals k·c_i/N, like the chain
-// it replaces.
+// forEachLeafSide runs f twice: as "leaf" under the production leaf
+// knobs, where test-scale batches and removals are the splitter's root
+// leaf, and as "tree" under shrinkSplitter, where they recurse. Both run
+// inline: the law cannot depend on scheduling, and forking thousands of
+// tiny batches would cost minutes of pure goroutine overhead (the fork
+// path is covered by the invariance suites).
+func forEachLeafSide(t *testing.T, f func(t *testing.T)) {
+	t.Run("leaf", f)
+	t.Run("tree", func(t *testing.T) {
+		shrinkSplitter(t)
+		parMinForkItems = 1 << 11
+		f(t)
+	})
+}
+
+// TestRemoveCountsSplitMarginals: churn removal must keep the
+// multivariate hypergeometric per-state marginals k·c_i/N, whether the
+// composition is one root-leaf chain or a splitter tree.
 func TestRemoveCountsSplitMarginals(t *testing.T) {
-	shrinkSplitter(t)
-	// Inline execution: forking a 200-item removal 3000 times costs more
-	// in scheduling than it tests (the fork path is exercised by the
-	// invariance suites); what matters here is the splitter's law.
-	parMinForkItems = 1 << 11
 	states := []int{0, 1, 2, 3}
 	counts := []int64{600, 250, 100, 50}
 	const total, k, trials = 1000, 200, 3000
 	for _, be := range []Backend{Batched, Dense} {
 		t.Run(be.String(), func(t *testing.T) {
-			removed := make([]float64, len(states))
-			for tr := 0; tr < trials; tr++ {
-				e := NewEngineFromCounts(states, counts, amRule,
-					WithSeed(uint64(tr)*31+uint64(be)), WithBackend(be), WithParallelism(2))
-				before := e.Counts()
-				e.RemoveAgents(k)
-				after := e.Counts()
-				for i, s := range states {
-					removed[i] += float64(before[s] - after[s])
+			forEachLeafSide(t, func(t *testing.T) {
+				removed := make([]float64, len(states))
+				for tr := 0; tr < trials; tr++ {
+					e := NewEngineFromCounts(states, counts, amRule,
+						WithSeed(uint64(tr)*31+uint64(be)), WithBackend(be), WithParallelism(2))
+					before := e.Counts()
+					e.RemoveAgents(k)
+					after := e.Counts()
+					for i, s := range states {
+						removed[i] += float64(before[s] - after[s])
+					}
 				}
-			}
-			for i, c := range counts {
-				want := float64(k) * float64(c) / float64(total)
-				se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
-				if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
-					t.Errorf("state %d: %v", states[i], err)
+				for i, c := range counts {
+					want := float64(k) * float64(c) / float64(total)
+					se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
+					if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
+						t.Errorf("state %d: %v", states[i], err)
+					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -5,14 +5,14 @@
 // counts), the interaction count, the per-segment parallel-time
 // accounting, the rng stream state (rand.PCG's binary form — one PCG
 // underlies both the engine's own draws and the rule stream, so a single
-// blob covers both), the parallelism class, and the engine's mode with
+// blob covers both), and the engine's mode with
 // its re-check countdown: the multiset engines' agent-array fallback and
 // DenseSim's delegation to slot batches. Both multiset engines snapshot
 // their shared core the same way, so a delegated DenseSim is a flat
 // multiset snapshot (counts, or agents while in the fallback) plus its
 // delegation fields. Restore rebuilds an engine from a snapshot such that
 // restore-then-run is byte-identical to the uninterrupted run, for every
-// backend and parallelism class, including snapshots taken mid-fallback
+// backend and any worker count, including snapshots taken mid-fallback
 // and mid-delegation.
 //
 // # What is deliberately NOT captured
@@ -36,7 +36,7 @@
 // JSON-marshalable, which every protocol state in this repository is) and
 // carry a format version. UnmarshalSnapshot and Restore reject unknown
 // versions and malformed shapes; within a version, a snapshot is portable
-// across machines but pins the backend, the parallelism class, and —
+// across machines and worker counts but pins the backend and —
 // implicitly, through the rng stream — the exact rule. Restoring with a
 // different rule is undetectable and yields a well-formed but meaningless
 // run, so callers must pair snapshots with the protocol that produced
@@ -55,8 +55,9 @@ import (
 // SnapshotVersion is the current snapshot format version. Restore accepts
 // only snapshots carrying it; the version bumps whenever a field changes
 // meaning or a new field stops being optional. Version 2 flattened
-// DenseSim's delegated mode into the multiset fields.
-const SnapshotVersion = 2
+// DenseSim's delegated mode into the multiset fields; version 3 dropped
+// the parallelism class, since every worker target takes one trajectory.
+const SnapshotVersion = 3
 
 // Snapshot is the versioned, serializable full state of a simulation
 // engine. Fields beyond the common header apply only to the backends
@@ -79,11 +80,6 @@ type Snapshot[S comparable] struct {
 	// RNG is the rand.PCG stream state (MarshalBinary form). The multiset
 	// engines' rule stream shares the same PCG, so one blob restores both.
 	RNG []byte `json:"rng"`
-	// Par is the resolved parallelism class: 0 = legacy serial samplers,
-	// >= 1 = node-seeded splitter path. It is restored verbatim — the two
-	// classes consume the random stream differently, so the class is part
-	// of the trajectory, not a tuning knob.
-	Par int `json:"par,omitempty"`
 
 	// Agents is the explicit agent array: the sequential engine's
 	// configuration, and a multiset engine's while in its agent-array
@@ -348,10 +344,12 @@ func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
 // execution: running the restored engine produces the byte-identical
 // trajectory (and byte-identical future snapshots) the snapshotted engine
 // would have produced. The rule must be the one the original engine ran;
-// backend, parallelism class and thresholds come from the snapshot, not
-// from options — of the options only WithTable is honored (reattaching a
-// compiled table is trajectory-neutral, see table.go, so a run may gain
-// or lose the bypass across a snapshot boundary without diverging).
+// backend and thresholds come from the snapshot, not from options — of
+// the options only WithTable and WithParallelism are honored, because
+// both are trajectory-neutral: reattaching a compiled table only changes
+// how transitions resolve (see table.go), and the worker target only
+// schedules work (see parallel.go). A run may gain or lose the bypass, or
+// change its worker count, across a snapshot boundary without diverging.
 func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Engine[S], error) {
 	if rule == nil {
 		panic("pop: nil rule")

@@ -34,9 +34,10 @@ func opLeave(k int) snapOp       { return func(e Engine[int]) { e.RemoveAgents(k
 func opRunTime(t float64) snapOp { return func(e Engine[int]) { e.RunTime(t) } }
 
 // roundTrip runs pre on a fresh engine, snapshots it through a full
-// marshal/unmarshal cycle, then runs post on both the original and the
-// restored engine and asserts their final snapshots are byte-identical.
-func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []snapOp) {
+// marshal/unmarshal cycle, restores it with restoreOpts, then runs post on
+// both the original and the restored engine and asserts their final
+// snapshots are byte-identical.
+func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []snapOp, restoreOpts ...Option) {
 	t.Helper()
 	e1 := mk()
 	for _, op := range pre {
@@ -54,7 +55,7 @@ func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []
 	if err != nil {
 		t.Fatalf("UnmarshalSnapshot: %v", err)
 	}
-	e2, err := Restore(parsed, rule)
+	e2, err := Restore(parsed, rule, restoreOpts...)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -82,8 +83,10 @@ func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []
 }
 
 // TestSnapshotRoundTripBackends asserts byte-identical restore-then-run
-// across every backend and both parallelism classes, on a rule mixing
-// cached deterministic and uncacheable randomized transitions.
+// across every backend, built at auto and at an explicit worker target
+// and restored under a third (Restore honors WithParallelism, which never
+// moves a trajectory), on a rule mixing cached deterministic and
+// uncacheable randomized transitions.
 func TestSnapshotRoundTripBackends(t *testing.T) {
 	const n = 3000
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
@@ -97,7 +100,7 @@ func TestSnapshotRoundTripBackends(t *testing.T) {
 					WithSeed(41), WithBackend(bk), WithParallelism(par))
 			}
 			t.Run(bk.String()+"/par="+map[int]string{0: "0", 2: "2"}[par], func(t *testing.T) {
-				roundTrip(t, mk, mixedRule, pre, post)
+				roundTrip(t, mk, mixedRule, pre, post, WithParallelism(3))
 			})
 		}
 	}
@@ -237,6 +240,7 @@ func TestSnapshotValidation(t *testing.T) {
 	}{
 		{"version", batch, func(s *Snapshot[int]) { s.Version = 99 }, "version"},
 		{"version-1", delegated, func(s *Snapshot[int]) { s.Version = 1 }, "version 1 is not supported"},
+		{"version-2", batch, func(s *Snapshot[int]) { s.Version = 2 }, "version 2 is not supported"},
 		{"backend", batch, func(s *Snapshot[int]) { s.Backend = "quantum" }, "unknown"},
 		{"counts-total", batch, func(s *Snapshot[int]) { s.Counts[0]++ }, "total"},
 		{"no-rng", batch, func(s *Snapshot[int]) { s.RNG = nil }, "rng"},

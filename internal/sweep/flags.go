@@ -41,7 +41,7 @@ func Register(fs *flag.FlagSet, defaultJSONL string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Backend, "backend", "auto", "simulation backend: auto|seq|batch|dense")
 	fs.IntVar(&f.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&f.Par, "par", 0, "intra-trial worker target for the multiset backends (0 = auto: GOMAXPROCS above ~1.7e7 agents; any value >= 1 forces the deterministic splitter path, whose results are identical for every worker count)")
+	fs.IntVar(&f.Par, "par", 0, "intra-trial worker target for the multiset backends (0 = GOMAXPROCS); results are identical for every value")
 	fs.Uint64Var(&f.Seed, "seed", 1, "base random seed (per-trial seeds derive from it)")
 	fs.StringVar(&f.JSONL, "jsonl", defaultJSONL, "sweep record stream / checkpoint file (empty = none)")
 	fs.BoolVar(&f.Resume, "resume", false, "skip trials already recorded in -jsonl and append the rest")

@@ -72,16 +72,10 @@ func ParseKeyID(s string) (Key, error) {
 // CanonicalJSONL).
 type Record struct {
 	Key
-	Seed    uint64 `json:"seed"`
-	Backend string `json:"backend"`
-	// Par is the sweep's -par flag value. 0 (omitted) means the engines'
-	// legacy serial samplers below the auto threshold; any value >= 1
-	// selects the node-seeded splitter path, whose trajectory is identical
-	// for every worker count — so resume compatibility is by class (zero
-	// vs nonzero), not by exact value.
-	Par    int     `json:"par,omitempty"`
-	Values Values  `json:"values"`
-	WallMS float64 `json:"wall_ms"`
+	Seed    uint64  `json:"seed"`
+	Backend string  `json:"backend"`
+	Values  Values  `json:"values"`
+	WallMS  float64 `json:"wall_ms"`
 }
 
 // Values carries a trial's named result fields. Non-finite values survive

@@ -40,8 +40,8 @@ type SpecRequest struct {
 	// Workers bounds the sweep's worker pool; 0 means GOMAXPROCS (or, in
 	// the daemon, the shared pool size).
 	Workers int `json:"workers,omitempty"`
-	// Par is the intra-trial parallelism target (the -par semantics:
-	// 0 = auto, any value >= 1 forces the deterministic splitter path).
+	// Par is the intra-trial worker target (the -par semantics:
+	// 0 = GOMAXPROCS); it never changes a result.
 	Par int `json:"par,omitempty"`
 	// Seed is the base random seed; per-trial seeds derive from it
 	// (default 1, matching the -seed flag).
@@ -114,7 +114,6 @@ func (r SpecRequest) Spec(points []Point) (Spec, error) {
 		BaseSeed: seed,
 		Backend:  be,
 		Workers:  r.Workers,
-		Par:      r.Par,
 	}, nil
 }
 

@@ -74,13 +74,6 @@ type Spec struct {
 	Backend pop.Backend
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Par is the intra-trial parallelism target (the -par flag), recorded
-	// per record: like Backend it changes the engines' random-stream
-	// consumption (legacy samplers at 0 vs the splitter path at >= 1), so
-	// a checkpoint from the other class must not be silently resumed.
-	// Within the splitter class the trajectory is worker-count
-	// independent, so any two nonzero values are compatible.
-	Par int
 }
 
 // Unit is one schedulable trial: a key plus its derived seed.
@@ -240,11 +233,6 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 					"sweep: checkpoint record %+v was produced on backend %q but the sweep runs %q — resume with the matching -backend or start fresh",
 					u.Key, rec.Backend, spec.Backend)
 			}
-			if (rec.Par == 0) != (spec.Par == 0) {
-				return nil, fmt.Errorf(
-					"sweep: checkpoint record %+v was produced with -par %d but the sweep runs -par %d — the legacy and splitter sampling paths take different trajectories; resume with a matching -par class or start fresh",
-					u.Key, rec.Par, spec.Par)
-			}
 			res.Add(rec)
 			if opt.OnRecord != nil {
 				opt.OnRecord(rec)
@@ -300,7 +288,6 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 					Key:     u.Key,
 					Seed:    u.Seed,
 					Backend: backend,
-					Par:     spec.Par,
 					Values:  vals,
 					WallMS:  float64(time.Since(start).Microseconds()) / 1000,
 				}

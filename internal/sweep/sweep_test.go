@@ -229,28 +229,57 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := Run(other, Options{Done: done}); err == nil {
 		t.Error("auto-backend checkpoint accepted by a batch-backend sweep")
 	}
-	// A -par 0 checkpoint resumed by a -par >= 1 sweep (or vice versa)
-	// must be rejected: the legacy and splitter sampling paths take
-	// different trajectories for the same seed.
-	parred := testSpec(1)
-	parred.Par = 4
-	if _, err := Run(parred, Options{Done: done}); err == nil {
-		t.Error("-par 0 checkpoint accepted by a -par 4 sweep")
+}
+
+// engineSpec is a one-point grid whose trials run a dense engine at worker
+// target par. At n = 2²⁴ its batches hold ~2 600 receivers, so a trial
+// crosses the splitter's root-leaf size in both directions.
+func engineSpec(par int) Spec {
+	vote := func(a, b int, r *rand.Rand) (int, int) {
+		if a != b && r.IntN(2) == 0 {
+			return b, b
+		}
+		return a, b
 	}
-	// Within the splitter class the trajectory is worker-count
-	// independent, so two nonzero -par values are compatible.
-	src := testSpec(1)
-	src.Par = 2
-	res, err := Run(src, Options{})
+	run := func(_ int, seed uint64) Values {
+		e := pop.NewDenseFromCounts([]int{0, 1, 2}, []int64{1 << 23, 1 << 22, 1 << 22}, vote,
+			pop.WithSeed(seed), pop.WithParallelism(par))
+		e.Run(1 << 21)
+		return Values{"zeros": float64(e.Count(func(s int) bool { return s == 0 }))}
+	}
+	return Spec{Points: []Point{{Experiment: "EP", N: 1 << 24, Trials: 6, Run: run}}, BaseSeed: 1, Workers: 2}
+}
+
+// TestResumeAcrossPar: the worker target never moves a trajectory, so a
+// checkpoint written at -par 0 resumes under -par 4 and the finished
+// sweep's canonical bytes equal an uninterrupted -par 0 run's.
+func TestResumeAcrossPar(t *testing.T) {
+	full, err := Run(engineSpec(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2 := map[Key]Record{}
-	for _, r := range res.Sorted() {
-		done2[r.Key] = r
+	want, err := CanonicalJSONL(full.Sorted())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Run(parred, Options{Done: done2}); err != nil {
-		t.Errorf("-par 2 checkpoint rejected by a -par 4 sweep: %v", err)
+	part, err := Run(engineSpec(0), Options{Limit: 3})
+	if err != nil || part.Len() != 3 {
+		t.Fatalf("partial run: %d records, err %v; want 3", part.Len(), err)
+	}
+	done := map[Key]Record{}
+	for _, r := range part.Sorted() {
+		done[r.Key] = r
+	}
+	resumed, err := Run(engineSpec(4), Options{Done: done})
+	if err != nil {
+		t.Fatalf("-par 0 checkpoint rejected by a -par 4 sweep: %v", err)
+	}
+	got, err := CanonicalJSONL(resumed.Sorted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed under -par 4:\n%s\nuninterrupted at -par 0:\n%s", got, want)
 	}
 }
 

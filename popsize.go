@@ -65,14 +65,13 @@
 // pop.RunTrials.
 //
 // A single trial also parallelizes: RunOptions.Parallelism (the
-// commands' -par flag) switches the multiset engines' hot sampling
-// paths to a divide-and-conquer splitter that fans out across cores
-// while deriving all randomness from (seed, tree-node path) rather than
-// worker identity — any Parallelism >= 1 produces the byte-identical
-// trajectory, so parallel runs remain exactly reproducible. The default
-// (0) enables it with a GOMAXPROCS worker target above n = 2²⁴ and
-// keeps the legacy serial samplers below; trial-level and intra-trial
-// workers are jointly capped at GOMAXPROCS.
+// commands' -par flag) sets the worker target of the multiset engines'
+// divide-and-conquer batch sampler, which fans large batches out across
+// cores while deriving all randomness from (seed, tree-node path) rather
+// than worker identity — every Parallelism value produces the
+// byte-identical trajectory, so parallel runs remain exactly
+// reproducible. The default (0) is a GOMAXPROCS worker target;
+// trial-level and intra-trial workers are jointly capped at GOMAXPROCS.
 //
 // # Dynamic populations
 //
