@@ -497,10 +497,10 @@ func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, e
 // come from r.
 func (m *multiset[S]) sampleSlotsByState(r *rand.Rand, slots []int32) {
 	w := 0
-	removeCountsChain(r, &m.tree, m.counts, m.total, int64(len(slots)), func(id int32, d int64) {
-		m.addCount(id, d)
-		for ; d < 0; d++ {
-			slots[w] = id
+	removeCountsChain(r, &m.tree, m.counts, 0, len(m.counts), m.total, int64(len(slots)), func(id int, k int64) {
+		m.addCount(int32(id), -k)
+		for ; k > 0; k-- {
+			slots[w] = int32(id)
 			w++
 		}
 	})

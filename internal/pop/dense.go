@@ -436,36 +436,8 @@ func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseM
 		RR := R - RL
 		sndLP, sndL := getInts(len(snd))
 		if RL > 0 {
-			r := nodeRand(seed, path)
-			rem := R
-			left := RL
-			for b, c := range snd {
-				if left == 0 {
-					break
-				}
-				if c == 0 {
-					continue
-				}
-				if lightDraw(c, left, batchHeavyMean, rem) && left < 2*int64(len(snd)-b) {
-					chainTail(r, snd, b, len(snd), rem, left,
-						func(j int, k int64) { sndL[j] += k; snd[j] -= k })
-					left = 0
-					break
-				}
-				var k int64
-				if rem == left {
-					k = c
-				} else {
-					k = hypergeometric(r, rem, c, left)
-				}
-				rem -= c
-				left -= k
-				sndL[b] = k
-				snd[b] = c - k
-			}
-			if left != 0 {
-				panic("pop: DenseSim row splitter under-filled")
-			}
+			removeCountsChain(nodeRand(seed, path), nil, snd, 0, len(snd), R, RL,
+				func(b int, k int64) { sndL[b] += k; snd[b] -= k })
 		}
 		lPath, rPath := 2*path, 2*path+1
 		if g != nil && min(RL, RR) >= parMinForkItems {
@@ -581,9 +553,9 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 // debiting the configuration: the removeCountsChain draw from r, recorded
 // per state.
 func (d *DenseSim[S]) sampleParticipants(r *rand.Rand, dst []int64, m int64) {
-	removeCountsChain(r, &d.tree, d.counts, d.total, m, func(id int32, k int64) {
-		d.addCount(id, k)
-		dst[id] -= k
+	removeCountsChain(r, &d.tree, d.counts, 0, len(d.counts), d.total, m, func(id int, k int64) {
+		d.addCount(int32(id), -k)
+		dst[id] += k
 	})
 }
 

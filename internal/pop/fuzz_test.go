@@ -213,6 +213,11 @@ func FuzzFenwick(f *testing.F) {
 	})
 }
 
+// FuzzRemoveCountsChain checks that the composition chain and the churn
+// splitter remove exactly k agents without driving a class negative. The
+// chain also runs over a class sub-range [lo, hi) picked from the seed
+// with its pooled tail tree, as the splitter nodes call it, and must then
+// debit only classes inside the range.
 func FuzzRemoveCountsChain(f *testing.F) {
 	f.Add(uint64(1), []byte{10, 0, 3, 2}, uint64(5))
 	f.Add(uint64(2), []byte{255, 1, 1, 1, 1, 1, 1, 1, 1}, uint64(200))
@@ -221,20 +226,24 @@ func FuzzRemoveCountsChain(f *testing.F) {
 	// products in the heavy/light split and forces rejection-sampler
 	// draws at large stddev in both the chain and the splitter.
 	f.Add(uint64(4), []byte{0, 100, 5, 200, 1, 0, 0, 255}, uint64(2e9))
+	f.Add(uint64(0x301), []byte{9, 200, 3, 1, 40, 0, 2, 7, 1}, uint64(12345))
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte, kRaw uint64) {
 		counts, total := fuzzCounts(raw)
 		if total == 0 {
 			return
 		}
-		k := int64(kRaw % uint64(total+1))
-		run := func(what string, remove func(cs []int64, debit func(id int32, d int64))) {
+		run := func(what string, lo, hi int, k int64, remove func(cs []int64, total, k int64, debit func(id int32, d int64))) {
 			t.Helper()
 			cs := append([]int64(nil), counts...)
-			left := total
+			var rangeTotal int64
+			for _, c := range cs[lo:hi] {
+				rangeTotal += c
+			}
+			left := rangeTotal
 			var removed int64
 			debit := func(id int32, d int64) {
-				if int(id) < 0 || int(id) >= len(cs) {
-					t.Fatalf("%s: debit of out-of-range id %d", what, id)
+				if int(id) < lo || int(id) >= hi {
+					t.Fatalf("%s: debit of id %d outside [%d, %d)", what, id, lo, hi)
 				}
 				if d >= 0 {
 					t.Fatalf("%s: non-negative debit %d", what, d)
@@ -246,19 +255,30 @@ func FuzzRemoveCountsChain(f *testing.F) {
 				left += d
 				removed -= d
 			}
-			remove(cs, debit)
-			if removed != k || left != total-k {
-				t.Fatalf("%s: removed %d of k=%d (left %d of %d)", what, removed, k, left, total)
+			remove(cs, rangeTotal, k, debit)
+			if removed != k || left != rangeTotal-k {
+				t.Fatalf("%s: removed %d of k=%d (left %d of %d)", what, removed, k, left, rangeTotal)
 			}
 		}
-		run("chain", func(cs []int64, debit func(id int32, d int64)) {
-			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-			var tree fenwick
-			removeCountsChain(rng, &tree, cs, total, k, debit)
-		})
-		run("splitter", func(cs []int64, debit func(id int32, d int64)) {
+		chain := func(tree *fenwick, lo, hi int) func(cs []int64, total, k int64, debit func(id int32, d int64)) {
+			return func(cs []int64, total, k int64, debit func(id int32, d int64)) {
+				rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+				removeCountsChain(rng, tree, cs, lo, hi, total, k, func(i int, d int64) { debit(int32(i), -d) })
+			}
+		}
+		k := int64(kRaw % uint64(total+1))
+		run("chain", 0, len(counts), k, chain(new(fenwick), 0, len(counts)))
+		run("splitter", 0, len(counts), k, func(cs []int64, total, k int64, debit func(id int32, d int64)) {
 			removeCountsSplit(1, seed, cs, total, k, debit, nil, nil)
 		})
+		lo := int(seed % uint64(len(counts)+1))
+		hi := lo + int((seed>>8)%uint64(len(counts)-lo+1))
+		var rangeTotal int64
+		for _, c := range counts[lo:hi] {
+			rangeTotal += c
+		}
+		kr := int64(kRaw % uint64(rangeTotal+1))
+		run("chain range", lo, hi, kr, chain(nil, lo, hi))
 	})
 }
 

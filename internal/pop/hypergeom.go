@@ -100,9 +100,10 @@ func lightDraw(c, k, thresh, remPop int64) bool {
 // batch's receiver states, once for its sender states, and once per
 // receiver state to realize the uniformly random pairing as a matrix of
 // ordered state-pair counts. The engines run the chain with a heavy/light
-// split against their live-state bookkeeping: removeCountsChain draws the
-// participants (DenseSim.sampleParticipants, the slot batches' sampleSlotsByState)
-// and churn removals, and pairAndApply in dense.go inlines it per row.
+// split: removeCountsChain draws the root leaf's participants
+// (DenseSim.sampleParticipants, the slot batches' sampleSlotsByState) and
+// the splitter nodes' composition shares, and pairAndApply in dense.go
+// inlines it per row.
 func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, dst []int64) {
 	if len(dst) != len(counts) {
 		panic("pop: multivariate hypergeometric dst/counts length mismatch")
@@ -131,42 +132,38 @@ func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, ds
 	}
 }
 
-// removeCountsChain debits a uniform without-replacement sample of k
-// agents from the counts vector through debit — the multivariate
-// hypergeometric chain with a heavy/light split: one hypergeometric draw
-// per state while a state expects a material share of the sample, one
-// Fenwick descent over the remaining suffix per agent for the light tail.
-// Debits arrive in id order, one per heavy state and one per tail agent.
-// It is the single chain behind both multiset engines' serial batch
-// participant draws and churn removals, so they cannot drift apart. debit
-// must keep counts in sync (the engines pass addCount, or a wrapper that
-// also records the sample).
-func removeCountsChain(rng *rand.Rand, tree *fenwick, counts []int64, total, k int64, debit func(id int32, d int64)) {
-	remPop := total
-	for id := 0; id < len(counts) && k > 0; id++ {
-		c := counts[id]
+// removeCountsChain draws a uniform without-replacement sample of k
+// items from the classes [lo, hi) of counts, whose total is total — the
+// multivariate hypergeometric chain with a heavy/light split: one
+// hypergeometric draw per class while a class expects a material share of
+// the sample, one Fenwick descent over the remaining suffix per item for
+// the light tail (chainTail, on tree, or a pooled tree when tree is nil).
+// emit receives the drawn shares in class order, one call per heavy class
+// and one per tail item. It may debit counts: a class is read before its
+// share is emitted, and the tail's tree is built before its first emit.
+// It is the single chain behind the root leaf's participant draws and
+// every splitter node that draws a composition share — the mvhSplitComp
+// leaf, the arrangement split and the dense row split — so they cannot
+// drift apart.
+func removeCountsChain(r *rand.Rand, tree *fenwick, counts []int64, lo, hi int, total, k int64, emit func(i int, k int64)) {
+	rem := total
+	for i := lo; i < hi && k > 0; i++ {
+		c := counts[i]
 		if c == 0 {
 			continue
 		}
-		if lightDraw(c, k, batchHeavyMean, remPop) && k < 2*int64(len(counts)-id) {
-			tree.reset(counts[id:])
-			for ; k > 0; k-- {
-				sid := int32(id + tree.findAndDec(rng.Int64N(remPop)))
-				remPop--
-				debit(sid, -1)
-			}
+		if lightDraw(c, k, batchHeavyMean, rem) && k < 2*int64(hi-i) {
+			chainTail(r, tree, counts, i, hi, rem, k, emit)
 			return
 		}
-		var d int64
-		if remPop == k {
-			d = c // forced: every remaining agent leaves
-		} else {
-			d = hypergeometric(rng, remPop, c, k)
+		d := c // forced: every remaining item is drawn
+		if rem != k {
+			d = hypergeometric(r, rem, c, k)
 		}
-		remPop -= c
+		rem -= c
 		k -= d
 		if d > 0 {
-			debit(int32(id), -d)
+			emit(i, d)
 		}
 	}
 	if k != 0 {

@@ -230,22 +230,24 @@ func getInts(n int) (*[]int64, []int64) {
 }
 
 // chainTail finishes a composition chain the way removeCountsChain does:
-// once every remaining class expects only a few
-// items, the remaining m draws fall back to one weighted descent each
-// over the class suffix src[i0:end] (total remaining weight rem), costing
-// O(suffix + m·log suffix) instead of one hypergeometric per class. add
-// is invoked once per drawn item with the absolute class index; src is
-// not mutated (the tree keeps its own weights), so concurrent nodes may
-// share a read-only src.
-func chainTail(r *rand.Rand, src []int64, i0, end int, rem, m int64, add func(i int, k int64)) {
-	tree := fenwickPool.Get().(*fenwick)
+// once every remaining class expects only a few items, the remaining m
+// draws fall back to one weighted descent each over the class suffix
+// src[i0:end] (total remaining weight rem), costing O(suffix + m·log
+// suffix) instead of one hypergeometric per class. add is invoked once
+// per drawn item with the absolute class index. The descents run on tree,
+// or on one from fenwickPool when tree is nil; src is not mutated by the
+// tail itself, so concurrent nodes may share a read-only src.
+func chainTail(r *rand.Rand, tree *fenwick, src []int64, i0, end int, rem, m int64, add func(i int, k int64)) {
+	if tree == nil {
+		tree = fenwickPool.Get().(*fenwick)
+		defer fenwickPool.Put(tree)
+	}
 	tree.reset(src[i0:end])
 	for ; m > 0; m-- {
 		i := i0 + tree.findAndDec(r.Int64N(rem))
 		rem--
 		add(i, 1)
 	}
-	fenwickPool.Put(tree)
 }
 
 // mvhSplitComp draws dst[lo:hi] = the per-class composition of a uniform
@@ -272,35 +274,12 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 		case int64(hi-lo) > int64(mvhLeafClasses) && m < 2*int64(hi-lo):
 			// Light node: fewer items than half the classes — per-item
 			// descents beat both bisecting and a per-class chain.
-			chainTail(nodeRand(seed, path), counts, lo, hi, total, m,
+			chainTail(nodeRand(seed, path), nil, counts, lo, hi, total, m,
 				func(i int, k int64) { dst[i] += k })
 			return
 		case hi-lo <= mvhLeafClasses:
-			r := nodeRand(seed, path)
-			rem := total
-			for i := lo; i < hi && m > 0; i++ {
-				c := counts[i]
-				if c == 0 {
-					continue
-				}
-				if lightDraw(c, m, batchHeavyMean, rem) && m < 2*int64(hi-i) {
-					chainTail(r, counts, i, hi, rem, m,
-						func(j int, k int64) { dst[j] += k })
-					return
-				}
-				var k int64
-				if rem == m {
-					k = c
-				} else {
-					k = hypergeometric(r, rem, c, m)
-				}
-				rem -= c
-				m -= k
-				dst[i] = k
-			}
-			if m != 0 {
-				panic("pop: composition splitter under-filled")
-			}
+			removeCountsChain(nodeRand(seed, path), nil, counts, lo, hi, total, m,
+				func(i int, k int64) { dst[i] += k })
 			return
 		}
 		mid := (lo + hi) / 2
@@ -366,36 +345,8 @@ func multisetSeqSplit(g *parGroup, seed, path uint64, comp []int64, out []int32,
 		}
 		mL := (m / 2) &^ 1 // even: pair-aligned boundary
 		lCompP, lComp := getInts(len(comp))
-		r := nodeRand(seed, path)
-		rem := m
-		left := mL
-		for i, c := range comp {
-			if left == 0 {
-				break
-			}
-			if c == 0 {
-				continue
-			}
-			if lightDraw(c, left, batchHeavyMean, rem) && left < 2*int64(len(comp)-i) {
-				chainTail(r, comp, i, len(comp), rem, left,
-					func(j int, k int64) { lComp[j] += k; comp[j] -= k })
-				left = 0
-				break
-			}
-			var k int64
-			if rem == left {
-				k = c
-			} else {
-				k = hypergeometric(r, rem, c, left)
-			}
-			rem -= c
-			left -= k
-			lComp[i] = k
-			comp[i] = c - k
-		}
-		if left != 0 {
-			panic("pop: arrangement splitter under-filled")
-		}
+		removeCountsChain(nodeRand(seed, path), nil, comp, 0, len(comp), m, mL,
+			func(i int, k int64) { lComp[i] += k; comp[i] -= k })
 		lPath, rPath := 2*path, 2*path+1
 		lOut, rOut := out[:mL], out[mL:]
 		if g != nil && min(mL, m-mL) >= parMinForkItems {
