@@ -73,7 +73,9 @@ func run(argv []string) error {
 		return err
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: jobs.NewServer(m)}
+	// ReadHeaderTimeout bounds how long a client may hold a connection
+	// before its request headers arrive; the submit handler caps bodies.
+	srv := &http.Server{Addr: *addr, Handler: jobs.NewServer(m), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -14,7 +14,8 @@ import (
 
 // Server exposes the Manager over HTTP/JSON — the popsimd wire API:
 //
-//	POST   /v1/jobs               submit a sweep.SpecRequest; 201 + status
+//	POST   /v1/jobs               submit a sweep.SpecRequest (body ≤ 1 MiB,
+//	                              else 413); 201 + status
 //	GET    /v1/jobs               list job statuses, newest first
 //	GET    /v1/jobs/{id}          one job's status
 //	GET    /v1/jobs/{id}/records  stream JSONL records (x-ndjson); resumes
@@ -66,10 +67,20 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A spec request is a few
+// hundred bytes, so a body near the cap is malformed or hostile, and the
+// decoder must not buffer it.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	req, err := sweep.DecodeSpecRequest(r.Body)
+	req, err := sweep.DecodeSpecRequest(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	j, err := s.m.Submit(req)

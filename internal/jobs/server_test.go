@@ -286,6 +286,28 @@ func TestAPIUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsOversizedBody: a submission body over the 1 MiB cap is
+// refused with 413 before it is decoded in full, and creates no job.
+func TestAPIRejectsOversizedBody(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1, 0)
+	defer m.Close()
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	body := `{"experiments":["` + strings.Repeat("a", maxSubmitBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body returned %d, want 413", resp.StatusCode)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("oversized body created %d jobs", len(jobs))
+	}
+}
+
 // TestAPIStreamResume checks Last-Event-ID / ?after= resume semantics: the
 // stream replays only records past the named key, and an unknown id
 // replays from the start.
