@@ -381,6 +381,22 @@ func TestRemoveCountsSplitMarginals(t *testing.T) {
 	}
 }
 
+// TestRootLeafBatchAllocs: a root-leaf batch reseeds the engine's leaf
+// PCG and reuses its scratch, so once warm it allocates nothing.
+func TestRootLeafBatchAllocs(t *testing.T) {
+	init := func(i int, _ *rand.Rand) int { return i % 5 }
+	b := NewBatch(3000, init, maxRule, WithSeed(1))
+	d := NewDense(3000, init, maxRule, WithSeed(1))
+	b.Run(30000)
+	d.Run(30000)
+	if a := testing.AllocsPerRun(200, func() { b.slotBatch(1 << 20) }); a != 0 {
+		t.Errorf("slot batch: %v allocations per batch, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { d.runBatch(1 << 20) }); a != 0 {
+		t.Errorf("pair-matrix batch: %v allocations per batch, want 0", a)
+	}
+}
+
 // TestNestedTrialsNoOversubscription: a sweep of RunTrials workers whose
 // trials each run a -par GOMAXPROCS engine must not multiply the two
 // levels into W·P goroutines — the intra-trial budget divides by the
