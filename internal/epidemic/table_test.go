@@ -1,7 +1,8 @@
 // Golden byte-identity for the table-compiled epidemic: on every backend
-// (sequential, batched, dense — serial and forced-parallel) the compiled
-// table's rule must reproduce the handwritten Rule's trajectory byte for
-// byte under the same seed, with and without the declared-table bypass.
+// (sequential, batched, dense — as the splitter's root leaf and through
+// its tree) the compiled table's rule must reproduce the handwritten
+// Rule's trajectory byte for byte under the same seed, with and without
+// the declared-table bypass.
 package epidemic
 
 import (
@@ -38,6 +39,12 @@ func TestTableMatchesRuleByteIdentical(t *testing.T) {
 	init := func(i int, _ *rand.Rand) State {
 		return State{Val: boolToInt(i < 5), Member: i < n-200}
 	}
+	// At n = 1200 every multiset batch is the splitter's root leaf. The
+	// par2 rows run at n = 2²⁵ instead, where most batches exceed the
+	// root-leaf size and recurse through the splitter tree.
+	const big = 1 << 25
+	bigStates := []State{{Val: 1, Member: true}, {Val: 0, Member: true}, {Val: 0, Member: false}}
+	bigCounts := []int64{1 << 22, 1 << 24, big - 1<<22 - 1<<24}
 	type build func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State]
 	backends := map[string]build{
 		"seq": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
@@ -47,20 +54,24 @@ func TestTableMatchesRuleByteIdentical(t *testing.T) {
 			return pop.NewBatch(n, init, rule, opts...)
 		},
 		"batch/par2": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
-			return pop.NewBatch(n, init, rule, append(opts, pop.WithParallelism(2))...)
+			return pop.NewBatchFromCounts(bigStates, bigCounts, rule, append(opts, pop.WithParallelism(2))...)
 		},
 		"dense": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
 			return pop.NewDense(n, init, rule, opts...)
 		},
 		"dense/par2": func(rule pop.Rule[State], opts ...pop.Option) pop.Engine[State] {
-			return pop.NewDense(n, init, rule, append(opts, pop.WithParallelism(2))...)
+			return pop.NewDenseFromCounts(bigStates, bigCounts, rule, append(opts, pop.WithParallelism(2))...)
 		},
 	}
 	for name, mk := range backends {
 		for _, seed := range []uint64{9, 41} {
 			run := func(rule pop.Rule[State], opts ...pop.Option) []byte {
 				e := mk(rule, append(opts, pop.WithSeed(seed))...)
-				e.RunTime(12)
+				if e.N() == big {
+					e.Run(1 << 22)
+				} else {
+					e.RunTime(12)
+				}
 				return snapBytes(t, e)
 			}
 			hand := run(Rule)

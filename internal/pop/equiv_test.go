@@ -27,15 +27,12 @@ import (
 
 // equivBackends are the engines under comparison: the sequential engine
 // is the reference, every other backend's metric distribution must match
-// it. Seed offsets keep the backends' trial streams disjoint. The par
-// variants set an explicit worker target (pop.WithParallelism); it never
-// moves a trajectory, so under their own seed offsets they are one more
-// independent sample of the same sampler.
-var equivBackends = []struct {
-	backend pop.Backend
-	par     int
-	seedOff uint64
-}{
+// it. Seed offsets keep the backends' trial streams disjoint. At these
+// sizes every batch of a par-0 variant is the splitter's root leaf (the
+// serial chains); the par variants run under pop.ShrinkSplitter, so their
+// batches recurse and fork through the splitter tree, and the tree's
+// trajectory law is checked against the reference too.
+var equivBackends = []equivBackend{
 	{pop.Sequential, 0, 1},
 	{pop.Batched, 0, 2},
 	{pop.Dense, 0, 3},
@@ -43,10 +40,25 @@ var equivBackends = []struct {
 	{pop.Dense, 2, 5},
 }
 
+type equivBackend struct {
+	backend pop.Backend
+	par     int
+	seedOff uint64
+}
+
+// enter shrinks the splitter for a par variant and returns the function
+// that undoes it; for the other variants both are no-ops.
+func (eb equivBackend) enter() (restore func()) {
+	if eb.par == 0 {
+		return func() {}
+	}
+	return pop.ShrinkSplitter()
+}
+
 // label names an equivalence variant in failure messages.
 func label(backend pop.Backend, par int) string {
 	if par > 0 {
-		return fmt.Sprintf("%v/par=%d", backend, par)
+		return fmt.Sprintf("%v/par=%d/tree", backend, par)
 	}
 	return backend.String()
 }
@@ -101,7 +113,9 @@ func TestEquivalenceCoreProtocol(t *testing.T) {
 		seqT, seqE := run(equivBackends[0].backend, 0, equivBackends[0].seedOff)
 		logN := math.Log2(float64(n))
 		for _, eb := range equivBackends[1:] {
+			restore := eb.enter()
 			bT, bE := run(eb.backend, eb.par, eb.seedOff)
+			restore()
 			meansAgree(t, "core convergence time vs "+label(eb.backend, eb.par),
 				seqT, bT, 0.05*stats.Summarize(seqT).Mean)
 			meansAgree(t, "core estimate vs "+label(eb.backend, eb.par), seqE, bE, 0.5)
@@ -133,7 +147,9 @@ func TestEquivalenceEpidemic(t *testing.T) {
 		}
 		seq := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+10)
 		for _, eb := range equivBackends[1:] {
+			restore := eb.enter()
 			got := run(eb.backend, eb.par, eb.seedOff+10)
+			restore()
 			meansAgree(t, "epidemic completion time vs "+label(eb.backend, eb.par), seq, got, 0.5)
 		}
 	}
@@ -167,7 +183,9 @@ func TestEquivalenceExactCount(t *testing.T) {
 		}
 		seq := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+20)
 		for _, eb := range equivBackends[1:] {
+			restore := eb.enter()
 			got := run(eb.backend, eb.par, eb.seedOff+20)
+			restore()
 			meansAgree(t, "exact-count termination time vs "+label(eb.backend, eb.par),
 				seq, got, 0.1*stats.Summarize(seq).Mean)
 		}
@@ -215,7 +233,9 @@ func TestEquivalenceChurnTrajectory(t *testing.T) {
 	}
 	seqI, seqT := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+30)
 	for _, eb := range equivBackends[1:] {
+		restore := eb.enter()
 		gotI, gotT := run(eb.backend, eb.par, eb.seedOff+30)
+		restore()
 		meansAgree(t, "churned epidemic infected count vs "+label(eb.backend, eb.par),
 			seqI, gotI, 0.02*float64(wantN))
 		// Segmented parallel time is deterministic up to 1/n quanta: every
@@ -255,7 +275,9 @@ func TestEquivalenceChurnCoreProtocol(t *testing.T) {
 	seqE := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+40)
 	logN := math.Log2(float64(2 * n0))
 	for _, eb := range equivBackends[1:] {
+		restore := eb.enter()
 		gotE := run(eb.backend, eb.par, eb.seedOff+40)
+		restore()
 		meansAgree(t, "churned core estimate vs "+label(eb.backend, eb.par), seqE, gotE, 0.5)
 		if m := stats.Summarize(gotE).Mean; math.Abs(m-logN) > 6 {
 			t.Errorf("%s: churned mean estimate %.2f far from log2(2n) = %.2f", label(eb.backend, eb.par), m, logN)

@@ -53,15 +53,14 @@ func stateDigest(t *testing.T, snap *Snapshot[int]) string {
 // TestMultisetGolden pins the exact trajectories of both multiset engines
 // across commits: every backend × closure/table combination, a run
 // snapshotted mid-fallback, runs mid-delegation and after re-entry, and a
-// churn script, plus tree cases whose batches run through the splitter
-// tree instead of its root leaf. Each case must reach its one row of pins
-// under every parallelism in goldenPars: the worker target never moves a
-// trajectory.
-// The values were generated once and
-// must not change under refactors that claim byte-identity; a change that
-// alters a trajectory on purpose regenerates them and says so. A change of
-// the snapshot format alone re-pins only the SHAs: the digests and stats
-// must hold.
+// churn script, plus tree cases (closure rule under churn, table under
+// the main script) whose batches run through the splitter tree instead of
+// its root leaf. Each case must reach its one row of pins under every
+// parallelism in goldenPars: the worker target never moves a trajectory.
+// The values were generated once and must not change under refactors that
+// claim byte-identity; a change that alters a trajectory on purpose
+// regenerates them and says so. A change of the snapshot format alone
+// re-pins only the SHAs: the digests and stats must hold.
 func TestMultisetGolden(t *testing.T) {
 	const n = 3000
 	mixedInit := func(i int, _ *rand.Rand) int { return i % 5 }
@@ -147,6 +146,18 @@ func TestMultisetGolden(t *testing.T) {
 			sha:    "995a6e2d8ca3c0d94a6aef5f0212c56d65b19c54bf96f234f9588a9edbb276d6",
 			digest: "0581fa3c7fd99c0e2b87800c2de80ec5b70bd66230f4fb6fd440a2e96ba83de5",
 			stats:  DenseStats{Batches: 445, BatchedInteractions: 15885, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 5951, CacheHits: 9021, RuleCalls: 6854, TableHits: 0, Compactions: 1}},
+		{name: "batch/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
+			return NewBatch(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
+		}, ops: script,
+			sha:    "af61539d149580983617f3835a0c2486582289130ac64d4102b4542f2bcc6717",
+			digest: "f9467d825f32cf5a5a41c77f357369ed466bc0f9e1a755b4527eb4049aa2a1c2",
+			stats:  BatchStats{Batches: 661, BatchedInteractions: 23612, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3705, TableHits: 19913, Compactions: 1}},
+		{name: "dense/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
+			return NewDense(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
+		}, ops: script,
+			sha:    "2ce40351c58eda853a20171d888bcc1e5827bb79bd2284b53e7073385f804f0a",
+			digest: "9f36c43c7fcbd5657a57a4285db5a889188fdb047f348a80eb9898dbd8f3c95c",
+			stats:  DenseStats{Batches: 674, BatchedInteractions: 23617, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 5816, CacheHits: 0, RuleCalls: 3641, TableHits: 19977, Compactions: 1}},
 	}
 	for _, tc := range cases {
 		if strings.Contains(tc.name, "%d") {

@@ -24,13 +24,20 @@ import (
 // compared within one test must execute under the same shrink.
 func shrinkSplitter(t *testing.T) {
 	t.Helper()
+	t.Cleanup(shrunkSplitter())
+}
+
+// shrunkSplitter applies shrinkSplitter's knobs and returns the function
+// that restores the old ones, for callers that scope the shrink to part of
+// a test (deferred, it also runs when a t.Fatal unwinds the goroutine).
+func shrunkSplitter() (restore func()) {
 	oldLeaf, oldFork, oldChunk, oldClasses, oldMass := seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass
 	oldProcs := runtime.GOMAXPROCS(4)
 	seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = 8, 4, 8, 2, 16
-	t.Cleanup(func() {
+	return func() {
 		seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = oldLeaf, oldFork, oldChunk, oldClasses, oldMass
 		runtime.GOMAXPROCS(oldProcs)
-	})
+	}
 }
 
 func TestResolveParallelism(t *testing.T) {

@@ -132,22 +132,39 @@ func TestCompiledRuleRandomizedDistribution(t *testing.T) {
 }
 
 // tableEngines builds the multiset-engine variants the bypass tests run
-// over: batched and dense, serial and forced-parallel.
-func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]Engine[int] {
-	return map[string]Engine[int]{
-		"batch":      NewBatch(n, init, rule, opts...),
-		"batch/par2": NewBatch(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...),
-		"dense":      NewDense(n, init, rule, opts...),
-		"dense/par2": NewDense(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...),
+// over: batched and dense, serial and forced-parallel. Build and run a
+// par2 variant inside underTree: at test scale every batch is otherwise
+// the splitter's root leaf.
+func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]func() Engine[int] {
+	return map[string]func() Engine[int]{
+		"batch":      func() Engine[int] { return NewBatch(n, init, rule, opts...) },
+		"batch/par2": func() Engine[int] { return NewBatch(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...) },
+		"dense":      func() Engine[int] { return NewDense(n, init, rule, opts...) },
+		"dense/par2": func() Engine[int] { return NewDense(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...) },
 	}
+}
+
+// underTree runs f, under shrunkSplitter when variant names a forced-
+// parallel ("…/par2") variant, so that variant's batches recurse through
+// the splitter tree and its table bypass (the cache-hit scan, the pair-row
+// leaves) is the code under test.
+func underTree(variant string, f func()) {
+	if strings.HasSuffix(variant, "/par2") {
+		defer shrunkSplitter()()
+	}
+	f()
 }
 
 func amInit(i int, _ *rand.Rand) int { return i%3 - 1 }
 
 func TestTableBypassEliminatesRuleCalls(t *testing.T) {
 	c := MustCompile(amTable())
-	for name, e := range tableEngines(4096, amInit, c.Rule(), WithSeed(11), c.Option()) {
-		e.RunTime(8)
+	for name, mk := range tableEngines(4096, amInit, c.Rule(), WithSeed(11), c.Option()) {
+		var e Engine[int]
+		underTree(name, func() {
+			e = mk()
+			e.RunTime(8)
+		})
 		cs, ok := EngineCacheStats(e)
 		if !ok {
 			t.Fatalf("%s: EngineCacheStats not available", name)
@@ -207,7 +224,8 @@ func mustSnapshotBytes[S comparable](t *testing.T, e Engine[S]) []byte {
 // without a table, and (c) the compiled rule with WithTable produce
 // byte-identical snapshots on every backend. The coin variant checks the
 // mixed case, where randomized pairs take the rule path while
-// deterministic ones use the bypass.
+// deterministic ones use the bypass. The par2 variants run through the
+// splitter tree (underTree), the others as its root leaf.
 func TestTableByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -259,17 +277,19 @@ func TestTableByteIdentity(t *testing.T) {
 				},
 			}
 			for name, v := range variants {
-				plain := build(v[0])
-				tabled := build(v[1])
-				if !bytes.Equal(plain, tabled) {
-					t.Errorf("%s/%s seed %d: WithTable changed the snapshot bytes", tc.name, name, seed)
-				}
-				if tc.hand != nil {
-					hand := build(v[2])
-					if !bytes.Equal(plain, hand) {
-						t.Errorf("%s/%s seed %d: compiled rule diverged from handwritten rule", tc.name, name, seed)
+				underTree(name, func() {
+					plain := build(v[0])
+					tabled := build(v[1])
+					if !bytes.Equal(plain, tabled) {
+						t.Errorf("%s/%s seed %d: WithTable changed the snapshot bytes", tc.name, name, seed)
 					}
-				}
+					if tc.hand != nil {
+						hand := build(v[2])
+						if !bytes.Equal(plain, hand) {
+							t.Errorf("%s/%s seed %d: compiled rule diverged from handwritten rule", tc.name, name, seed)
+						}
+					}
+				})
 			}
 		}
 	}
