@@ -260,12 +260,23 @@ func loadCheckpointTrim(path string) (map[Key]Record, int64, error) {
 	done := map[Key]Record{}
 	errStop := errors.New("stop")
 	valid, _, err := terminatedLines(data, func(line []byte) error {
-		var rec Record
+		var rec struct {
+			Record
+			// Par is set only by checkpoints from before every -par value
+			// shared one multiset sampling path; their batched and dense
+			// trials would not match a fresh run's.
+			Par json.RawMessage `json:"par"`
+		}
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// Corrupt line: everything from here on reruns.
 			return errStop
 		}
-		done[rec.Key] = rec
+		if rec.Par != nil {
+			return fmt.Errorf(
+				"sweep: checkpoint record %+v carries the \"par\" field of an older checkpoint format, whose multiset trials took a different sampling path — start fresh",
+				rec.Key)
+		}
+		done[rec.Key] = rec.Record
 		return nil
 	})
 	if err != nil && err != errStop {

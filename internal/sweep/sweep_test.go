@@ -203,8 +203,9 @@ func TestResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsForeignCheckpoint: resuming under a different base seed
-// must fail loudly instead of mixing random streams.
+// TestResumeRejectsForeignCheckpoint: resuming under a different base
+// seed, backend or checkpoint format must fail loudly instead of mixing
+// random streams.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -228,6 +229,19 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	other.Backend = pop.Batched
 	if _, err := Run(other, Options{Done: done}); err == nil {
 		t.Error("auto-backend checkpoint accepted by a batch-backend sweep")
+	}
+	// A record carrying "par" comes from the older checkpoint format whose
+	// multiset trials took another sampling path: resume must refuse it.
+	legacy := bytes.Replace(buf.Bytes(), []byte(`"values":`), []byte(`"par":4,"values":`), 1)
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "start fresh") {
+		t.Errorf("checkpoint record with a \"par\" field: err = %v, want a start-fresh error", err)
+	}
+	if _, _, err := OpenCheckpoint(path, true); err == nil {
+		t.Error("-resume opened a checkpoint whose record carries \"par\"")
 	}
 }
 
