@@ -30,8 +30,8 @@ import (
 // it. Seed offsets keep the backends' trial streams disjoint. At these
 // sizes every batch of a par-0 variant is the splitter's root leaf (the
 // serial chains); the par variants run under pop.ShrinkSplitter, so their
-// batches recurse and fork through the splitter tree, and the tree's
-// trajectory law is checked against the reference too.
+// batches recurse through the splitter tree, and the tree's trajectory law
+// is checked against the reference too.
 var equivBackends = []equivBackend{
 	{pop.Sequential, 0, 1},
 	{pop.Batched, 0, 2},
