@@ -25,10 +25,8 @@ func newExactCountRunner(cfg protocol.Config) (*protocol.Runner, error) {
 				at = math.NaN()
 			}
 			if cfg.CollectStats {
-				line := "no transition-resolution stats (sequential backend calls the rule directly)"
-				if cs, have := pop.EngineCacheStats(s); have {
-					line = fmt.Sprintf("table=%d cache=%d rule=%d", cs.TableHits, cs.CacheHits, cs.RuleCalls)
-				}
+				st := s.Stats()
+				line := fmt.Sprintf("table=%d cache=%d rule=%d seq=%d", st.TableHits, st.CacheHits, st.RuleCalls, st.SeqInteractions)
 				statsMu.Lock()
 				statsLines[tr] = line
 				statsMu.Unlock()

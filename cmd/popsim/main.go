@@ -20,7 +20,8 @@
 // yields the identical trajectory for a given seed). -stats prints each trial's
 // transition-resolution counters — how many pair transitions the
 // declared-table bypass, the deterministic-transition cache and actual
-// rule invocations resolved.
+// rule invocations resolved, and how many interactions were stepped on an
+// agent array (whose rule calls go uncounted) — on every backend.
 //
 // -history/-snapshot/-restore instrument trajectory-capable protocols
 // (the main pipeline and every table-compiled zoo protocol).
@@ -79,7 +80,7 @@ func run(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 1000, "population size")
 	trials := fs.Int("trials", 3, "number of independent runs")
 	paper := fs.Bool("paper", false, "use the paper's constants (95/5) instead of the fast preset")
-	showStats := fs.Bool("stats", false, "print per-trial transition-resolution counters (table/cache/rule)")
+	showStats := fs.Bool("stats", false, "print per-trial transition-resolution counters (table/cache/rule/seq)")
 	sf := sweep.Register(fs, "")
 	if err := fs.Parse(args); err != nil {
 		return err

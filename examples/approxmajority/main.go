@@ -53,10 +53,9 @@ func main() {
 	}
 	fmt.Printf("n=%d (dense backend): consensus on %s at parallel time %.2f = %.2f·log2(n)\n",
 		n, winner, at, at/math.Log2(n))
-	if cs, have := pop.EngineCacheStats(e); have {
-		fmt.Printf("transition resolution: table=%d cache=%d rule=%d (declared table covers every interaction)\n",
-			cs.TableHits, cs.CacheHits, cs.RuleCalls)
-	}
+	st := e.Stats()
+	fmt.Printf("transition resolution: table=%d cache=%d rule=%d seq=%d (declared table covers every interaction)\n",
+		st.TableHits, st.CacheHits, st.RuleCalls, st.SeqInteractions)
 
 	pts := make([]stats.TrajPoint, 0, 32)
 	for _, rec := range sweep.HistoryRecords(hist.Samples()) {

@@ -93,10 +93,7 @@ func TestTableBypassCoversBinaryDomain(t *testing.T) {
 		return State{Val: boolToInt(i < 8), Member: i < 1500}
 	}, c.Rule(), pop.WithSeed(3), c.Option())
 	e.RunTime(10)
-	cs, ok := pop.EngineCacheStats(e)
-	if !ok {
-		t.Fatal("EngineCacheStats unavailable on BatchSim")
-	}
+	cs := e.Stats()
 	if cs.RuleCalls != 0 {
 		t.Errorf("binary-domain epidemic with table made %d rule calls, want 0", cs.RuleCalls)
 	}

@@ -57,8 +57,3 @@ func ArithmeticDef(env Env, ns []int, trials int) Def {
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
-
-// Arithmetic renders E18 via a local sweep (legacy form).
-func Arithmetic(ns []int, trials int, seedBase uint64) stats.Table {
-	return ArithmeticDef(Env{}, ns, trials).Table(seedBase)
-}

@@ -89,8 +89,3 @@ func BaselinesDef(env Env, cfg core.Config, ns []int, trials int) Def {
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
-
-// Baselines renders E16 via a local sweep (legacy form).
-func Baselines(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return BaselinesDef(Env{}, cfg, ns, trials).Table(seedBase)
-}

@@ -100,8 +100,3 @@ func CompositionDef(env Env, n int, margins []float64, trials int) Def {
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
-
-// Composition renders E17 via a local sweep (legacy form).
-func Composition(n int, margins []float64, trials int, seedBase uint64) stats.Table {
-	return CompositionDef(Env{}, n, margins, trials).Table(seedBase)
-}

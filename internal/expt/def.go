@@ -29,8 +29,7 @@ type Def struct {
 }
 
 // Table runs the Def's points through a local sweep (no JSONL stream) and
-// renders its table — the single-experiment path used by the legacy
-// generator wrappers and the tests. Commands that run many experiments
+// renders its table — the single-experiment path the tests use. Commands that run many experiments
 // submit all their Points into one shared queue instead, so trials from
 // different experiments interleave across the worker pool.
 func (d Def) Table(seedBase uint64) stats.Table {
@@ -44,8 +43,8 @@ func runLocal(env Env, points []sweep.Point, seedBase uint64) *sweep.Results {
 		sweep.Spec{Points: points, BaseSeed: seedBase, Backend: env.Backend},
 		sweep.Options{})
 	if err != nil {
-		// Run errs only on checkpoint mismatches and stream writes,
-		// neither of which a local run has.
+		// A local run has no checkpoint or stream, so Run errs only
+		// when a trial panicked; re-panic with its message.
 		panic(fmt.Sprintf("expt: local sweep failed: %v", err))
 	}
 	return res

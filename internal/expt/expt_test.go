@@ -29,52 +29,54 @@ func checkTable(t *testing.T, tb interface {
 }
 
 func TestFig2Tiny(t *testing.T) {
-	res := Fig2(core.FastConfig(), []int{64, 128}, 2, 1)
-	checkTable(t, &res.Table, 2)
-	if len(res.Points) != 4 {
-		t.Errorf("points = %d, want 4", len(res.Points))
+	ns := []int{64, 128}
+	d := Fig2Def(Env{}, core.FastConfig(), ns, 2)
+	res := runLocal(d.Env, d.Points, 1)
+	checkTable(t, ptr(d.Render(res)), 2)
+	if pts := Fig2Points(res, ns); len(pts) != 4 {
+		t.Errorf("points = %d, want 4", len(pts))
 	}
 }
 
 func TestProtocolExperimentsTiny(t *testing.T) {
 	cfg := core.FastConfig()
-	checkTable(t, ptr(ErrorDistribution(cfg, []int{64}, 2, 1)), 1)
-	checkTable(t, ptr(StateCount(cfg, []int{64}, 2, 1)), 1)
-	checkTable(t, ptr(Partition(cfg, []int{64, 128}, 2, 1)), 2)
-	checkTable(t, ptr(LogSize2Range(cfg, []int{64}, 2, 1)), 1)
-	checkTable(t, ptr(InteractionConcentration([]int{128}, 2, 1)), 1)
+	checkTable(t, ptr(ErrorDistributionDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
+	checkTable(t, ptr(StateCountDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
+	checkTable(t, ptr(PartitionDef(Env{}, cfg, []int{64, 128}, 2).Table(1)), 2)
+	checkTable(t, ptr(LogSize2RangeDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
+	checkTable(t, ptr(InteractionConcentrationDef(Env{}, []int{128}, 2).Table(1)), 1)
 }
 
 func TestSubstrateExperimentsTiny(t *testing.T) {
-	checkTable(t, ptr(Epidemic([]int{99}, 2, 1)), 1)
-	checkTable(t, ptr(MaxGeometric([]int{128}, 200, 1)), 1)
-	checkTable(t, ptr(SumOfMaxima([]int{128}, 50, 1)), 1)
-	checkTable(t, ptr(Depletion([]int{128}, 2, 1)), 1)
+	checkTable(t, ptr(EpidemicDef(Env{}, []int{99}, 2).Table(1)), 1)
+	checkTable(t, ptr(MaxGeometricDef(Env{}, []int{128}, 200).Table(1)), 1)
+	checkTable(t, ptr(SumOfMaximaDef(Env{}, []int{128}, 50).Table(1)), 1)
+	checkTable(t, ptr(DepletionDef(Env{}, []int{128}, 2).Table(1)), 1)
 }
 
 func TestTerminationExperimentsTiny(t *testing.T) {
 	cfg := core.FastConfig()
-	checkTable(t, ptr(Producibility([]int{256}, 2, 1)), 2) // two protocols × one n
-	checkTable(t, ptr(TerminationDense(cfg, []int{64}, 2, 1)), 1)
-	checkTable(t, ptr(LeaderTermination(cfg, []int{64}, 2, 1)), 1)
+	checkTable(t, ptr(ProducibilityDef(Env{}, []int{256}, 2).Table(1)), 2) // two protocols × one n
+	checkTable(t, ptr(TerminationDenseDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
+	checkTable(t, ptr(LeaderTerminationDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
 }
 
 func TestVariantExperimentsTiny(t *testing.T) {
 	cfg := core.FastConfig()
-	checkTable(t, ptr(UpperBound(cfg, []int{32}, 2, 1)), 1)
-	checkTable(t, ptr(SyntheticCoin(cfg, synthcoin.FastConfig(), []int{64}, 2, 1)), 1)
+	checkTable(t, ptr(UpperBoundDef(Env{}, cfg, []int{32}, 2).Table(1)), 1)
+	checkTable(t, ptr(SyntheticCoinDef(Env{}, cfg, synthcoin.FastConfig(), []int{64}, 2).Table(1)), 1)
 }
 
 func TestBaselineAndCompositionTiny(t *testing.T) {
 	cfg := core.FastConfig()
-	checkTable(t, ptr(Baselines(cfg, []int{64}, 2, 1)), 1)
-	checkTable(t, ptr(Composition(128, []float64{0.5}, 2, 1)), 2) // majority row + leader row
+	checkTable(t, ptr(BaselinesDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)
+	checkTable(t, ptr(CompositionDef(Env{}, 128, []float64{0.5}, 2).Table(1)), 2) // majority row + leader row
 }
 
 func TestAblationsTiny(t *testing.T) {
-	checkTable(t, ptr(AblationClockFactor(64, []int{8, 16}, 2, 1)), 2)
-	checkTable(t, ptr(AblationEpochFactor(64, []int{1, 2}, 2, 1)), 2)
-	checkTable(t, ptr(AblationNoRestart(64, 2, 1)), 2)
+	checkTable(t, ptr(AblationClockFactorDef(Env{}, 64, []int{8, 16}, 2).Table(1)), 2)
+	checkTable(t, ptr(AblationEpochFactorDef(Env{}, 64, []int{1, 2}, 2).Table(1)), 2)
+	checkTable(t, ptr(AblationNoRestartDef(Env{}, 64, 2).Table(1)), 2)
 }
 
 func TestChurnExperimentsTiny(t *testing.T) {

@@ -19,13 +19,6 @@ import (
 	"github.com/popsim/popsize/internal/sweep"
 )
 
-// Fig2Result carries the Figure 2 reproduction data: per-trial convergence
-// times plus the rendered table and scatter points.
-type Fig2Result struct {
-	Table  stats.Table
-	Points []stats.Point
-}
-
 // Fig2Def is F2: convergence time of Log-Size-Estimation vs population
 // size, `trials` runs per size. Convergence follows the paper's caption
 // (all agents reach epoch = K) plus output delivery, and the per-trial
@@ -92,11 +85,4 @@ func Fig2Points(res *sweep.Results, ns []int) []stats.Point {
 		}
 	}
 	return pts
-}
-
-// Fig2 runs the Figure 2 reproduction via a local sweep (legacy form).
-func Fig2(cfg core.Config, ns []int, trials int, seedBase uint64) Fig2Result {
-	d := Fig2Def(Env{}, cfg, ns, trials)
-	res := runLocal(d.Env, d.Points, seedBase)
-	return Fig2Result{Table: d.Render(res), Points: Fig2Points(res, ns)}
 }

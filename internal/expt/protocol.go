@@ -52,11 +52,6 @@ func ErrorDistributionDef(env Env, cfg core.Config, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// ErrorDistribution renders E1 via a local sweep (legacy form).
-func ErrorDistribution(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return ErrorDistributionDef(Env{}, cfg, ns, trials).Table(seedBase)
-}
-
 // StateCountDef is E3: distinct states used per execution vs Lemma 3.9's
 // O(log⁴ n), plus per-field maxima vs the lemma's table.
 func StateCountDef(env Env, cfg core.Config, ns []int, trials int) Def {
@@ -129,11 +124,6 @@ func StateCountDef(env Env, cfg core.Config, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// StateCount renders E3 via a local sweep (legacy form).
-func StateCount(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return StateCountDef(Env{}, cfg, ns, trials).Table(seedBase)
-}
-
 // PartitionDef is E4: the |A| ≈ n/2 concentration of Lemma 3.2/Cor 3.3.
 func PartitionDef(env Env, cfg core.Config, ns []int, trials int) Def {
 	p := core.MustNew(cfg)
@@ -171,11 +161,6 @@ func PartitionDef(env Env, cfg core.Config, ns []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// Partition renders E4 via a local sweep (legacy form).
-func Partition(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return PartitionDef(Env{}, cfg, ns, trials).Table(seedBase)
 }
 
 // LogSize2RangeDef is E5: the weak estimate's Lemma 3.8 interval
@@ -216,11 +201,6 @@ func LogSize2RangeDef(env Env, cfg core.Config, ns []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// LogSize2Range renders E5 via a local sweep (legacy form).
-func LogSize2Range(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return LogSize2RangeDef(Env{}, cfg, ns, trials).Table(seedBase)
 }
 
 // InteractionConcentrationDef is E7: Lemma 3.6 — in C·ln n time no agent
@@ -268,11 +248,6 @@ func InteractionConcentrationDef(env Env, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// InteractionConcentration renders E7 via a local sweep (legacy form).
-func InteractionConcentration(ns []int, trials int, seedBase uint64) stats.Table {
-	return InteractionConcentrationDef(Env{}, ns, trials).Table(seedBase)
-}
-
 // AblationClockFactorDef is A1: sweep the per-epoch threshold multiplier.
 func AblationClockFactorDef(env Env, n int, factors []int, trials int) Def {
 	const id = "A1"
@@ -305,11 +280,6 @@ func AblationClockFactorDef(env Env, n int, factors []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// AblationClockFactor renders A1 via a local sweep (legacy form).
-func AblationClockFactor(n int, factors []int, trials int, seedBase uint64) stats.Table {
-	return AblationClockFactorDef(Env{}, n, factors, trials).Table(seedBase)
 }
 
 // AblationEpochFactorDef is A2: sweep K = factor·L against Corollary
@@ -352,11 +322,6 @@ func AblationEpochFactorDef(env Env, n int, factors []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// AblationEpochFactor renders A2 via a local sweep (legacy form).
-func AblationEpochFactor(n int, factors []int, trials int, seedBase uint64) stats.Table {
-	return AblationEpochFactorDef(Env{}, n, factors, trials).Table(seedBase)
-}
-
 // AblationNoRestartDef is A3: disable the restart scheme and show the
 // error blow-up (agents keep progress made under stale, too-small
 // estimates).
@@ -396,9 +361,4 @@ func AblationNoRestartDef(env Env, n int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// AblationNoRestart renders A3 via a local sweep (legacy form).
-func AblationNoRestart(n int, trials int, seedBase uint64) stats.Table {
-	return AblationNoRestartDef(Env{}, n, trials).Table(seedBase)
 }

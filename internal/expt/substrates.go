@@ -69,11 +69,6 @@ func EpidemicDef(env Env, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// Epidemic renders E6 via a local sweep (legacy form).
-func Epidemic(ns []int, trials int, seedBase uint64) stats.Table {
-	return EpidemicDef(Env{}, ns, trials).Table(seedBase)
-}
-
 // MaxGeometricDef is E8: expectation and tails of the maximum of N
 // geometric random variables vs Lemma D.4 / Lemma D.7 / Corollary D.6.
 // Each population size is one single-trial point whose trial draws all
@@ -129,11 +124,6 @@ func MaxGeometricDef(env Env, ns []int, samples int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// MaxGeometric renders E8 via a local sweep (legacy form).
-func MaxGeometric(ns []int, samples int, seedBase uint64) stats.Table {
-	return MaxGeometricDef(Env{}, ns, samples).Table(seedBase)
-}
-
 // SumOfMaximaDef is E9: Corollary D.10 — the average of K = 4 log N maxima
 // is within 4.7 of log N except with probability <= 2/N.
 func SumOfMaximaDef(env Env, ns []int, samples int) Def {
@@ -179,11 +169,6 @@ func SumOfMaximaDef(env Env, ns []int, samples int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// SumOfMaxima renders E9 via a local sweep (legacy form).
-func SumOfMaxima(ns []int, samples int, seedBase uint64) stats.Table {
-	return SumOfMaximaDef(Env{}, ns, samples).Table(seedBase)
 }
 
 // DepletionDef is E10: Lemma E.2 / Corollary E.3 — a state starting at
@@ -233,9 +218,4 @@ func DepletionDef(env Env, ns []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// Depletion renders E10 via a local sweep (legacy form).
-func Depletion(ns []int, trials int, seedBase uint64) stats.Table {
-	return DepletionDef(Env{}, ns, trials).Table(seedBase)
 }

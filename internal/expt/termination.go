@@ -63,11 +63,6 @@ func ProducibilityDef(env Env, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// Producibility renders E11 via a local sweep (legacy form).
-func Producibility(ns []int, trials int, seedBase uint64) stats.Table {
-	return ProducibilityDef(Env{}, ns, trials).Table(seedBase)
-}
-
 // TerminationDenseDef is E12, the empirical face of Theorem 4.1: the
 // uniform dense counter-terminator's first-termination time is flat in n,
 // while the leader-driven protocol (non-dense initial configuration — the
@@ -118,11 +113,6 @@ func TerminationDenseDef(env Env, cfg core.Config, ns []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// TerminationDense renders E12 via a local sweep (legacy form).
-func TerminationDense(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return TerminationDenseDef(Env{}, cfg, ns, trials).Table(seedBase)
 }
 
 // LeaderTerminationDef is E13: Theorem 3.13 — with an initial leader,
@@ -177,9 +167,4 @@ func LeaderTerminationDef(env Env, cfg core.Config, ns []int, trials int) Def {
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// LeaderTermination renders E13 via a local sweep (legacy form).
-func LeaderTermination(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return LeaderTerminationDef(Env{}, cfg, ns, trials).Table(seedBase)
 }

@@ -65,11 +65,6 @@ func UpperBoundDef(env Env, cfg core.Config, ns []int, trials int) Def {
 	return Def{ID: id, Env: env, Points: points, Render: render}
 }
 
-// UpperBound renders E14 via a local sweep (legacy form).
-func UpperBound(cfg core.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return UpperBoundDef(Env{}, cfg, ns, trials).Table(seedBase)
-}
-
 // SyntheticCoinDef is E15: the Appendix B deterministic-transition variant
 // — error and convergence-time parity with the main protocol. Main and
 // synthetic runs are separate points ("E15/main", "E15/synth") drawing
@@ -124,9 +119,4 @@ func SyntheticCoinDef(env Env, mainCfg core.Config, scCfg synthcoin.Config, ns [
 		return t
 	}
 	return Def{ID: id, Env: env, Points: points, Render: render}
-}
-
-// SyntheticCoin renders E15 via a local sweep (legacy form).
-func SyntheticCoin(mainCfg core.Config, scCfg synthcoin.Config, ns []int, trials int, seedBase uint64) stats.Table {
-	return SyntheticCoinDef(Env{}, mainCfg, scCfg, ns, trials).Table(seedBase)
 }

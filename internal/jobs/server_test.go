@@ -234,6 +234,49 @@ func TestAPILifecycle(t *testing.T) {
 	}
 }
 
+// TestPanickingTrialFailsJob: a trial that panics fails its job with the
+// panic text instead of taking the daemon down, frees its pool slots, and
+// the manager then runs the next job to completion.
+func TestPanickingTrialFailsJob(t *testing.T) {
+	fast := testResolver(0)
+	resolve := func(req sweep.SpecRequest) ([]sweep.Point, error) {
+		if len(req.Experiments) == 1 && req.Experiments[0] == "boom" {
+			return []sweep.Point{{Experiment: "boom", N: 4, Trials: 3,
+				Run: func(int, uint64) sweep.Values { panic("trial exploded") }}}, nil
+		}
+		return fast(req)
+	}
+	m, err := NewManager(Config{Dir: t.TempDir(), Slots: 2, Resolve: resolve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	wait := func(j *Job) Status {
+		t.Helper()
+		select {
+		case <-j.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never finished: %+v", j.Status().ID, j.Status())
+		}
+		return j.Status()
+	}
+
+	bad, err := m.Submit(sweep.SpecRequest{Experiments: []string{"boom"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := wait(bad); st.State != StateFailed || !strings.Contains(st.Error, "trial exploded") {
+		t.Fatalf("panicking job ended as %+v, want failed with the panic text", st)
+	}
+	good, err := m.Submit(sweep.SpecRequest{Experiments: []string{"fast"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := wait(good); st.State != StateDone || st.Records != st.Units || st.Units == 0 {
+		t.Fatalf("job after the panic ended as %+v, want done with every unit recorded", st)
+	}
+}
+
 // TestAPIUnknownExperiment asserts the 400 carries the shared UnknownName
 // shape — the message lists what does exist — through both the synthetic
 // resolver and the real expt catalog the daemon wires.

@@ -58,32 +58,6 @@ import (
 	"sync"
 )
 
-// BatchStats reports how a BatchSim run was executed; it is diagnostic
-// only (exposed for tests, benchmarks and tuning).
-type BatchStats struct {
-	// Batches is the number of collision-free batches processed.
-	Batches int64
-	// BatchedInteractions counts interactions simulated inside batches
-	// (including their collision steps).
-	BatchedInteractions int64
-	// SeqInteractions counts interactions executed in the materialized
-	// sequential fallback mode.
-	SeqInteractions int64
-	// Fallbacks is the number of batch→sequential mode switches.
-	Fallbacks int64
-	// Reentries is the number of sequential→batch mode switches.
-	Reentries int64
-	// CacheHits / RuleCalls split pair transitions between the
-	// deterministic-transition cache and actual rule invocations.
-	// TableHits counts transitions resolved by the declared-table bypass
-	// (WithTable), which skips both the cache probe and the rule.
-	CacheHits int64
-	RuleCalls int64
-	TableHits int64
-	// Compactions counts interning-table rebuilds.
-	Compactions int64
-}
-
 const (
 	// defaultBatchThreshold is the live-state cutoff beyond which the
 	// multiset representation stops paying for itself.
@@ -155,17 +129,6 @@ func NewBatchFromCounts[S comparable](states []S, counts []int64, rule Rule[S], 
 	return b
 }
 
-// Stats returns execution diagnostics.
-func (b *BatchSim[S]) Stats() BatchStats {
-	c := b.st
-	return BatchStats{
-		Batches: c.batches, BatchedInteractions: c.batchedInteractions,
-		SeqInteractions: c.seqInteractions, Fallbacks: c.fallbacks, Reentries: c.seqReentries,
-		CacheHits: c.cacheHits, RuleCalls: c.ruleCalls, TableHits: c.tableHits,
-		Compactions: c.compactions,
-	}
-}
-
 // Run executes k interactions.
 func (b *BatchSim[S]) Run(k int64) { b.runSlots(k) }
 
@@ -183,6 +146,9 @@ func (b *BatchSim[S]) RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime fl
 
 // Interactions returns the number of interactions executed so far.
 func (m *multiset[S]) Interactions() int64 { return m.interacts }
+
+// Stats returns execution diagnostics.
+func (m *multiset[S]) Stats() Stats { return m.st }
 
 // Time returns the parallel time elapsed, accumulated per churn segment
 // (see Engine.Time); on a fixed population it equals interactions / n.
@@ -225,7 +191,7 @@ func (m *multiset[S]) RemoveAgents(k int) {
 			m.agents = m.agents[:n-1]
 		}
 	} else {
-		m.removeCounts(k)
+		m.comp = m.removeSample(m.rng.Uint64(), int64(k), m.comp)
 	}
 	m.n -= k
 }
@@ -383,7 +349,7 @@ func (m *multiset[S]) slotBatch(kmax int64) int64 {
 // collision-free batch law, with every draw below the batch's seed word
 // derived from (seed, node path) so the trajectory is byte-identical for
 // any worker count. The batch proceeds in phases — participant
-// composition (mvhSplitComp) and uniform arrangement (multisetSeqSplit),
+// composition (removeSample) and uniform arrangement (multisetSeqSplit),
 // or per-slot Fenwick draws when the batch is short relative to the
 // live-state count, a read-only cache-hit pair pass over independent
 // chunks, a serial pass over the cache misses (rule calls consume the
@@ -398,20 +364,8 @@ func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, e
 	if byState {
 		// Draw the participants' composition, debit it, then realize a
 		// uniformly random arrangement (the pairing).
-		q := len(m.counts)
-		m.comp = resizeZero(m.comp, q)
-		m.cum = prefixSums(m.cum, m.counts)
+		m.comp = m.removeSample(deriveSeed(seed, 1), parts, m.comp)
 		var g *parGroup
-		if fanOut {
-			g = newParGroup(workers)
-		}
-		mvhSplitComp(g, deriveSeed(seed, 1), 1, m.counts, m.cum, 0, q, m.total, parts, m.comp)
-		g.wait()
-		for id, k := range m.comp {
-			if k > 0 {
-				m.addCount(int32(id), -k)
-			}
-		}
 		if fanOut {
 			g = newParGroup(workers)
 		}
@@ -464,8 +418,8 @@ func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, e
 						m.post[id] += c
 					}
 				}
-				m.st.cacheHits += hits
-				m.st.tableHits += tblHits
+				m.st.CacheHits += hits
+				m.st.TableHits += tblHits
 				mu.Unlock()
 			})
 		}
@@ -473,8 +427,8 @@ func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, e
 	} else {
 		var hits, tblHits int64
 		missByChunk[0], hits, tblHits = scan(0, parts, m.post)
-		m.st.cacheHits += hits
-		m.st.tableHits += tblHits
+		m.st.CacheHits += hits
+		m.st.TableHits += tblHits
 	}
 
 	// Serial miss pass, in slot order: rule calls (and their randomness)
@@ -558,7 +512,7 @@ func (m *multiset[S]) materialize() {
 	}
 	m.seqMode = true
 	m.seqRecheck = int64(seqRecheckFactor) * int64(m.n)
-	m.st.fallbacks++
+	m.st.Fallbacks++
 }
 
 // seqStep is one agent-array interaction, identical in distribution to
@@ -575,7 +529,7 @@ func (m *multiset[S]) seqStep() {
 	m.intern(sb)
 	m.agents[i], m.agents[j] = sa, sb
 	m.interacts++
-	m.st.seqInteractions++
+	m.st.SeqInteractions++
 }
 
 // seqRun executes up to k sequential-mode interactions, returning how many
@@ -592,7 +546,7 @@ func (m *multiset[S]) seqRun(k int64) int64 {
 		if m.live <= m.qMax/2 {
 			m.seqMode = false
 			m.compact()
-			m.st.seqReentries++
+			m.st.Reentries++
 		} else {
 			m.seqRecheck = int64(seqRecheckFactor) * int64(m.n)
 		}

@@ -153,7 +153,7 @@ func TestChurnMidDelegation(t *testing.T) {
 	if d.Delegated() {
 		t.Fatal("still delegated after the configuration collapsed")
 	}
-	if d.Stats().Reentries == 0 {
+	if d.Stats().DenseReentries == 0 {
 		t.Fatal("never re-entered dense mode")
 	}
 	if got := countsSum[int](d); got != n {

@@ -64,40 +64,6 @@ import (
 	"sync"
 )
 
-// DenseStats reports how a DenseSim run was executed; it is diagnostic
-// only (exposed for tests, benchmarks and tuning).
-type DenseStats struct {
-	// Batches is the number of batches processed: pair-matrix batches,
-	// and slot batches while delegated.
-	Batches int64
-	// BatchedInteractions counts interactions simulated inside batches of
-	// either kind (including their collision steps).
-	BatchedInteractions int64
-	// DelegatedInteractions counts interactions executed while delegated
-	// (the live-state count exceeded the delegation cutoff), in slot
-	// batches or the agent-array fallback.
-	DelegatedInteractions int64
-	// Delegations / Reentries count switches from pair-matrix to slot
-	// batches and back.
-	Delegations int64
-	Reentries   int64
-	// PairCells counts nonzero cells of the sampled pair matrices — the
-	// q²-shaped part of the work.
-	PairCells int64
-	// CacheHits counts interactions served from the deterministic-
-	// transition cache (with multiplicity); RuleCalls counts actual rule
-	// invocations. TableHits counts interactions resolved by the
-	// declared-table bypass (WithTable), which skips both. All three
-	// cover delegated stretches too, except interactions stepped in the
-	// agent-array fallback, which call the rule uncounted (as BatchSim's
-	// do).
-	CacheHits int64
-	RuleCalls int64
-	TableHits int64
-	// Compactions counts interning-table rebuilds.
-	Compactions int64
-}
-
 const (
 	// denseMaxPairs caps a single pair-matrix batch's length. Dense
 	// batches have no per-slot scratch, so the cap only bounds the
@@ -156,8 +122,6 @@ type DenseSim[S comparable] struct {
 	rowCum []int64
 
 	forceNoDelegate bool // test hook (false in production)
-
-	stats DenseStats // the delegation and pair-cell counters; Stats adds the core's
 }
 
 // newDenseSim builds a DenseSim of n agents with everything but its
@@ -220,14 +184,6 @@ func (d *DenseSim[S]) RemoveAgents(k int) {
 	d.rescaleCutoff()
 }
 
-// Stats returns execution diagnostics.
-func (d *DenseSim[S]) Stats() DenseStats {
-	s, c := d.stats, d.st
-	s.Batches, s.BatchedInteractions, s.Compactions = c.batches, c.batchedInteractions, c.compactions
-	s.CacheHits, s.RuleCalls, s.TableHits = c.cacheHits, c.ruleCalls, c.tableHits
-	return s
-}
-
 // Delegated reports whether the engine is currently running slot batches
 // (see the file comment).
 func (d *DenseSim[S]) Delegated() bool { return d.delegated }
@@ -250,7 +206,7 @@ func (d *DenseSim[S]) Run(k int64) {
 		if d.delegated {
 			run := min(k, d.recheck)
 			d.runSlots(run)
-			d.stats.DelegatedInteractions += run
+			d.st.DelegatedInteractions += run
 			d.recheck -= run
 			k -= run
 			if d.recheck <= 0 {
@@ -277,7 +233,7 @@ func (d *DenseSim[S]) delegate() {
 	}
 	d.delegated = true
 	d.recheck = int64(denseRecheckFactor) * int64(d.n)
-	d.stats.Delegations++
+	d.st.Delegations++
 }
 
 // reenter leaves the agent-array fallback if it is active, compacts, and
@@ -289,7 +245,7 @@ func (d *DenseSim[S]) reenter() {
 	}
 	d.delegated = false
 	d.compact()
-	d.stats.Reentries++
+	d.st.DenseReentries++
 }
 
 // runBatch simulates one pair-matrix batch (plus its collision
@@ -313,10 +269,9 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 		return 1
 	}
 	seed := d.rng.Uint64()
-	q := len(d.counts)
-	d.recv = resizeZero(d.recv, q)
-	d.post = resizeZero(d.post, q)
+	d.post = resizeZero(d.post, len(d.counts))
 	if ell <= splitLeafMass {
+		d.recv = resizeZero(d.recv, len(d.counts))
 		r := d.leafRand(seed)
 		d.sampleParticipants(r, d.recv, ell)
 		d.pairAndApply(r, ell)
@@ -324,25 +279,11 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	}
 
 	// Receiver composition, then sender composition from the remainder.
-	workers := effectiveWorkers(d.par)
-	d.send = resizeZero(d.send, q)
-	for pass, dst := range [2][]int64{d.recv, d.send} {
-		d.cum = prefixSums(d.cum, d.counts)
-		var g *parGroup
-		if workers > 1 && ell >= 2*parMinForkItems {
-			g = newParGroup(workers)
-		}
-		mvhSplitComp(g, deriveSeed(seed, uint64(pass+1)), 1, d.counts, d.cum, 0, q, d.total, ell, dst)
-		g.wait()
-		for id, k := range dst {
-			if k > 0 {
-				d.addCount(int32(id), -k)
-			}
-		}
-	}
+	d.recv = d.removeSample(deriveSeed(seed, 1), ell, d.recv)
+	d.send = d.removeSample(deriveSeed(seed, 2), ell, d.send)
 
 	// Pairing: distribute the sender multiset over the receiver rows.
-	d.pairRowsSplit(workers, deriveSeed(seed, 3), ell)
+	d.pairRowsSplit(deriveSeed(seed, 3), ell)
 	return d.finishPost(ell, collided)
 }
 
@@ -366,7 +307,7 @@ type denseMiss struct {
 // splitter's total per-item work stays within one shallow tree of the
 // serial chain's. Cached cells accumulate into the post multiset (merged
 // once per leaf under a mutex); uncached cells are deferred.
-func (d *DenseSim[S]) pairRowsSplit(workers int, seed uint64, ell int64) {
+func (d *DenseSim[S]) pairRowsSplit(seed uint64, ell int64) {
 	d.rows = d.rows[:0]
 	d.rowCum = append(d.rowCum[:0], 0)
 	sum := int64(0)
@@ -385,8 +326,8 @@ func (d *DenseSim[S]) pairRowsSplit(workers int, seed uint64, ell int64) {
 		misses []denseMiss
 	)
 	var g *parGroup
-	if workers > 1 && ell >= 2*parMinForkItems {
-		g = newParGroup(workers)
+	if ell >= 2*parMinForkItems {
+		g = newParGroup(effectiveWorkers(d.par))
 	}
 	d.pairRowsNode(g, &mu, &misses, seed, 1, 0, len(d.rows), d.send, ell, nil)
 	g.wait()
@@ -411,7 +352,7 @@ func (d *DenseSim[S]) pairRowsSplit(workers int, seed uint64, ell int64) {
 		w++
 	}
 	for _, ms := range misses[:w] {
-		d.stats.PairCells++
+		d.st.PairCells++
 		d.applyCell(ms.a, ms.b, ms.mult)
 	}
 }
@@ -455,12 +396,11 @@ func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseM
 }
 
 // pairRowsLeaf distributes the leaf's sender multiset snd (Σ snd = R)
-// over rows [rlo, rhi) sequentially, mirroring the root leaf's
-// pairAndApply chain: per row, heavy cells draw one hypergeometric each and the light
-// tail costs one Fenwick descent per partner restricted to the chain's
-// remaining suffix. All randomness comes from the leaf's node stream r.
-// Cached cells accumulate into a leaf-local post vector (merged once
-// under mu); uncached cells join the deferred miss list.
+// over rows [rlo, rhi) sequentially, one pairRow chain per row, as the
+// root leaf's pairAndApply does over the whole population. All
+// randomness comes from the leaf's node stream r. Cached cells
+// accumulate into a leaf-local post vector (merged once under mu);
+// uncached cells join the deferred miss list.
 func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.Rand, rlo, rhi int, snd []int64, R int64) {
 	tree := fenwickPool.Get().(*fenwick)
 	tree.reset(snd)
@@ -492,49 +432,17 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 	}
 	for ri := rlo; ri < rhi && R > 0; ri++ {
 		a := d.rows[ri]
-		ra := d.rowCum[ri+1] - d.rowCum[ri]
-		remPop := R
-		for bs := 0; bs < len(snd) && ra > 0; bs++ {
-			c := snd[bs]
-			if c == 0 {
-				continue
-			}
-			if lightDraw(c, ra, denseHeavyCell, remPop) && ra < 2*int64(len(snd)-bs) {
-				break
-			}
-			var k int64
-			if remPop == ra {
-				k = c
-			} else {
-				k = hypergeometric(r, remPop, c, ra)
-			}
-			remPop -= c
-			ra -= k
-			if k > 0 {
-				snd[bs] -= k
-				tree.add(bs, -k)
-				R -= k
-				emit(ri, a, int32(bs), k)
-			}
-		}
-		// Suffix-restricted tail: the chain above fixed this row's
-		// allocation to the states it walked, so the rest of the row
-		// draws from the remaining suffix — offsetting the descent past
-		// the prefix weight (R − remPop) restricts the tree to it.
-		prefix := R - remPop
-		for ; ra > 0; ra-- {
-			bs := int32(tree.findAndDec(prefix + r.Int64N(remPop)))
-			remPop--
-			snd[bs]--
-			R--
-			emit(ri, a, bs, 1)
-		}
+		pairRow(r, tree, &snd, R, d.rowCum[ri+1]-d.rowCum[ri], func(b int32, k int64) {
+			snd[b] -= k
+			R -= k
+			emit(ri, a, b, k)
+		})
 	}
 	fenwickPool.Put(tree)
 	mu.Lock()
-	d.stats.PairCells += hitCells
-	d.st.cacheHits += hits
-	d.st.tableHits += tblHits
+	d.st.PairCells += hitCells
+	d.st.CacheHits += hits
+	d.st.TableHits += tblHits
 	// Element writes, not addPost: interning is deferred to the serial
 	// miss pass, so d.post cannot grow here, and addPost's header
 	// reassignment would race with other leaves' len(d.post) reads.
@@ -565,13 +473,11 @@ func (d *DenseSim[S]) sampleParticipants(r *rand.Rand, dst []int64, m int64) {
 // is a multivariate hypergeometric draw from the remaining population —
 // drawing each row's senders directly from the undrawn pool is jointly
 // identical to pre-drawing an ℓ-sender block and matching it uniformly,
-// and skips that block's own sampling chain. Heavy row cells get one
-// hypergeometric draw each; once cells turn light (counts are
-// compaction-ordered descending, so lightness is monotone along the row)
-// the remaining partners cost one Fenwick descent each over the whole
-// remaining pool, the tree staying in sync with the chain's debits. For
-// concentrated configurations rows exhaust within the first few sender
-// states and the matrix work stays far below q². All draws come from r.
+// and skips that block's own sampling chain. Each row is one pairRow
+// chain over the counts vector, the tree staying in sync with its debits.
+// For concentrated configurations rows exhaust within the first few
+// sender states and the matrix work stays far below q². All draws come
+// from r.
 func (d *DenseSim[S]) pairAndApply(r *rand.Rand, ell int64) {
 	d.tree.reset(d.counts)
 	for a := 0; a < len(d.recv) && ell > 0; a++ {
@@ -580,43 +486,58 @@ func (d *DenseSim[S]) pairAndApply(r *rand.Rand, ell int64) {
 			continue
 		}
 		ell -= ra
-		remPop := d.total
-		for bs := 0; bs < len(d.counts) && ra > 0; bs++ {
-			c := d.counts[bs]
-			if c == 0 {
-				continue
-			}
-			if lightDraw(c, ra, denseHeavyCell, remPop) && ra < 2*int64(len(d.counts)-bs) {
-				break
-			}
-			var k int64
-			if remPop == ra {
-				k = c // forced: every remaining agent partners this state
-			} else {
-				k = hypergeometric(r, remPop, c, ra)
-			}
-			remPop -= c
-			ra -= k
-			if k > 0 {
-				d.addCount(int32(bs), -k)
-				d.tree.add(bs, -k)
-				d.stats.PairCells++
-				d.applyCell(int32(a), int32(bs), k)
-			}
+		pairRow(r, &d.tree, &d.counts, d.total, ra, func(b int32, k int64) {
+			d.addCount(b, -k)
+			d.st.PairCells++
+			d.applyCell(int32(a), b, k)
+		})
+	}
+}
+
+// pairRow draws one pairing row: the partners of ra receivers from a pool
+// of total agents, *pool[b] of them in state b, with tree holding the
+// pool's weights. Heavy cells get one hypergeometric draw each; once
+// cells turn light (pools are compaction-ordered descending, so lightness
+// is monotone along the row) the remaining partners cost one Fenwick
+// descent each restricted to the pool's unwalked suffix. take(b, k) must
+// debit k agents of state b from the pool; pairRow debits tree. The pool
+// is read through a pointer because take may grow it mid-row — the root
+// leaf's rule outputs intern new states into the counts vector — and the
+// light test reads its current length.
+func pairRow(r *rand.Rand, tree *fenwick, pool *[]int64, total, ra int64, take func(b int32, k int64)) {
+	remPop, taken := total, int64(0)
+	for bs := 0; bs < len(*pool) && ra > 0; bs++ {
+		c := (*pool)[bs]
+		if c == 0 {
+			continue
 		}
-		// The chain above has already fixed this row's allocation to the
-		// states it walked, so the rest of the row is conditioned on the
-		// remaining suffix: offsetting the descent past the prefix weight
-		// (d.total − remPop, constant while the tail draws) restricts the
-		// full tree to exactly that suffix.
-		prefix := d.total - remPop
-		for ; ra > 0; ra-- {
-			bs := int32(d.tree.findAndDec(prefix + r.Int64N(remPop)))
-			remPop--
-			d.addCount(bs, -1)
-			d.stats.PairCells++
-			d.applyCell(int32(a), bs, 1)
+		if lightDraw(c, ra, denseHeavyCell, remPop) && ra < 2*int64(len(*pool)-bs) {
+			break
 		}
+		var k int64
+		if remPop == ra {
+			k = c // forced: every remaining agent partners this state
+		} else {
+			k = hypergeometric(r, remPop, c, ra)
+		}
+		remPop -= c
+		ra -= k
+		if k > 0 {
+			tree.add(bs, -k)
+			taken += k
+			take(int32(bs), k)
+		}
+	}
+	// The chain above has already fixed this row's allocation to the
+	// states it walked, so the rest of the row is conditioned on the
+	// remaining suffix: offsetting the descent past the walked prefix's
+	// remaining weight (total − taken − remPop, constant while the tail
+	// draws) restricts the full tree to exactly that suffix.
+	prefix := total - taken - remPop
+	for ; ra > 0; ra-- {
+		b := int32(tree.findAndDec(prefix + r.Int64N(remPop)))
+		remPop--
+		take(b, 1)
 	}
 }
 

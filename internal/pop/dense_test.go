@@ -133,6 +133,27 @@ func TestDenseDelegationTriggers(t *testing.T) {
 	}
 }
 
+// TestDenseDelegatedFallbackStats: n distinct initial states exceed both
+// WithDenseThreshold and WithBatchThreshold, so the DenseSim delegates and
+// its slot batches drop to the agent-array fallback at once; the
+// max-epidemic then collapses the configuration. Stats must report the
+// fallback stretch next to the delegation.
+func TestDenseDelegatedFallbackStats(t *testing.T) {
+	d := NewDense(500, func(i int, _ *rand.Rand) int { return i }, maxRule,
+		WithSeed(7), WithDenseThreshold(32), WithBatchThreshold(128))
+	d.RunTime(80)
+	st := d.Stats()
+	if st.Delegations == 0 || st.Fallbacks == 0 || st.SeqInteractions == 0 {
+		t.Fatalf("delegated run never fell back to the agent array: %+v", st)
+	}
+	if st.SeqInteractions > st.DelegatedInteractions {
+		t.Errorf("%d fallback interactions exceed the %d delegated ones", st.SeqInteractions, st.DelegatedInteractions)
+	}
+	if got := countsSum[int](d); got != 500 {
+		t.Errorf("conservation after fallback: %d agents, want 500", got)
+	}
+}
+
 // TestDenseDelegationReentry: a population seeded with n distinct values
 // exceeds the threshold immediately, but the max-epidemic collapses it to
 // one live state, after which the engine must return to dense mode.
@@ -145,7 +166,7 @@ func TestDenseDelegationReentry(t *testing.T) {
 	if st.Delegations == 0 {
 		t.Fatal("expected an immediate delegation with n distinct initial states")
 	}
-	if st.Reentries == 0 {
+	if st.DenseReentries == 0 {
 		t.Fatalf("no re-entry after collapse (live=%d)", d.LiveStates())
 	}
 	if d.Delegated() {
@@ -163,8 +184,8 @@ func TestDenseDelegationReentry(t *testing.T) {
 }
 
 // TestDenseCountersCoverDelegation: the transition-resolution counters
-// keep counting while the engine is delegated, and EngineCacheStats never
-// falls at a mode switch.
+// keep counting while the engine is delegated, and never fall at a mode
+// switch.
 func TestDenseCountersCoverDelegation(t *testing.T) {
 	d := NewDense(600, func(i int, _ *rand.Rand) int { return i }, mixedRule,
 		WithSeed(13), WithDenseThreshold(48))
@@ -177,20 +198,19 @@ func TestDenseCountersCoverDelegation(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		wasDelegated, before := d.Delegated(), resolved()
 		d.RunTime(1)
-		cs, _ := EngineCacheStats[int](d)
-		total := cs.CacheHits + cs.RuleCalls + cs.TableHits
+		total := resolved()
 		if total < last {
-			t.Fatalf("step %d: EngineCacheStats total fell from %d to %d", i, last, total)
+			t.Fatalf("step %d: resolution counter total fell from %d to %d", i, last, total)
 		}
 		last = total
 		if wasDelegated {
 			delegatedSteps++
-			if resolved() <= before {
-				t.Errorf("step %d: DenseStats resolution counters stuck at %d while delegated", i, before)
+			if total <= before {
+				t.Errorf("step %d: resolution counters stuck at %d while delegated", i, before)
 			}
 		}
 	}
-	if delegatedSteps == 0 || d.Stats().Reentries == 0 {
+	if delegatedSteps == 0 || d.Stats().DenseReentries == 0 {
 		t.Fatalf("run never delegated and re-entered: %+v", d.Stats())
 	}
 }
@@ -226,7 +246,7 @@ func TestDenseDeterminism(t *testing.T) {
 			t.Fatalf("delegation checkpoint %d: configurations diverged", i)
 		}
 	}
-	if e1.Stats().Reentries == 0 {
+	if e1.Stats().DenseReentries == 0 {
 		t.Error("determinism run never exercised re-entry")
 	}
 }
@@ -320,10 +340,8 @@ func TestDenseDelegationMatchesSequential(t *testing.T) {
 			e.RunTime(T)
 			c := e.Counts()
 			o := outcome{sig: fmt.Sprint(c[0], c[1], c[2], c[3], c[4])}
-			if d, ok := e.(*DenseSim[int]); ok {
-				st := d.Stats()
-				o.delegations, o.reentries = st.Delegations, st.Reentries
-			}
+			st := e.Stats()
+			o.delegations, o.reentries = st.Delegations, st.DenseReentries
 			return o
 		})
 		freq := make(map[string]float64)

@@ -104,6 +104,8 @@ type Engine[S comparable] interface {
 	// otherwise; the batched engine tracks states as a side effect of its
 	// representation and always reports them.
 	DistinctStates() int
+	// Stats returns the engine's execution counters (see Stats).
+	Stats() Stats
 	// Snapshot captures the engine's full resumable state — configuration,
 	// interaction count, per-segment time accounting, rng stream, and
 	// mode (delegation/fallback) — as a versioned, serializable value.

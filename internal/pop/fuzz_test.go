@@ -13,6 +13,7 @@ package pop
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -213,11 +214,11 @@ func FuzzFenwick(f *testing.F) {
 	})
 }
 
-// FuzzRemoveCountsChain checks that the composition chain and the churn
-// splitter remove exactly k agents without driving a class negative. The
-// chain also runs over a class sub-range [lo, hi) picked from the seed
-// with its pooled tail tree, as the splitter nodes call it, and must then
-// debit only classes inside the range.
+// FuzzRemoveCountsChain checks that the composition chain and the
+// splitter's removeSample remove exactly k agents without driving a class
+// negative. The chain also runs over a class sub-range [lo, hi) picked
+// from the seed with its pooled tail tree, as the splitter nodes call it,
+// and must then debit only classes inside the range.
 func FuzzRemoveCountsChain(f *testing.F) {
 	f.Add(uint64(1), []byte{10, 0, 3, 2}, uint64(5))
 	f.Add(uint64(2), []byte{255, 1, 1, 1, 1, 1, 1, 1, 1}, uint64(200))
@@ -269,7 +270,15 @@ func FuzzRemoveCountsChain(f *testing.F) {
 		k := int64(kRaw % uint64(total+1))
 		run("chain", 0, len(counts), k, chain(new(fenwick), 0, len(counts)))
 		run("splitter", 0, len(counts), k, func(cs []int64, total, k int64, debit func(id int32, d int64)) {
-			removeCountsSplit(1, seed, cs, total, k, debit, nil, nil)
+			m := multiset[int]{counts: append([]int64(nil), cs...), total: total, par: 1}
+			for id, d := range m.removeSample(seed, k, nil) {
+				if d > 0 {
+					debit(int32(id), -d)
+				}
+			}
+			if !slices.Equal(m.counts, cs) {
+				t.Fatalf("splitter: removeSample left counts %v, its composition debits to %v", m.counts, cs)
+			}
 		})
 		lo := int(seed % uint64(len(counts)+1))
 		hi := lo + int((seed>>8)%uint64(len(counts)-lo+1))

@@ -102,8 +102,8 @@ func lightDraw(c, k, thresh, remPop int64) bool {
 // ordered state-pair counts. The engines run the chain with a heavy/light
 // split: removeCountsChain draws the root leaf's participants
 // (DenseSim.sampleParticipants, the slot batches' sampleSlotsByState) and
-// the splitter nodes' composition shares, and pairAndApply in dense.go
-// inlines it per row.
+// the splitter nodes' composition shares, and pairRow in dense.go runs it
+// per pairing row, for the root leaf and the row-splitter leaves alike.
 func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, dst []int64) {
 	if len(dst) != len(counts) {
 		panic("pop: multivariate hypergeometric dst/counts length mismatch")

@@ -6,11 +6,13 @@
 // way. The multiset type below owns that representation, the rng streams,
 // the transition cache and the declared-table view, the collision-free
 // batch framing (run-length prologue, post-multiset collision step, commit
-// and conservation check), churn, the snapshot body, and the slot-batch
-// arrangement with its agent-array fallback (batch.go), once. BatchSim is
-// that core alone. DenseSim embeds the same core and adds the pair-count
-// matrix; it switches to the core's slot batches in place (delegation)
-// while the live-state count is too high for the matrix to pay.
+// and conservation check), the splitter's composition draw (removeSample),
+// churn, the snapshot body, the execution counters (Stats), and the
+// slot-batch arrangement with its agent-array fallback (batch.go), once.
+// BatchSim is that core alone. DenseSim embeds the same core and adds the
+// pair-count matrix; it switches to the core's slot batches in place
+// (delegation) while the live-state count is too high for the matrix to
+// pay.
 //
 // # Transition caching
 //
@@ -58,15 +60,46 @@ type cacheSlot struct {
 // the remaining 20 bits holding the compaction generation).
 const cacheMaxID = 1 << 22
 
-// multisetStats holds the core's counters: the batch, resolution and
-// compaction counters both engines report under the same names in
-// BatchStats and DenseStats, and the agent-array fallback's counters
-// BatchStats reports.
-type multisetStats struct {
-	batches, batchedInteractions             int64
-	cacheHits, ruleCalls, tableHits          int64
-	compactions                              int64
-	seqInteractions, fallbacks, seqReentries int64
+// Stats reports how an engine run was executed; it is diagnostic only
+// (tests, benchmarks, tuning and cmd/popsim -stats). Every engine returns
+// it from Engine.Stats, and every counter only grows over a run. The
+// sequential engine counts SeqInteractions alone; the multiset engines
+// share the core's counters, and DenseSim adds the last four.
+type Stats struct {
+	// Batches is the number of collision-free batches processed: slot
+	// batches, and DenseSim's pair-matrix batches.
+	Batches int64
+	// BatchedInteractions counts interactions simulated inside batches
+	// (including their collision steps).
+	BatchedInteractions int64
+	// SeqInteractions counts interactions stepped on an agent array: all
+	// of the sequential engine's, and the slot batches' fallback's.
+	SeqInteractions int64
+	// Fallbacks / Reentries count the slot batches' switches to the
+	// agent-array fallback and back.
+	Fallbacks int64
+	Reentries int64
+	// CacheHits counts interactions served from the deterministic-
+	// transition cache (with multiplicity); RuleCalls counts actual rule
+	// invocations. TableHits counts interactions resolved by the
+	// declared-table bypass (WithTable), which skips both. Interactions
+	// stepped on an agent array call the rule uncounted.
+	CacheHits int64
+	RuleCalls int64
+	TableHits int64
+	// Compactions counts interning-table rebuilds.
+	Compactions int64
+	// DelegatedInteractions counts DenseSim's interactions executed while
+	// delegated (the live-state count exceeded the delegation cutoff), in
+	// slot batches or their fallback.
+	DelegatedInteractions int64
+	// Delegations / DenseReentries count DenseSim's switches from
+	// pair-matrix to slot batches and back.
+	Delegations    int64
+	DenseReentries int64
+	// PairCells counts nonzero cells of DenseSim's sampled pair
+	// matrices — the q²-shaped part of its work.
+	PairCells int64
 }
 
 // multiset is the configuration, randomness and transition machinery both
@@ -141,7 +174,7 @@ type multiset[S comparable] struct {
 	// production).
 	batchEvents func(ell int, collided bool)
 
-	st multisetStats
+	st Stats
 }
 
 // newMultiset builds a core with rng streams on pcg, an empty interning
@@ -309,12 +342,31 @@ func (m *multiset[S]) step() {
 	m.interacts++
 }
 
-// removeCounts removes k agents chosen uniformly at random without
-// replacement: their states are a multivariate hypergeometric sample of
-// the counts vector, drawn by removeCountsSplit from one seed word.
-func (m *multiset[S]) removeCounts(k int) {
-	m.comp, m.cum = removeCountsSplit(effectiveWorkers(m.par), m.rng.Uint64(),
-		m.counts, m.total, int64(k), m.addCount, m.comp, m.cum)
+// removeSample removes k agents chosen uniformly at random without
+// replacement and returns their per-state composition in dst (resized to
+// the id range): a multivariate hypergeometric sample of the counts
+// vector drawn by mvhSplitComp under the node streams of seed — a single
+// chain leaf at the root while at most mvhLeafClasses states exist — and
+// debited in id order. seed fully determines the draw, so it is
+// byte-identical for any worker count. Churn removal, the slot batches'
+// composition and both pair-matrix participant passes above the root leaf
+// draw through it.
+func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
+	q := len(m.counts)
+	dst = resizeZero(dst, q)
+	m.cum = prefixSums(m.cum, m.counts)
+	var g *parGroup
+	if k >= 2*parMinForkItems {
+		g = newParGroup(effectiveWorkers(m.par))
+	}
+	mvhSplitComp(g, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
+	g.wait()
+	for id, c := range dst {
+		if c > 0 {
+			m.addCount(int32(id), -c)
+		}
+	}
+	return dst
 }
 
 // leafRand returns a root-leaf batch's stream: the root node stream
@@ -390,8 +442,8 @@ func (m *multiset[S]) endBatch(ell int64, collided bool) int64 {
 		done++
 	}
 	m.interacts += done
-	m.st.batches++
-	m.st.batchedInteractions += done
+	m.st.Batches++
+	m.st.BatchedInteractions += done
 	if m.total != int64(m.n) {
 		panic(fmt.Sprintf("pop: multiset conservation violated: %d agents after batch, want %d", m.total, m.n))
 	}
@@ -437,7 +489,7 @@ func (m *multiset[S]) collide(parts int64, pick func() int32) (oa, ob int32) {
 func (m *multiset[S]) resolve(ida, idb int32, mult int64) (oa, ob int32, det bool) {
 	if t := m.tbl; t != nil {
 		if toa, tob, ok := t.probe(ida, idb); ok {
-			m.st.tableHits += mult
+			m.st.TableHits += mult
 			// Translate table ids back to engine ids, interning outputs
 			// not yet present — receiver first, exactly the order the
 			// rule path interns, so trajectories stay byte-identical.
@@ -453,7 +505,7 @@ func (m *multiset[S]) resolve(ida, idb int32, mult int64) (oa, ob int32, det boo
 		}
 	}
 	if oa, ob, ok := m.cacheLookup(ida, idb); ok {
-		m.st.cacheHits += mult
+		m.st.CacheHits += mult
 		return oa, ob, true
 	}
 	return m.callRule(ida, idb)
@@ -465,7 +517,7 @@ func (m *multiset[S]) resolve(ida, idb int32, mult int64) (oa, ob int32, det boo
 func (m *multiset[S]) callRule(ida, idb int32) (oa, ob int32, det bool) {
 	before := m.ruleRand.words
 	sa, sb := m.rule(m.states[ida], m.states[idb], m.ruleRng)
-	m.st.ruleCalls++
+	m.st.RuleCalls++
 	oa, ob = m.intern(sa), m.intern(sb)
 	if m.ruleRand.words != before {
 		return oa, ob, false
@@ -531,7 +583,7 @@ func (m *multiset[S]) invalidateCache() {
 // fallback and into pair-matrix batches, and whenever dead states
 // dominate the tables.
 func (m *multiset[S]) compact() {
-	m.st.compactions++
+	m.st.Compactions++
 	type sc struct {
 		id int32
 		c  int64

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,7 +19,7 @@ type goldenCase struct {
 	ops    []snapOp
 	sha    string
 	digest string
-	stats  any  // BatchStats or DenseStats
+	stats  Stats
 	tree   bool // run under shrinkSplitter, so batches recurse through the splitter tree
 }
 
@@ -79,85 +78,85 @@ func TestMultisetGolden(t *testing.T) {
 		}, ops: script,
 			sha:    "bd1467b4f6862e33df6448a853fdf42f2bda78a50fdca77ac7a00ee2361dc8e1",
 			digest: "15d248b44b04230356250a2a1676fc0603b1ceb43fff2e468b8c24ace41206a3",
-			stats:  BatchStats{Batches: 670, BatchedInteractions: 23611, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 12538, RuleCalls: 11080, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 670, BatchedInteractions: 23611, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 12538, RuleCalls: 11080, TableHits: 0, Compactions: 1}},
 		{name: "dense/par%d/closure", mk: func(par int) Engine[int] {
 			return NewDense(n, mixedInit, mixedRule, WithSeed(41), WithParallelism(par))
 		}, ops: script,
 			sha:    "002acc2555c3d8fc959bc55cc1e4fd59c03e8ac4eb7ca69928be2294bdda1a8a",
 			digest: "cd6d0872dd1660f4d7ac8a08c7b2bbc714305cc63dcb7596cb880a7eb903321d",
-			stats:  DenseStats{Batches: 678, BatchedInteractions: 23611, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 8969, CacheHits: 12578, RuleCalls: 11038, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 678, BatchedInteractions: 23611, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 8969, CacheHits: 12578, RuleCalls: 11038, TableHits: 0, Compactions: 1}},
 		{name: "batch/par%d/table", mk: func(par int) Engine[int] {
 			return NewBatch(n, coinInit, coin.Rule(), WithSeed(43), WithParallelism(par), coin.Option())
 		}, ops: script,
 			sha:    "11689018dff3ad3365bd1777decca366834623d7b6678453837169108d671ae0",
 			digest: "d920454b2197c36a9351a78f4671d6d5294247c94cc4e177d1ac48455f276f30",
-			stats:  BatchStats{Batches: 697, BatchedInteractions: 23611, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3753, TableHits: 19865, Compactions: 1}},
+			stats:  Stats{Batches: 697, BatchedInteractions: 23611, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3753, TableHits: 19865, Compactions: 1}},
 		{name: "dense/par%d/table", mk: func(par int) Engine[int] {
 			return NewDense(n, coinInit, coin.Rule(), WithSeed(43), WithParallelism(par), coin.Option())
 		}, ops: script,
 			sha:    "22c32f4f0ad0a9043a32576e7c9acc0f0f4b485f68188fe0fbc97719e4c42ab0",
 			digest: "50d7828a32d321a08a83b539fa6c0efe139c1df8b76d9e5fb4798d7cb39046d2",
-			stats:  DenseStats{Batches: 679, BatchedInteractions: 23611, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 6097, CacheHits: 0, RuleCalls: 3695, TableHits: 19923, Compactions: 1}},
+			stats:  Stats{Batches: 679, BatchedInteractions: 23611, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 6097, CacheHits: 0, RuleCalls: 3695, TableHits: 19923, Compactions: 1}},
 		{name: "batch/mid-fallback", mk: func(par int) Engine[int] {
 			return NewBatch(600, zero, explodeRule, WithSeed(5), WithBatchThreshold(16), WithParallelism(par))
 		}, ops: []snapOp{opRun(20 * 600)},
 			sha:    "936489517c225051af477202d2f9a2146b944c2f8921392bbe2138e79e4907bf",
 			digest: "d0dd70eef3c85d85602402362c216ca5ddf0e9638f05e98bbe5531a4c0438267",
-			stats:  BatchStats{Batches: 128, BatchedInteractions: 2093, SeqInteractions: 9907, Fallbacks: 1, Reentries: 0, CacheHits: 1912, RuleCalls: 181, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 128, BatchedInteractions: 2093, SeqInteractions: 9907, Fallbacks: 1, Reentries: 0, CacheHits: 1912, RuleCalls: 181, TableHits: 0, Compactions: 1}},
 		{name: "dense/mid-delegation", mk: func(par int) Engine[int] {
 			return NewDense(600, zero, explodeRule, WithSeed(5), WithDenseThreshold(8), WithParallelism(par))
 		}, ops: []snapOp{opRun(2 * 600)},
 			sha:    "5e606245c19046c5bdea32d1ec970abeaef83f7b92954a3f6726c3ee3db61dd1",
 			digest: "9ebf92277be0645d353981ecd236f87c388a9f2f0aa83a0bf018ef00d9acd251",
-			stats:  DenseStats{Batches: 73, BatchedInteractions: 1200, DelegatedInteractions: 499, Delegations: 1, Reentries: 0, PairCells: 398, CacheHits: 1116, RuleCalls: 74, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 73, BatchedInteractions: 1200, DelegatedInteractions: 499, Delegations: 1, DenseReentries: 0, PairCells: 398, CacheHits: 1116, RuleCalls: 74, TableHits: 0, Compactions: 1}},
 		{name: "batch/after-reentry", mk: func(par int) Engine[int] {
 			return NewBatch(600, ident, mixedRule, WithSeed(13), WithBatchThreshold(48), WithParallelism(par))
 		}, ops: []snapOp{opRun(30 * 600)},
 			sha:    "39b592c411fb2689c6148d1cf147b7e858c94ad3a111682b1f9864dd0095650b",
 			digest: "849da4daaab3eeee45e6f86918b838f81518644c2f30ef0961126803753ab7a9",
-			stats:  BatchStats{Batches: 983, BatchedInteractions: 15595, SeqInteractions: 2400, Fallbacks: 1, Reentries: 1, CacheHits: 7562, RuleCalls: 8038, TableHits: 0, Compactions: 2}},
+			stats:  Stats{Batches: 983, BatchedInteractions: 15595, SeqInteractions: 2400, Fallbacks: 1, Reentries: 1, CacheHits: 7562, RuleCalls: 8038, TableHits: 0, Compactions: 2}},
 		{name: "dense/after-reentry", mk: func(par int) Engine[int] {
 			return NewDense(600, ident, mixedRule, WithSeed(13), WithDenseThreshold(48), WithParallelism(par))
 		}, ops: []snapOp{opRun(30 * 600)},
 			sha:    "d0ddb44653f3a3d32947b85b303e6abfa0f1b9e98411d38c83ae4b318739e0d0",
 			digest: "35635fc8f55cac44e777850c149c10f331d2a78c6293855ff18f5a88a72d89f0",
-			stats:  DenseStats{Batches: 1138, BatchedInteractions: 17994, DelegatedInteractions: 2400, Delegations: 1, Reentries: 1, PairCells: 6559, CacheHits: 8319, RuleCalls: 9681, TableHits: 0, Compactions: 3}},
+			stats:  Stats{Batches: 1138, BatchedInteractions: 17994, DelegatedInteractions: 2400, Delegations: 1, DenseReentries: 1, PairCells: 6559, CacheHits: 8319, RuleCalls: 9681, TableHits: 0, Compactions: 3}},
 		{name: "batch/par%d/churn", mk: func(par int) Engine[int] {
 			return NewBatch(2000, mixedInit, mixedRule, WithSeed(77), WithParallelism(par))
 		}, ops: churn,
 			sha:    "b7d3dea2a3cbe503a869a6a874543dfbc4c5991d8fafde610e4bca0672d5e2aa",
 			digest: "5a435f264e0fd756bb3247534eaaf6423d0dbf4d3e07c1473ce020c2a8c2c8f9",
-			stats:  BatchStats{Batches: 520, BatchedInteractions: 14985, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 8281, RuleCalls: 6704, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 520, BatchedInteractions: 14985, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 8281, RuleCalls: 6704, TableHits: 0, Compactions: 1}},
 		{name: "dense/par%d/churn", mk: func(par int) Engine[int] {
 			return NewDense(2000, mixedInit, mixedRule, WithSeed(77), WithParallelism(par))
 		}, ops: churn,
 			sha:    "6cecbd2414dbc5f7a1ffc4c3050303e09d7ae593b6ff8f80d031002330cd81f9",
 			digest: "01f0cb4a09d70b2471ae2ff9f6aeb34dea771b9c1f26d808fe16a1f0c6ed9428",
-			stats:  DenseStats{Batches: 526, BatchedInteractions: 14977, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 6976, CacheHits: 8239, RuleCalls: 6738, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 526, BatchedInteractions: 14977, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 6976, CacheHits: 8239, RuleCalls: 6738, TableHits: 0, Compactions: 1}},
 		{name: "batch/par%d/tree", tree: true, mk: func(par int) Engine[int] {
 			return NewBatch(n, mixedInit, mixedRule, WithSeed(47), WithParallelism(par))
 		}, ops: churn,
 			sha:    "a42e0d2136423d7e788127d9f8e40339a5893d805167cadce04d0e3377e0110f",
 			digest: "9dc6bf981bb5cd57e7cc14ce269fb81addd7f14a40582790fb1425aaffacf7b5",
-			stats:  BatchStats{Batches: 454, BatchedInteractions: 15878, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 8997, RuleCalls: 6888, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 454, BatchedInteractions: 15878, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 8997, RuleCalls: 6888, TableHits: 0, Compactions: 1}},
 		{name: "dense/par%d/tree", tree: true, mk: func(par int) Engine[int] {
 			return NewDense(n, mixedInit, mixedRule, WithSeed(47), WithParallelism(par))
 		}, ops: churn,
 			sha:    "995a6e2d8ca3c0d94a6aef5f0212c56d65b19c54bf96f234f9588a9edbb276d6",
 			digest: "0581fa3c7fd99c0e2b87800c2de80ec5b70bd66230f4fb6fd440a2e96ba83de5",
-			stats:  DenseStats{Batches: 445, BatchedInteractions: 15885, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 5951, CacheHits: 9021, RuleCalls: 6854, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 445, BatchedInteractions: 15885, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 5951, CacheHits: 9021, RuleCalls: 6854, TableHits: 0, Compactions: 1}},
 		{name: "batch/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
 			return NewBatch(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
 		}, ops: script,
 			sha:    "af61539d149580983617f3835a0c2486582289130ac64d4102b4542f2bcc6717",
 			digest: "f9467d825f32cf5a5a41c77f357369ed466bc0f9e1a755b4527eb4049aa2a1c2",
-			stats:  BatchStats{Batches: 661, BatchedInteractions: 23612, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3705, TableHits: 19913, Compactions: 1}},
+			stats:  Stats{Batches: 661, BatchedInteractions: 23612, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3705, TableHits: 19913, Compactions: 1}},
 		{name: "dense/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
 			return NewDense(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
 		}, ops: script,
 			sha:    "2ce40351c58eda853a20171d888bcc1e5827bb79bd2284b53e7073385f804f0a",
 			digest: "9f36c43c7fcbd5657a57a4285db5a889188fdb047f348a80eb9898dbd8f3c95c",
-			stats:  DenseStats{Batches: 674, BatchedInteractions: 23617, DelegatedInteractions: 0, Delegations: 0, Reentries: 0, PairCells: 5816, CacheHits: 0, RuleCalls: 3641, TableHits: 19977, Compactions: 1}},
+			stats:  Stats{Batches: 674, BatchedInteractions: 23617, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 5816, CacheHits: 0, RuleCalls: 3641, TableHits: 19977, Compactions: 1}},
 	}
 	for _, tc := range cases {
 		if strings.Contains(tc.name, "%d") {
@@ -204,14 +203,7 @@ func checkGolden(t *testing.T, tc goldenCase, par int) {
 	if d := stateDigest(t, snap); d != tc.digest {
 		t.Errorf("par=%d: state digest = %s, want %s", par, d, tc.digest)
 	}
-	var stats any
-	switch v := e.(type) {
-	case *BatchSim[int]:
-		stats = v.Stats()
-	case *DenseSim[int]:
-		stats = v.Stats()
-	}
-	if !reflect.DeepEqual(stats, tc.stats) {
-		t.Errorf("par=%d: Stats() = %#v, want %#v", par, stats, tc.stats)
+	if got := e.Stats(); got != tc.stats {
+		t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, tc.stats)
 	}
 }

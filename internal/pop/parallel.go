@@ -433,29 +433,6 @@ func (r *runLengths) run(u float64, n, maxPairs int64) (ell int64, collided bool
 	return ell, false
 }
 
-// removeCountsSplit is the multiset engines' churn removal: the leavers'
-// composition is drawn by mvhSplitComp from (seed) — a single chain leaf
-// at the root while at most mvhLeafClasses states exist — then debited
-// through debit in id order. One seed word fully determines the removal,
-// so churn is byte-identical across worker counts.
-func removeCountsSplit(workers int, seed uint64, counts []int64, total, k int64, debit func(id int32, d int64), comp, cum []int64) ([]int64, []int64) {
-	q := len(counts)
-	comp = resizeZero(comp, q)
-	cum = prefixSums(cum, counts)
-	var g *parGroup
-	if k >= parMinForkItems {
-		g = newParGroup(workers)
-	}
-	mvhSplitComp(g, seed, 1, counts, cum, 0, q, total, k, comp)
-	g.wait()
-	for id, d := range comp {
-		if d > 0 {
-			debit(int32(id), -d)
-		}
-	}
-	return comp, cum
-}
-
 // prefixSums fills dst (reusing its backing array) with the exclusive
 // prefix sums of counts: dst[i] = Σ counts[:i], len(dst) = len(counts)+1.
 func prefixSums(dst, counts []int64) []int64 {

@@ -115,6 +115,10 @@ func (s *Sim[S]) N() int { return len(s.agents) }
 // Interactions returns the number of interactions executed so far.
 func (s *Sim[S]) Interactions() int64 { return s.interactions }
 
+// Stats returns execution diagnostics: every interaction steps the agent
+// array.
+func (s *Sim[S]) Stats() Stats { return Stats{SeqInteractions: s.interactions} }
+
 // Time returns the parallel time elapsed, accumulated per churn segment
 // (see Engine.Time); on a fixed population it equals interactions / n.
 func (s *Sim[S]) Time() float64 {

@@ -18,7 +18,7 @@
 // # What is deliberately NOT captured
 //
 // The deterministic-transition cache, its generation counter, and the
-// execution statistics (BatchStats/DenseStats) are excluded. The cache
+// execution statistics (Stats) are excluded. The cache
 // holds only zero-randomness transitions, so a post-restore cold-cache
 // miss re-derives exactly the outputs a hit would have returned without
 // consuming the rule stream — cache state can never influence the

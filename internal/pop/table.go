@@ -416,30 +416,3 @@ func posSizeFor[S comparable](v *tableView[S]) int {
 	}
 	return max(64, 2*int(v.c.q))
 }
-
-// CacheStats is the transition-resolution accounting surfaced per run
-// (cmd/popsim -stats): how many pair transitions were resolved by the
-// declared-table bypass, the deterministic-transition cache, and actual
-// rule invocations. The counters only grow over a run, across DenseSim's
-// delegated stretches too; interactions stepped in an agent-array
-// fallback call the rule uncounted.
-type CacheStats struct {
-	TableHits int64
-	CacheHits int64
-	RuleCalls int64
-}
-
-// EngineCacheStats extracts the transition-resolution counters from a
-// multiset engine; ok is false for backends without a transition cache
-// (the sequential engine calls the rule every interaction).
-func EngineCacheStats[S comparable](e Engine[S]) (CacheStats, bool) {
-	switch v := e.(type) {
-	case *BatchSim[S]:
-		st := v.Stats()
-		return CacheStats{TableHits: st.TableHits, CacheHits: st.CacheHits, RuleCalls: st.RuleCalls}, true
-	case *DenseSim[S]:
-		st := v.Stats()
-		return CacheStats{TableHits: st.TableHits, CacheHits: st.CacheHits, RuleCalls: st.RuleCalls}, true
-	}
-	return CacheStats{}, false
-}

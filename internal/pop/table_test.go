@@ -165,10 +165,7 @@ func TestTableBypassEliminatesRuleCalls(t *testing.T) {
 			e = mk()
 			e.RunTime(8)
 		})
-		cs, ok := EngineCacheStats(e)
-		if !ok {
-			t.Fatalf("%s: EngineCacheStats not available", name)
-		}
+		cs := e.Stats()
 		if cs.RuleCalls != 0 {
 			t.Errorf("%s: declared-deterministic table made %d rule calls, want 0", name, cs.RuleCalls)
 		}
@@ -179,15 +176,19 @@ func TestTableBypassEliminatesRuleCalls(t *testing.T) {
 	// Without the table the same rule goes through the counting cache.
 	e := NewBatch(4096, amInit, c.Rule(), WithSeed(11))
 	e.RunTime(8)
-	if cs, _ := EngineCacheStats(e); cs.RuleCalls == 0 || cs.TableHits != 0 {
+	if cs := e.Stats(); cs.RuleCalls == 0 || cs.TableHits != 0 {
 		t.Errorf("no table: stats = %+v, want RuleCalls > 0 and TableHits == 0", cs)
 	}
 }
 
-func TestEngineCacheStatsSequential(t *testing.T) {
+// TestSequentialStats: the sequential engine steps every interaction on
+// its agent array and counts nothing else.
+func TestSequentialStats(t *testing.T) {
+	const k = 1234
 	e := New(64, amInit, amRule, WithSeed(3))
-	if _, ok := EngineCacheStats[int](e); ok {
-		t.Error("sequential engine reported cache stats, want ok = false")
+	e.Run(k)
+	if got, want := e.Stats(), (Stats{SeqInteractions: k}); got != want {
+		t.Errorf("Stats() after %d interactions = %+v, want %+v", k, got, want)
 	}
 }
 

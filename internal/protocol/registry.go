@@ -55,7 +55,7 @@ type Config struct {
 	Backend pop.Backend
 	Par     int
 	// CollectStats makes the runner record per-trial transition-resolution
-	// counters (pop.CacheStats) for StatsLines (cmd/popsim -stats).
+	// counters (pop.Stats) for StatsLines (cmd/popsim -stats).
 	CollectStats bool
 	Traj         *Instrumentation
 	OnError      func(error)

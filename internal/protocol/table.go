@@ -159,10 +159,8 @@ func newTableRunner[S comparable](sp TableSpec[S], cfg Config) (*Runner, error) 
 			}
 		}
 		if cfg.CollectStats {
-			line := "no transition-resolution stats (sequential backend calls the rule directly)"
-			if cs, have := pop.EngineCacheStats(e); have {
-				line = fmt.Sprintf("table=%d cache=%d rule=%d", cs.TableHits, cs.CacheHits, cs.RuleCalls)
-			}
+			st := e.Stats()
+			line := fmt.Sprintf("table=%d cache=%d rule=%d seq=%d", st.TableHits, st.CacheHits, st.RuleCalls, st.SeqInteractions)
 			statsMu.Lock()
 			statsLines[tr] = line
 			statsMu.Unlock()

@@ -83,6 +83,16 @@ type Unit struct {
 	run  TrialFunc
 }
 
+// runSafe runs the unit's trial, turning a panic into an error.
+func (u Unit) runSafe() (vals Values, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("sweep: %s n=%d trial %d panicked: %v", u.Experiment, u.N, u.Trial, p)
+		}
+	}()
+	return u.run(u.Trial, u.Seed), nil
+}
+
 // seedLabel is the experiment string handed to pop.TrialSeed: it folds the
 // population size into the label so that (experiment, n, trial) — the full
 // record key — determines the seed.
@@ -216,7 +226,9 @@ func Run(spec Spec, opt Options) (*Results, error) {
 // with ctx's error — the output file stays a loadable checkpoint, so the
 // same spec can be resumed later via Options.Done. A failed opt.Out write
 // cancels the remaining queue the same way: no compute is burned on
-// trials whose records can no longer be persisted.
+// trials whose records can no longer be persisted. A unit whose trial
+// panics stops the sweep the same way, with the panic as the returned
+// error, so one poisoned unit fails its sweep instead of the process.
 func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 	units := spec.Units()
 	res := NewResults()
@@ -253,13 +265,15 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 		workers = len(todo)
 	}
 
-	// run covers both cancellation sources with one signal: the caller's
-	// ctx and an internal abort on checkpoint-write failure.
+	// run covers every cancellation source with one signal: the caller's
+	// ctx and an internal abort on checkpoint-write failure or a panicking
+	// unit.
 	run, abort := context.WithCancel(ctx)
 	defer abort()
 	var (
-		mu       sync.Mutex // guards res, opt.Out, writeErr
+		mu       sync.Mutex // guards res, opt.Out, writeErr, unitErr
 		writeErr error
+		unitErr  error
 		queue    = make(chan Unit)
 		wg       sync.WaitGroup
 	)
@@ -283,7 +297,17 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Results, error) {
 					release = rel
 				}
 				start := time.Now()
-				vals := u.run(u.Trial, u.Seed)
+				vals, err := u.runSafe()
+				if err != nil {
+					mu.Lock()
+					if unitErr == nil {
+						unitErr = err
+					}
+					mu.Unlock()
+					abort()
+					release()
+					return
+				}
 				rec := Record{
 					Key:     u.Key,
 					Seed:    u.Seed,
@@ -327,6 +351,9 @@ feed:
 	wg.Wait()
 	if writeErr != nil {
 		return res, writeErr
+	}
+	if unitErr != nil {
+		return res, unitErr
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
