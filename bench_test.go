@@ -39,7 +39,7 @@ import (
 // per second) on the main protocol — the cost driver of every experiment.
 func BenchmarkEngineStep(b *testing.B) {
 	p := core.MustNew(core.FastConfig())
-	s := p.NewSim(10000, pop.WithSeed(1))
+	s := pop.New(10000, p.Initial, p.Rule, pop.WithSeed(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
@@ -283,7 +283,7 @@ func BenchmarkPartition(b *testing.B) {
 	const n = 10000
 	var dev float64
 	for i := 0; i < b.N; i++ {
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		s.RunTime(8 * math.Log2(n))
 		a := s.Count(func(st core.State) bool { return st.Role == core.RoleA })
 		dev += math.Abs(float64(a) - n/2)
@@ -297,7 +297,7 @@ func BenchmarkLogSize2Range(b *testing.B) {
 	const n = 10000
 	var v float64
 	for i := 0; i < b.N; i++ {
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		s.RunTime(10 * math.Log2(n))
 		v += float64(s.Agent(0).LogSize2) + 2
 	}
@@ -309,7 +309,7 @@ func BenchmarkEpidemic(b *testing.B) {
 	const n = 10000
 	var t float64
 	for i := 0; i < b.N; i++ {
-		s := epidemic.New(n, 1, pop.WithSeed(uint64(i)))
+		s := epidemic.NewEngine(n, 1, pop.WithSeed(uint64(i)), pop.WithBackend(pop.Sequential))
 		at, _ := epidemic.CompletionTime(s, 1e6)
 		t += at
 	}
@@ -404,7 +404,7 @@ func BenchmarkLeaderTermination(b *testing.B) {
 	var t float64
 	early := 0
 	for i := 0; i < b.N; i++ {
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		at, _ := term.FirstTermination(s, leaderterm.Terminated, 2, 100*p.Main().DefaultMaxTime(n))
 		if !p.MainConverged(s) {
 			early++
@@ -421,7 +421,7 @@ func BenchmarkUpperBound(b *testing.B) {
 	const n = 128
 	below := 0
 	for i := 0; i < b.N; i++ {
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		s.RunUntil(upperbound.TournamentDone, 5, float64(500*n))
 		s.RunTime(60 * math.Log2(n))
 		v, _ := upperbound.Report(s.Agent(0))
@@ -439,7 +439,7 @@ func BenchmarkSyntheticCoin(b *testing.B) {
 	logN := math.Log2(n)
 	var errSum float64
 	for i := 0; i < b.N; i++ {
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		s.RunUntil(p.Converged, logN, 40*32*logN*logN)
 		for _, a := range s.Agents() {
 			if est, ok := a.Estimate(); ok {
@@ -459,12 +459,12 @@ func BenchmarkBaselines(b *testing.B) {
 	ep := exactcount.New(0)
 	var tWeak, tMain, tExact float64
 	for i := 0; i < b.N; i++ {
-		ws := approxsize.NewSim(n, pop.WithSeed(uint64(i)))
+		ws := pop.New(n, approxsize.Initial, approxsize.Rule, pop.WithSeed(uint64(i)))
 		_, at := ws.RunUntil(approxsize.Converged, 1, 1e4)
 		tWeak += at
 		r := mp.Run(n, core.RunOptions{Seed: uint64(i)})
 		tMain += r.Time
-		es := ep.NewSim(n, pop.WithSeed(uint64(i)))
+		es := pop.New(n, ep.Initial, ep.Rule, pop.WithSeed(uint64(i)))
 		_, at = es.RunUntil(exactcount.Terminated, 5, float64(5000*n))
 		tExact += at
 	}
@@ -489,7 +489,7 @@ func BenchmarkComposition(b *testing.B) {
 	wrong := 0
 	for i := 0; i < b.N; i++ {
 		p := compose.MustNew(compose.Config{F: 16}, majority.Downstream(opinions))
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		ok, _ := s.RunUntil(p.Converged, 10, 5e5)
 		s.RunTime(20 * math.Log2(n))
 		pl, mi, und := majority.Outputs(s)
@@ -507,7 +507,7 @@ func BenchmarkLeaderElection(b *testing.B) {
 	nonUnique := 0
 	for i := 0; i < b.N; i++ {
 		p := compose.MustNew(compose.Config{F: 16}, leaderelect.Downstream())
-		s := p.NewSim(n, pop.WithSeed(uint64(i)))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(uint64(i)))
 		s.RunUntil(p.Converged, 10, 5e5)
 		s.RunUntil(func(s pop.Engine[compose.State[leaderelect.State]]) bool {
 			return leaderelect.Candidates(s) == 1
@@ -583,7 +583,7 @@ func BenchmarkArithmetic(b *testing.B) {
 	const n = 10000
 	var t float64
 	for i := 0; i < b.N; i++ {
-		s := arith.NewDouble(n, n/4, pop.WithSeed(uint64(i)))
+		s := arith.NewDoubleEngine(n, n/4, pop.WithSeed(uint64(i)), pop.WithBackend(pop.Sequential))
 		at, _ := arith.CompletionTime(s, false, 1e6)
 		t += at
 	}

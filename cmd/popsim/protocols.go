@@ -33,7 +33,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					est, _, err := popsize.EstimateDeterministic(cfg.N, seed)
+					est, _, err := popsize.EstimateDeterministic(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						est = math.NaN()
@@ -54,7 +54,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					bound, _, err := popsize.EstimateUpperBound(cfg.N, seed)
+					bound, _, err := popsize.EstimateUpperBound(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						bound = math.NaN()
@@ -74,7 +74,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					r, err := popsize.EstimateTerminating(cfg.N, seed)
+					r, err := popsize.EstimateTerminating(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						return sweep.Values{"terminated_at": math.NaN(), "converged_first": 0, "estimate": math.NaN()}
@@ -99,7 +99,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					k, err := popsize.WeakEstimateBackend(cfg.N, seed, cfg.Backend, pop.WithParallelism(cfg.Par))
+					k, err := popsize.WeakEstimate(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						return sweep.Values{"k": math.NaN()}

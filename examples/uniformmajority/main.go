@@ -34,7 +34,7 @@ func main() {
 		}
 
 		p := compose.MustNew(compose.Config{F: 16}, majority.Downstream(opinions))
-		sim := p.NewSim(n, pop.WithSeed(7))
+		sim := p.NewEngine(n, pop.WithSeed(7))
 		ok, at := sim.RunUntil(p.Converged, 10, 5e5)
 		if !ok {
 			log.Fatalf("composition did not converge")

@@ -64,11 +64,6 @@ func CommonK(s pop.Engine[State]) (uint8, bool) {
 	return 0, false
 }
 
-// NewSim constructs a sequential simulator for the baseline.
-func NewSim(n int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, Initial, Rule, opts...)
-}
-
 // NewEngine constructs a simulation engine for the baseline; the backend
 // is chosen with pop.WithBackend.
 func NewEngine(n int, opts ...pop.Option) pop.Engine[State] {

@@ -18,7 +18,7 @@ func TestConvergesToMultiplicativeEstimate(t *testing.T) {
 	bad := 0
 	const trials = 20
 	for seed := uint64(0); seed < trials; seed++ {
-		s := NewSim(n, pop.WithSeed(seed))
+		s := pop.New(n, Initial, Rule, pop.WithSeed(seed))
 		ok, at := s.RunUntil(Converged, 1, 100*logN)
 		if !ok {
 			t.Fatalf("seed %d: max did not propagate", seed)

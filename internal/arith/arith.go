@@ -43,28 +43,6 @@ func HalveRule(rec, sen Species, _ *rand.Rand) (Species, Species) {
 	return rec, sen
 }
 
-// NewDouble builds a population with x X-agents and n−x Q-agents running
-// the doubling protocol (requires x <= n/2 so the fuel cannot run out).
-func NewDouble(n, x int, opts ...pop.Option) *pop.Sim[Species] {
-	if 2*x > n {
-		panic("arith: doubling requires x <= n/2")
-	}
-	return pop.New(n, func(i int, _ *rand.Rand) Species {
-		return pick(i < x)
-	}, DoubleRule, opts...)
-}
-
-// NewHalve builds a population with x X-agents and n−x Q-agents running
-// the halving protocol.
-func NewHalve(n, x int, opts ...pop.Option) *pop.Sim[Species] {
-	if x > n {
-		panic("arith: x > n")
-	}
-	return pop.New(n, func(i int, _ *rand.Rand) Species {
-		return pick(i < x)
-	}, HalveRule, opts...)
-}
-
 func pick(isX bool) Species {
 	if isX {
 		return X
@@ -72,8 +50,9 @@ func pick(isX bool) Species {
 	return Q
 }
 
-// NewDoubleEngine is NewDouble with a backend selectable via
-// pop.WithBackend.
+// NewDoubleEngine builds a population with x X-agents and n−x Q-agents
+// running the doubling protocol (requires x <= n/2 so the fuel cannot run
+// out); the backend is chosen with pop.WithBackend.
 func NewDoubleEngine(n, x int, opts ...pop.Option) pop.Engine[Species] {
 	if 2*x > n {
 		panic("arith: doubling requires x <= n/2")
@@ -83,7 +62,9 @@ func NewDoubleEngine(n, x int, opts ...pop.Option) pop.Engine[Species] {
 	}, DoubleRule, opts...)
 }
 
-// NewHalveEngine is NewHalve with a backend selectable via pop.WithBackend.
+// NewHalveEngine builds a population with x X-agents and n−x Q-agents
+// running the halving protocol; the backend is chosen with
+// pop.WithBackend.
 func NewHalveEngine(n, x int, opts ...pop.Option) pop.Engine[Species] {
 	if x > n {
 		panic("arith: x > n")

@@ -8,7 +8,7 @@ import (
 
 func TestDoubleComputes2x(t *testing.T) {
 	for _, tc := range []struct{ n, x int }{{100, 10}, {1000, 500}, {64, 1}} {
-		s := NewDouble(tc.n, tc.x, pop.WithSeed(1))
+		s := NewDoubleEngine(tc.n, tc.x, pop.WithSeed(1))
 		at, ok := CompletionTime(s, false, 1e6)
 		if !ok {
 			t.Fatalf("n=%d x=%d: doubling did not complete (t=%.0f)", tc.n, tc.x, at)
@@ -22,7 +22,7 @@ func TestDoubleComputes2x(t *testing.T) {
 func TestHalveComputesHalf(t *testing.T) {
 	for _, tc := range []struct{ n, x int }{{100, 10}, {200, 51}} {
 		odd := tc.x%2 == 1
-		s := NewHalve(tc.n, tc.x, pop.WithSeed(2))
+		s := NewHalveEngine(tc.n, tc.x, pop.WithSeed(2))
 		_, ok := CompletionTime(s, odd, 1e7)
 		if !ok {
 			t.Fatalf("n=%d x=%d: halving did not complete", tc.n, tc.x)
@@ -39,7 +39,7 @@ func TestInputValidation(t *testing.T) {
 			t.Error("over-full doubling did not panic")
 		}
 	}()
-	NewDouble(10, 6)
+	NewDoubleEngine(10, 6)
 }
 
 // TestTimeShapes reproduces the introduction's separation: doubling
@@ -50,14 +50,14 @@ func TestTimeShapes(t *testing.T) {
 	var dsum, hsum float64
 	const trials = 5
 	for seed := uint64(0); seed < trials; seed++ {
-		d := NewDouble(n, n/4, pop.WithSeed(seed))
+		d := NewDoubleEngine(n, n/4, pop.WithSeed(seed))
 		at, ok := CompletionTime(d, false, 1e6)
 		if !ok {
 			t.Fatal("doubling did not complete")
 		}
 		dsum += at
 
-		h := NewHalve(n, n/4, pop.WithSeed(seed))
+		h := NewHalveEngine(n, n/4, pop.WithSeed(seed))
 		at, ok = CompletionTime(h, false, 1e7)
 		if !ok {
 			t.Fatal("halving did not complete")

@@ -195,7 +195,8 @@ func (p *Protocol[D]) Converged(s pop.Engine[State[D]]) bool {
 	})
 }
 
-// NewSim constructs a simulator for the wrapped protocol.
-func (p *Protocol[D]) NewSim(n int, opts ...pop.Option) *pop.Sim[State[D]] {
-	return pop.New(n, p.Initial, p.Rule, opts...)
+// NewEngine constructs a simulation engine for the wrapped protocol; the
+// backend is chosen with pop.WithBackend (default pop.Auto).
+func (p *Protocol[D]) NewEngine(n int, opts ...pop.Option) pop.Engine[State[D]] {
+	return pop.NewEngine(n, p.Initial, p.Rule, opts...)
 }

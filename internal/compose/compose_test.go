@@ -107,7 +107,7 @@ func TestDoneAtStageTarget(t *testing.T) {
 func TestEndToEndConvergence(t *testing.T) {
 	p := MustNew(Config{F: 16}, trackerDownstream())
 	const n = 500
-	s := p.NewSim(n, pop.WithSeed(6))
+	s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(6))
 	ok, _ := s.RunUntil(p.Converged, 5, 1e6)
 	if !ok {
 		t.Fatal("composition did not converge")

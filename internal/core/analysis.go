@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/popsim/popsize/internal/pop"
+	"github.com/popsim/popsize/internal/stats"
 )
 
 // Converged reports the paper's Figure-2 convergence criterion plus output
@@ -64,37 +64,20 @@ type EstimateStats struct {
 func Estimates(s pop.Engine[State]) EstimateStats {
 	logN := math.Log2(float64(s.N()))
 	st := EstimateStats{Min: math.Inf(1), Max: math.Inf(-1)}
-	// Counts iterates in map order; accumulate the mean over a sorted
-	// copy so the floating-point result is deterministic for a seed.
-	type weighted struct {
-		est float64
-		cnt int
-	}
-	var ests []weighted
+	var ests []stats.Weighted
 	for a, cnt := range s.Counts() {
 		est, ok := a.Estimate()
 		if !ok {
 			continue
 		}
-		ests = append(ests, weighted{est, cnt})
+		ests = append(ests, stats.Weighted{V: est, W: cnt})
 		st.HaveOutput += cnt
 		st.Min = math.Min(st.Min, est)
 		st.Max = math.Max(st.Max, est)
 		st.MaxErr = math.Max(st.MaxErr, math.Abs(est-logN))
 	}
-	sort.Slice(ests, func(i, j int) bool {
-		if ests[i].est != ests[j].est {
-			return ests[i].est < ests[j].est
-		}
-		return ests[i].cnt < ests[j].cnt
-	})
-	sum := 0.0
-	for _, w := range ests {
-		sum += w.est * float64(w.cnt)
-	}
-	if st.HaveOutput > 0 {
-		st.Mean = sum / float64(st.HaveOutput)
-	} else {
+	st.Mean = stats.WeightedMean(ests)
+	if st.HaveOutput == 0 {
 		st.Min, st.Max = 0, 0
 	}
 	return st
@@ -156,9 +139,8 @@ type RunOptions struct {
 	// for large populations, sequential otherwise).
 	Backend pop.Backend
 	// Parallelism is the intra-trial worker target for the multiset
-	// backends (pop.WithParallelism): 0 = auto, >= 1 forces the
-	// deterministic divide-and-conquer sampling path, whose trajectory is
-	// identical for every worker count.
+	// backends (pop.WithParallelism): 0 = auto (GOMAXPROCS). Every value
+	// runs the same sampling path and yields the same trajectory.
 	Parallelism int
 	// MaxTime bounds the run in parallel time; 0 selects a generous
 	// default that scales as log² n.
@@ -274,12 +256,6 @@ func mustSnapshot(e pop.Engine[State]) *pop.Snapshot[State] {
 		panic(fmt.Sprintf("core: snapshotting engine: %v", err))
 	}
 	return snap
-}
-
-// NewSim constructs a ready-to-step sequential simulator for the protocol,
-// for callers that need per-agent access (experiments, examples).
-func (p *Protocol) NewSim(n int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, p.Initial, p.Rule, opts...)
 }
 
 // NewEngine constructs a simulation engine for the protocol; the backend

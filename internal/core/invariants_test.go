@@ -67,7 +67,7 @@ func TestRuleInvariantsQuick(t *testing.T) {
 func TestRunInvariants(t *testing.T) {
 	p := MustNew(FastConfig())
 	const n = 400
-	s := p.NewSim(n, pop.WithSeed(13))
+	s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(13))
 	deadline := p.DefaultMaxTime(n)
 	for s.Time() < deadline {
 		s.RunTime(math.Log2(n))

@@ -16,7 +16,7 @@ func TestRestartStorm(t *testing.T) {
 	}
 	p := MustNew(FastConfig())
 	const n = 300
-	s := p.NewSim(n, pop.WithSeed(21))
+	s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(21))
 	ok, _ := s.RunUntil(p.Converged, 5, p.DefaultMaxTime(n))
 	if !ok {
 		t.Fatal("initial convergence failed")

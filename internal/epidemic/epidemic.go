@@ -38,13 +38,13 @@ func Rule(rec, sen State, _ *rand.Rand) (State, State) {
 }
 
 // Table is the binary-valued epidemic written as a declarative
-// transition table — the domain New and NewSubpop construct, where
-// values are 0 (susceptible) and 1 (infected). Member pairs holding
+// transition table — the domain NewEngine and NewSubpopEngine construct,
+// where values are 0 (susceptible) and 1 (infected). Member pairs holding
 // different values adopt the maximum; every other pair, including the
-// spectator self-transitions declared explicitly so the non-member
-// states join the table's state set, is a null transition. Compiling
-// this table yields a rule byte-identical in effect to Rule on that
-// domain (table_test.go pins this on all three backends).
+// spectator self-transitions declared explicitly so the non-member states
+// join the table's state set, is a null transition. Compiling this table
+// yields a rule byte-identical in effect to Rule on that domain
+// (table_test.go pins this on all three backends).
 func Table() pop.Table[State] {
 	m0, m1 := State{Val: 0, Member: true}, State{Val: 1, Member: true}
 	s0, s1 := State{Val: 0, Member: false}, State{Val: 1, Member: false}
@@ -63,35 +63,19 @@ func Compiled() *pop.Compiled[State] { return compiled }
 
 var compiled = pop.MustCompile(Table())
 
-// New constructs a population of n agents of which the first infected hold
-// value 1 and the rest 0, all members.
-func New(n, infected int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, func(i int, _ *rand.Rand) State {
-		return State{Val: boolToInt(i < infected), Member: true}
-	}, Rule, opts...)
-}
-
-// NewSubpop constructs a population of n agents of which only the first
-// members belong to the epidemic subpopulation; the first infected of those
-// hold value 1. It models Corollary 3.4's epidemic among a = n/c agents.
-func NewSubpop(n, members, infected int, opts ...pop.Option) *pop.Sim[State] {
-	if infected > members || members > n {
-		panic("epidemic: need infected <= members <= n")
-	}
-	return pop.New(n, func(i int, _ *rand.Rand) State {
-		return State{Val: boolToInt(i < infected), Member: i < members}
-	}, Rule, opts...)
-}
-
-// NewEngine is New with a backend selectable via pop.WithBackend.
+// NewEngine constructs a population of n agents of which the first
+// infected hold value 1 and the rest 0, all members; the backend is chosen
+// with pop.WithBackend.
 func NewEngine(n, infected int, opts ...pop.Option) pop.Engine[State] {
 	return pop.NewEngine(n, func(i int, _ *rand.Rand) State {
 		return State{Val: boolToInt(i < infected), Member: true}
 	}, Rule, opts...)
 }
 
-// NewSubpopEngine is NewSubpop with a backend selectable via
-// pop.WithBackend.
+// NewSubpopEngine constructs a population of n agents of which only the
+// first members belong to the epidemic subpopulation; the first infected
+// of those hold value 1. It models Corollary 3.4's epidemic among a = n/c
+// agents; the backend is chosen with pop.WithBackend.
 func NewSubpopEngine(n, members, infected int, opts ...pop.Option) pop.Engine[State] {
 	if infected > members || members > n {
 		panic("epidemic: need infected <= members <= n")
@@ -102,7 +86,7 @@ func NewSubpopEngine(n, members, infected int, opts ...pop.Option) pop.Engine[St
 }
 
 // Done reports whether every member agent holds the maximum (value 1 for
-// populations built by New/NewSubpop).
+// populations built by NewEngine/NewSubpopEngine).
 func Done(s pop.Engine[State]) bool {
 	return s.All(func(a State) bool { return !a.Member || a.Val == 1 })
 }

@@ -38,7 +38,7 @@ func TestCompletionNearHarmonic(t *testing.T) {
 	want := prob.ExpectedEpidemicTime(n)
 	sum := 0.0
 	for seed := uint64(0); seed < trials; seed++ {
-		s := New(n, 1, pop.WithSeed(seed))
+		s := NewEngine(n, 1, pop.WithSeed(seed))
 		at, ok := CompletionTime(s, 100*want)
 		if !ok {
 			t.Fatalf("seed %d: epidemic did not complete", seed)
@@ -58,7 +58,7 @@ func TestUpperTailBound(t *testing.T) {
 	const n, trials = 600, 25
 	bound := 24 * math.Log(float64(n))
 	for seed := uint64(0); seed < trials; seed++ {
-		s := NewSubpop(n, n/3, 1, pop.WithSeed(seed))
+		s := NewSubpopEngine(n, n/3, 1, pop.WithSeed(seed))
 		at, ok := CompletionTime(s, 4*bound)
 		if !ok {
 			t.Fatalf("seed %d: subpopulation epidemic did not complete", seed)
@@ -81,14 +81,14 @@ func TestSubpopulationSlowdown(t *testing.T) {
 	const n, trials = 900, 15
 	var full, sub float64
 	for seed := uint64(0); seed < trials; seed++ {
-		f := New(n, 1, pop.WithSeed(seed))
+		f := NewEngine(n, 1, pop.WithSeed(seed))
 		at, ok := CompletionTime(f, 1e6)
 		if !ok {
 			t.Fatal("full epidemic did not complete")
 		}
 		full += at
 
-		sb := NewSubpop(n, n/3, 1, pop.WithSeed(seed+1000))
+		sb := NewSubpopEngine(n, n/3, 1, pop.WithSeed(seed+1000))
 		at, ok = CompletionTime(sb, 1e6)
 		if !ok {
 			t.Fatal("subpopulation epidemic did not complete")

@@ -106,11 +106,6 @@ func Terminated(s pop.Engine[State]) bool {
 	return s.Any(func(a State) bool { return a.Terminated })
 }
 
-// NewSim constructs a sequential simulator for the protocol.
-func (p *Protocol) NewSim(n int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, p.Initial, p.Rule, opts...)
-}
-
 // NewEngine constructs a simulation engine for the protocol; the backend
 // is chosen with pop.WithBackend. The protocol cycles through Θ(n log n)
 // leader states over a run, but only a handful are live at a time, so the

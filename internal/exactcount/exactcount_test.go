@@ -12,7 +12,7 @@ func TestExactCount(t *testing.T) {
 	p := New(0)
 	for _, n := range []int{2, 5, 17, 64, 200} {
 		for seed := uint64(0); seed < 3; seed++ {
-			s := p.NewSim(n, pop.WithSeed(seed))
+			s := p.NewEngine(n, pop.WithSeed(seed))
 			ok, _ := s.RunUntil(Terminated, 5, float64(2000*n))
 			if !ok {
 				t.Fatalf("n=%d seed=%d: never terminated", n, seed)
@@ -29,7 +29,7 @@ func TestExactCount(t *testing.T) {
 func TestCountNeverExceedsN(t *testing.T) {
 	p := New(0)
 	const n = 50
-	s := p.NewSim(n, pop.WithSeed(1))
+	s := p.NewEngine(n, pop.WithSeed(1))
 	for i := 0; i < 100; i++ {
 		s.RunTime(2)
 		if c := LeaderCount(s); c > n {
@@ -46,7 +46,7 @@ func TestTimeGrowsSuperlogarithmically(t *testing.T) {
 		var total float64
 		const trials = 3
 		for seed := uint64(0); seed < trials; seed++ {
-			s := p.NewSim(n, pop.WithSeed(seed))
+			s := p.NewEngine(n, pop.WithSeed(seed))
 			ok, at := s.RunUntil(Terminated, 5, float64(5000*n))
 			if !ok {
 				t.Fatalf("n=%d: never terminated", n)

@@ -35,7 +35,7 @@ func CompositionDef(env Env, n int, margins []float64, trials int) Def {
 			Experiment: marginExp(margin), N: n, Trials: trials,
 			Run: func(tr int, seed uint64) sweep.Values {
 				p := compose.MustNew(compose.Config{F: 16}, majority.Downstream(opinions))
-				s := p.NewSim(n, pop.WithSeed(seed))
+				s := p.NewEngine(n, pop.WithSeed(seed), env.engineOpt())
 				ok, at := s.RunUntil(p.Converged, 10, 5e5)
 				if ok {
 					s.RunTime(20 * math.Log2(float64(n)))
@@ -53,7 +53,7 @@ func CompositionDef(env Env, n int, margins []float64, trials int) Def {
 		Experiment: id + "/leader", N: n, Trials: trials,
 		Run: func(tr int, seed uint64) sweep.Values {
 			p := compose.MustNew(compose.Config{F: 16}, leaderelect.Downstream())
-			s := p.NewSim(n, pop.WithSeed(seed))
+			s := p.NewEngine(n, pop.WithSeed(seed), env.engineOpt())
 			ok, at := s.RunUntil(p.Converged, 10, 5e5)
 			if ok {
 				// The coin-flip tiebreak continues after the staged rounds.

@@ -1,10 +1,13 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/popsim/popsize/internal/core"
+	"github.com/popsim/popsize/internal/pop"
+	"github.com/popsim/popsize/internal/sweep"
 	"github.com/popsim/popsize/internal/synthcoin"
 )
 
@@ -65,6 +68,27 @@ func TestVariantExperimentsTiny(t *testing.T) {
 	cfg := core.FastConfig()
 	checkTable(t, ptr(UpperBoundDef(Env{}, cfg, []int{32}, 2).Table(1)), 1)
 	checkTable(t, ptr(SyntheticCoinDef(Env{}, cfg, synthcoin.FastConfig(), []int{64}, 2).Table(1)), 1)
+}
+
+// TestSyntheticCoinHonorsBackend: both E15 points build their engine
+// from the env, so the same seed under Env{Backend: pop.Batched} records
+// different values from the default env (the multiset engine consumes the
+// seed differently from the agent array at this size).
+func TestSyntheticCoinHonorsBackend(t *testing.T) {
+	cfg := core.FastConfig()
+	values := func(env Env) map[string]sweep.Values {
+		out := map[string]sweep.Values{}
+		for _, pt := range SyntheticCoinDef(env, cfg, synthcoin.FastConfig(), []int{128}, 1).Points {
+			out[pt.Experiment] = pt.Run(0, 5)
+		}
+		return out
+	}
+	def, batch := values(Env{}), values(Env{Backend: pop.Batched})
+	for _, exp := range []string{"E15/main", "E15/synth"} {
+		if reflect.DeepEqual(def[exp], batch[exp]) {
+			t.Errorf("%s: batched env recorded the default env's values %v; the backend was ignored", exp, def[exp])
+		}
+	}
 }
 
 func TestBaselineAndCompositionTiny(t *testing.T) {

@@ -22,7 +22,7 @@ func UpperBoundDef(env Env, cfg core.Config, ns []int, trials int) Def {
 		points = append(points, sweep.Point{
 			Experiment: id, N: n, Trials: trials,
 			Run: func(tr int, seed uint64) sweep.Values {
-				s := p.NewSim(n, pop.WithSeed(seed))
+				s := p.NewEngine(n, pop.WithSeed(seed), env.engineOpt())
 				ok, _ := s.RunUntil(upperbound.TournamentDone, 10, float64(500*n))
 				if !ok {
 					// Historical defaults for a timed-out trial: no kex,
@@ -30,12 +30,15 @@ func UpperBoundDef(env Env, cfg core.Config, ns []int, trials int) Def {
 					return sweep.Values{"kex": math.NaN(), "lo": 0, "hi": 0}
 				}
 				s.RunTime(60 * math.Log2(float64(n)))
-				lo, hi := math.Inf(1), math.Inf(-1)
-				for _, a := range s.Agents() {
+				// §3.3's claim is about every agent, so kex is the
+				// smallest value any agent holds.
+				lo, hi, kex := math.Inf(1), math.Inf(-1), math.Inf(1)
+				for a := range s.Counts() {
 					v, _ := upperbound.Report(a)
 					lo, hi = math.Min(lo, v), math.Max(hi, v)
+					kex = math.Min(kex, float64(a.Kex))
 				}
-				return sweep.Values{"kex": float64(s.Agent(0).Kex), "lo": lo, "hi": hi}
+				return sweep.Values{"kex": kex, "lo": lo, "hi": hi}
 			},
 		})
 	}
@@ -79,7 +82,7 @@ func SyntheticCoinDef(env Env, mainCfg core.Config, scCfg synthcoin.Config, ns [
 			sweep.Point{
 				Experiment: id + "/main", N: n, Trials: trials,
 				Run: func(tr int, seed uint64) sweep.Values {
-					r := mp.Run(n, core.RunOptions{Seed: seed})
+					r := mp.Run(n, env.runOptions(seed))
 					return sweep.Values{"err": r.MaxErr, "time": r.Time}
 				},
 			},
@@ -87,11 +90,11 @@ func SyntheticCoinDef(env Env, mainCfg core.Config, scCfg synthcoin.Config, ns [
 				Experiment: id + "/synth", N: n, Trials: trials,
 				Run: func(tr int, seed uint64) sweep.Values {
 					logN := math.Log2(float64(n))
-					s := sp.NewSim(n, pop.WithSeed(seed))
+					s := sp.NewEngine(n, pop.WithSeed(seed), env.engineOpt())
 					budget := 40.0 * float64(scCfg.ClockFactor*scCfg.EpochFactor) * logN * logN
 					ok, at := s.RunUntil(sp.Converged, logN, budget)
 					maxErr := 0.0
-					for _, a := range s.Agents() {
+					for a := range s.Counts() {
 						if est, has := a.Estimate(); has {
 							maxErr = math.Max(maxErr, math.Abs(est-logN))
 						}

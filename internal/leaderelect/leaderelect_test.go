@@ -13,7 +13,7 @@ import (
 func TestAtLeastOneCandidateSurvives(t *testing.T) {
 	p := compose.MustNew(compose.Config{F: 16}, Downstream())
 	const n = 400
-	s := p.NewSim(n, pop.WithSeed(17))
+	s := p.NewEngine(n, pop.WithSeed(17))
 	for i := 0; i < 60; i++ {
 		s.RunTime(10)
 		if c := Candidates(s); c < 1 {
@@ -31,7 +31,7 @@ func TestElectsUniqueLeader(t *testing.T) {
 	const n = 400
 	for seed := uint64(0); seed < 4; seed++ {
 		p := compose.MustNew(compose.Config{F: 16}, Downstream())
-		s := p.NewSim(n, pop.WithSeed(seed))
+		s := p.NewEngine(n, pop.WithSeed(seed))
 		ok, _ := s.RunUntil(p.Converged, 10, 2e5)
 		if !ok {
 			t.Fatalf("seed %d: composition did not converge", seed)

@@ -145,11 +145,6 @@ func (p *Protocol) MainConverged(s pop.Engine[State]) bool {
 	})
 }
 
-// NewSim constructs a simulator for the protocol.
-func (p *Protocol) NewSim(n int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, p.Initial, p.Rule, opts...)
-}
-
 // NewEngine constructs a simulation engine for the protocol; the backend
 // is chosen with pop.WithBackend.
 func (p *Protocol) NewEngine(n int, opts ...pop.Option) pop.Engine[State] {

@@ -18,7 +18,7 @@ func TestTerminationAfterConvergence(t *testing.T) {
 	p := MustNew(core.FastConfig(), 0)
 	for _, n := range []int{128, 512} {
 		for seed := uint64(0); seed < 4; seed++ {
-			s := p.NewSim(n, pop.WithSeed(seed))
+			s := p.NewEngine(n, pop.WithSeed(seed))
 			budget := 20 * p.Main().DefaultMaxTime(n)
 			convergedFirst := false
 			ok, at := s.RunUntil(func(s pop.Engine[State]) bool {
@@ -48,7 +48,7 @@ func TestSignalSpreads(t *testing.T) {
 	}
 	p := MustNew(core.FastConfig(), 0)
 	const n = 256
-	s := p.NewSim(n, pop.WithSeed(9))
+	s := p.NewEngine(n, pop.WithSeed(9))
 	ok, _ := s.RunUntil(Terminated, 1, 20*p.Main().DefaultMaxTime(n))
 	if !ok {
 		t.Fatal("never terminated")

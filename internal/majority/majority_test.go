@@ -105,7 +105,7 @@ func TestUniformMajorityEndToEnd(t *testing.T) {
 				}
 			}
 			p := compose.MustNew(compose.Config{F: 16}, Downstream(opinions))
-			s := p.NewSim(n, pop.WithSeed(11))
+			s := p.NewEngine(n, pop.WithSeed(11))
 			ok, _ := s.RunUntil(p.Converged, 10, 2e5)
 			if !ok {
 				t.Fatal("composition did not converge")

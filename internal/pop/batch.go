@@ -109,20 +109,10 @@ func NewBatch[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rul
 	return b
 }
 
-// NewBatchFromConfig is NewBatch for an explicit initial configuration
-// (copied), mirroring NewFromConfig.
-func NewBatchFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) *BatchSim[S] {
-	cp := make([]S, len(agents))
-	copy(cp, agents)
-	return NewBatch(len(cp), func(i int, _ *rand.Rand) S { return cp[i] }, rule, opts...)
-}
-
 // NewBatchFromCounts constructs a batched multiset simulator directly from
 // a configuration multiset given as parallel slices: states[i] is held by
 // counts[i] agents (zero-count entries are skipped, duplicate states
-// accumulate). Unlike NewBatchFromConfig it never materializes an agent
-// slice, so it works at population sizes where an agent array would not
-// fit in memory.
+// accumulate).
 func NewBatchFromCounts[S comparable](states []S, counts []int64, rule Rule[S], opts ...Option) *BatchSim[S] {
 	b := newBatchSim(int(validateCounts(states, counts)), rule, opts)
 	b.fillCounts(states, counts)

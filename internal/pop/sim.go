@@ -9,12 +9,13 @@
 // distinct states used by an execution — the paper's space measure — can be
 // tracked with maps.
 //
-// Two interchangeable backends implement the [Engine] interface:
+// Three interchangeable engines implement the [Engine] interface (see
+// engine.go):
 //
 //   - [Sim] (backend [Sequential]) — the reference engine: an explicit
 //     agent array stepped one interaction at a time. Use it when per-agent
 //     instrumentation is needed (WithInteractionCounts), for debugging,
-//     and as the ground truth the batched engine is validated against.
+//     and as the ground truth the multiset engines are validated against.
 //
 //   - [BatchSim] (backend [Batched]) — the multiset engine: state counts
 //     plus collision-free batches of ~√n interactions, per-batch
@@ -26,8 +27,15 @@
 //     sequential stepping while the live state count exceeds
 //     WithBatchThreshold.
 //
-// [NewEngine] selects a backend via WithBackend; the default [Auto]
-// chooses Batched for populations of at least 4096 agents. Both backends
+//   - [DenseSim] (backend [Dense]) — the count-vector engine: the same
+//     multiset core, but each batch is advanced through the matrix of
+//     ordered state-pair interaction counts, so per-batch work scales
+//     with the live-state count instead of the batch length (see
+//     dense.go). It switches to slot batches, in place, while a
+//     configuration holds too many live states.
+//
+// [NewEngine] selects an engine via WithBackend; the default [Auto]
+// chooses Batched from 4096 agents and Dense from 2²³. All three
 // simulate the identical stochastic process — the cross-backend
 // equivalence suite in equiv_test.go validates this — but consume the
 // random stream differently, so a seed reproduces a run only within one

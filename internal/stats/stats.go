@@ -5,7 +5,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -55,6 +57,31 @@ func Summarize(xs []float64) Summary {
 		Q10:    Quantile(s, 0.1),
 		Q90:    Quantile(s, 0.9),
 	}
+}
+
+// Weighted is a value V carried by W agents (a state's count).
+type Weighted struct {
+	V float64
+	W int
+}
+
+// WeightedMean returns Σ W·V / Σ W, or 0 if the weights sum to 0. It
+// sorts ws in place and sums in that order, so the floating-point result
+// does not depend on the order ws arrived in (a configuration's Counts
+// iterate in map order).
+func WeightedMean(ws []Weighted) float64 {
+	slices.SortFunc(ws, func(x, y Weighted) int {
+		return cmp.Or(cmp.Compare(x.V, y.V), cmp.Compare(x.W, y.W))
+	})
+	sum, total := 0.0, 0
+	for _, w := range ws {
+		sum += w.V * float64(w.W)
+		total += w.W
+	}
+	if total == 0 {
+		return 0
+	}
+	return sum / float64(total)
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the sorted sample by

@@ -134,3 +134,22 @@ func TestASCIIPlotLogX(t *testing.T) {
 }
 
 func close(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// TestWeightedMean: the mean weights each value by its count, is 0 with
+// no weight, and is bit-identical for every arrival order of the pairs.
+func TestWeightedMean(t *testing.T) {
+	if got := WeightedMean(nil); got != 0 {
+		t.Errorf("WeightedMean(nil) = %v, want 0", got)
+	}
+	if got := WeightedMean([]Weighted{{V: 2, W: 1}, {V: 5, W: 3}}); got != 4.25 {
+		t.Errorf("WeightedMean = %v, want 4.25", got)
+	}
+	ws := []Weighted{{0.1, 7}, {1e16, 1}, {0.3, 2}, {-1e16, 1}, {0.7, 5}}
+	want := WeightedMean(append([]Weighted(nil), ws...))
+	for i := range ws {
+		rot := append(append([]Weighted(nil), ws[i:]...), ws[:i]...)
+		if got := WeightedMean(rot); got != want {
+			t.Errorf("rotation %d: WeightedMean = %v, want %v (order-dependent)", i, got, want)
+		}
+	}
+}

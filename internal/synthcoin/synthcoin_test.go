@@ -92,7 +92,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	p := MustNew(FastConfig())
 	for _, n := range []int{128, 512} {
-		s := p.NewSim(n, pop.WithSeed(7))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(7))
 		maxT := 40.0 * float64(p.cfg.ClockFactor*p.cfg.EpochFactor) * math.Log2(float64(n)) * math.Log2(float64(n))
 		ok, _ := s.RunUntil(p.Converged, math.Log2(float64(n)), maxT)
 		if !ok {

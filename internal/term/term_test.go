@@ -42,7 +42,7 @@ func TestLeaderDelaysTermination(t *testing.T) {
 	}
 	p := leaderterm.MustNew(core.FastConfig(), 0)
 	timeFor := func(n int) float64 {
-		s := p.NewSim(n, pop.WithSeed(3))
+		s := p.NewEngine(n, pop.WithSeed(3))
 		at, ok := FirstTermination(s, leaderterm.Terminated, 5, 50*p.Main().DefaultMaxTime(n))
 		if !ok {
 			t.Fatalf("n=%d: never terminated", n)

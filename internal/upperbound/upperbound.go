@@ -137,9 +137,10 @@ func Mass(s pop.Engine[State]) uint64 {
 	return m
 }
 
-// NewSim constructs a simulator for the protocol.
-func (p *Protocol) NewSim(n int, opts ...pop.Option) *pop.Sim[State] {
-	return pop.New(n, p.Initial, p.Rule, opts...)
+// NewEngine constructs a simulation engine for the protocol; the backend
+// is chosen with pop.WithBackend (default pop.Auto).
+func (p *Protocol) NewEngine(n int, opts ...pop.Option) pop.Engine[State] {
+	return pop.NewEngine(n, p.Initial, p.Rule, opts...)
 }
 
 // Main exposes the embedded main protocol (for convergence predicates).

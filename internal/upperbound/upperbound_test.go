@@ -14,7 +14,7 @@ import (
 func TestMassInvariant(t *testing.T) {
 	p := MustNew(core.FastConfig())
 	const n = 300
-	s := p.NewSim(n, pop.WithSeed(4))
+	s := p.NewEngine(n, pop.WithSeed(4))
 	for i := 0; i < 50; i++ {
 		s.RunTime(5)
 		if m := Mass(s); m != n {
@@ -29,7 +29,7 @@ func TestKexExact(t *testing.T) {
 	p := MustNew(core.FastConfig())
 	for _, n := range []int{2, 3, 7, 8, 33, 100, 128} {
 		for seed := uint64(0); seed < 3; seed++ {
-			s := p.NewSim(n, pop.WithSeed(seed))
+			s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(seed))
 			ok, _ := s.RunUntil(TournamentDone, 5, float64(200*n))
 			if !ok {
 				t.Fatalf("n=%d seed=%d: tournament did not finish", n, seed)
@@ -56,7 +56,7 @@ func TestUpperBoundHolds(t *testing.T) {
 	const n = 200
 	logN := math.Log2(n)
 	for seed := uint64(0); seed < 5; seed++ {
-		s := p.NewSim(n, pop.WithSeed(seed))
+		s := pop.New(n, p.Initial, p.Rule, pop.WithSeed(seed))
 		ok, _ := s.RunUntil(TournamentDone, 10, float64(500*n))
 		if !ok {
 			t.Fatalf("seed %d: tournament did not finish", seed)

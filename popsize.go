@@ -17,6 +17,7 @@
 // synthetic-coin protocol of Appendix B, the probability-1 upper-bound
 // protocol of §3.3, and the terminating-with-a-leader protocol of §3.4 —
 // plus the [2]-style weak estimator the main protocol bootstraps from.
+// Each takes trailing engine options (pop.WithBackend, default pop.Auto).
 // Deeper machinery (the simulation engines, composition framework,
 // termination/impossibility experiments) lives in the internal packages
 // and is exercised by cmd/experiments and the examples.
@@ -199,14 +200,8 @@ func estimateWith(n int, o RunOptions) (estimate, truth float64, err error) {
 // estimate k of log₂ n (√n <= 2^k <= poly(n)) in O(log n) time. It is the
 // first step of the main protocol and the weak estimate of the §1.1
 // composition scheme.
-func WeakEstimate(n int, seed uint64) (k int, err error) {
-	return WeakEstimateBackend(n, seed, pop.Auto)
-}
-
-// WeakEstimateBackend is WeakEstimate on an explicitly chosen simulation
-// backend; extra engine options (e.g. pop.WithParallelism) append.
-func WeakEstimateBackend(n int, seed uint64, backend pop.Backend, opts ...pop.Option) (k int, err error) {
-	s := approxsize.NewEngine(n, append([]pop.Option{pop.WithSeed(seed), pop.WithBackend(backend)}, opts...)...)
+func WeakEstimate(n int, seed uint64, opts ...pop.Option) (k int, err error) {
+	s := approxsize.NewEngine(n, append([]pop.Option{pop.WithSeed(seed)}, opts...)...)
 	logN := math.Log2(float64(n))
 	ok, _ := s.RunUntil(approxsize.Converged, 1, 200*logN+100)
 	if !ok {

@@ -167,6 +167,53 @@ func TestEstimateTerminating(t *testing.T) {
 	}
 }
 
+// TestVariantsOnEveryBackend runs the root estimators on each engine
+// through their trailing engine options: every call succeeds and meets
+// its guarantee on the agent array and on both multiset engines.
+func TestVariantsOnEveryBackend(t *testing.T) {
+	const n, seed = 300, 7
+	logN := math.Log2(n)
+	for _, be := range []pop.Backend{pop.Sequential, pop.Batched, pop.Dense} {
+		opt := pop.WithBackend(be)
+		t.Run("deterministic/"+be.String(), func(t *testing.T) {
+			est, _, err := EstimateDeterministic(n, seed, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(est-logN) > ErrorBound {
+				t.Errorf("estimate %.3f misses log n = %.3f by more than %.1f", est, logN, ErrorBound)
+			}
+		})
+		t.Run("upperbound/"+be.String(), func(t *testing.T) {
+			bound, _, err := EstimateUpperBound(n, seed, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound < logN {
+				t.Errorf("bound %.3f < log n = %.3f (probability-1 guarantee broken)", bound, logN)
+			}
+		})
+		t.Run("terminating/"+be.String(), func(t *testing.T) {
+			res, err := EstimateTerminating(n, seed, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.ConvergedFirst {
+				t.Error("termination fired before convergence")
+			}
+		})
+		t.Run("weak/"+be.String(), func(t *testing.T) {
+			k, err := WeakEstimate(n, seed, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if float64(k) < logN-math.Log2(math.Log(n))-1 || float64(k) > 2*logN+1 {
+				t.Errorf("k = %d outside the [2]-style interval around log n = %.3f", k, logN)
+			}
+		})
+	}
+}
+
 func TestInvalidConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("zero config accepted")
