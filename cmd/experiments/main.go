@@ -47,14 +47,6 @@ func run() error {
 	sf := sweep.Register(flag.CommandLine, "")
 	flag.Parse()
 
-	// Trajectory instrumentation (-history/-snapshot/-restore) applies to
-	// the instrumented generators (F2), tag-suffixed per (n, trial); it
-	// rides the suite's engine environment into the trial closures.
-	traj, err := expt.ConfigureTrajectory(sf)
-	if err != nil {
-		return err
-	}
-
 	// The -quick/-only selection folds into the same serializable request
 	// the popsimd daemon accepts; expt.Resolve is the shared catalog, so an
 	// unknown -only id fails with the identical listing a bad POST body
@@ -65,7 +57,10 @@ func run() error {
 			sf.Experiments = append(sf.Experiments, id)
 		}
 	}
-	suite, err := expt.ResolveEnv(sf.SpecRequest, traj)
+	// Trajectory instrumentation (-history/-snapshot) applies to the
+	// instrumented generator (F2), tag-suffixed per (n, trial); it rides
+	// the suite's engine environment into the trial closures.
+	suite, err := expt.ResolveEnv(sf.SpecRequest, &sf.Trajectory)
 	if err != nil {
 		return err
 	}

@@ -90,8 +90,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// Trajectory instrumentation (-history/-snapshot/-restore) applies to
 	// every F2 trial, with artifact paths tag-suffixed per (n, trial).
-	env.Traj, err = expt.ConfigureTrajectory(sf)
-	if err != nil {
+	if err := sf.Trajectory.Validate(); err != nil {
+		return err
+	}
+	env.Traj = &sf.Trajectory
+	if env.Restore, err = sweep.ReadRestore[core.State](env.Traj); err != nil {
 		return err
 	}
 
@@ -105,6 +108,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *full && !slices.Contains(ns, 100000) {
 		ns = append(ns, 100000)
+	}
+	// A snapshot is one run: resuming it under any other (n, trial) label
+	// would record the same continuation in every row.
+	if s := env.Restore; s != nil && (*trials != 1 || len(ns) != 1 || ns[0] != s.N) {
+		return fmt.Errorf("-restore resumes one run of n=%d; use -ns %d -trials 1", s.N, s.N)
 	}
 
 	d := expt.Fig2Def(env, cfg, ns, *trials)

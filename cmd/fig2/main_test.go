@@ -87,3 +87,35 @@ func TestRunParDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRestoreRule: a -restore snapshot is one run, so fig2 resumes it
+// only under -trials 1 and a single -ns equal to the snapshot's n (any
+// other grid would label the same continuation as other sizes/trials),
+// and the error names that n.
+func TestRunRestoreRule(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run([]string{"-ns", "300", "-trials", "1", "-seed", "3", "-out", "",
+		"-snapshot", filepath.Join(dir, "mid.json"), "-snapshot-at", "20"}, &buf); err != nil {
+		t.Fatalf("snapshot run failed: %v\n%s", err, buf.String())
+	}
+	mid := filepath.Join(dir, "mid.F2-n300-t0.json")
+	for _, args := range [][]string{
+		{"-ns", "100,1000", "-trials", "2"},
+		{"-ns", "300", "-trials", "2"},
+		{"-ns", "100", "-trials", "1"},
+		{"-ns", "300,1000", "-trials", "1"},
+	} {
+		err := run(append(args, "-out", "", "-restore", mid), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "n=300") || !strings.Contains(err.Error(), "-trials 1") {
+			t.Errorf("%v: err = %v, want a -restore error naming n=300", args, err)
+		}
+	}
+	buf.Reset()
+	if err := run([]string{"-ns", "300", "-trials", "1", "-out", "", "-restore", mid}, &buf); err != nil {
+		t.Fatalf("restore run failed: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "| 300 |") {
+		t.Errorf("restored run lacks the n=300 row:\n%s", buf.String())
+	}
+}

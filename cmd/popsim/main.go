@@ -94,33 +94,24 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	inst := &protocol.Instrumentation{
-		HistoryPath:  sf.History,
-		HistoryEvery: sf.HistoryEvery,
-		SnapshotPath: sf.Snapshot,
-		SnapshotAt:   sf.SnapshotAt,
-		RestorePath:  sf.Restore,
-	}
-	if inst.Active() {
+	if traj := &sf.Trajectory; traj.Active() {
 		if !info.Trajectory {
 			return fmt.Errorf("-history/-snapshot/-restore instrument trajectory-capable protocols only (%s; got -protocol %s)",
 				strings.Join(protocol.TrajectoryNames(), ", "), info.Name)
 		}
-		if inst.HistoryPath != "" && (!(inst.HistoryEvery > 0) || math.IsInf(inst.HistoryEvery, 0)) {
-			return fmt.Errorf("-history-dt must be a positive finite interval (got %v)", inst.HistoryEvery)
+		if err := traj.Validate(); err != nil {
+			return err
 		}
-		if inst.RestorePath != "" && *trials != 1 {
+		if traj.Restore != "" && *trials != 1 {
 			return fmt.Errorf("-restore resumes one specific run; use -trials 1 (got %d)", *trials)
 		}
-	} else {
-		inst = nil
 	}
 
 	var box errBox
 	r, err := info.New(protocol.Config{
 		N: *n, Trials: *trials, Paper: *paper,
 		Backend: backend, Par: sf.Par,
-		CollectStats: *showStats, Traj: inst, OnError: box.set,
+		CollectStats: *showStats, Traj: &sf.Trajectory, OnError: box.set,
 	})
 	if err != nil {
 		return err
@@ -168,8 +159,8 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  %s\n", line)
 		}
 	}
-	if inst != nil && inst.HistoryPath != "" && *trials == 1 {
-		if err := printTrajectory(stdout, inst.HistoryPath); err != nil {
+	if sf.History != "" && *trials == 1 {
+		if err := printTrajectory(stdout, sf.History); err != nil {
 			return err
 		}
 	}

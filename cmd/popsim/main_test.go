@@ -164,18 +164,29 @@ func TestRunTrajectoryFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunHistoryAndSnapshotRestore is the CLI-level acceptance check: a
-// -history run emits valid JSONL on the requested Δ grid whose final
-// configuration covers the whole population, and a run restored from a
-// mid-run -snapshot finishes byte-identical to the uninterrupted run.
+// TestRunHistoryAndSnapshotRestore is the CLI-level acceptance check,
+// for the main pipeline and a table-compiled zoo protocol: a -history run
+// emits valid JSONL on the requested Δ grid whose every configuration
+// covers the whole population, and a run restored from a mid-run
+// -snapshot finishes byte-identical to the uninterrupted run.
 func TestRunHistoryAndSnapshotRestore(t *testing.T) {
+	for _, tc := range []struct{ protocol, snapshotAt string }{
+		{"main", "20"}, {"approxmajority", "4"},
+	} {
+		t.Run(tc.protocol, func(t *testing.T) {
+			testHistoryAndSnapshotRestore(t, tc.protocol, tc.snapshotAt)
+		})
+	}
+}
+
+func testHistoryAndSnapshotRestore(t *testing.T, name, snapshotAt string) {
 	dir := t.TempDir()
 	hist := filepath.Join(dir, "hist.jsonl")
 	mid := filepath.Join(dir, "mid.json")
 	finalA := filepath.Join(dir, "final_a.json")
 	finalB := filepath.Join(dir, "final_b.json")
 	const n = 400
-	base := []string{"-protocol", "main", "-n", "400", "-trials", "1", "-seed", "7", "-backend", "batch"}
+	base := []string{"-protocol", name, "-n", "400", "-trials", "1", "-seed", "7", "-backend", "batch"}
 
 	// Uninterrupted run, snapshot at the end.
 	var bufA bytes.Buffer
@@ -228,11 +239,11 @@ func TestRunHistoryAndSnapshotRestore(t *testing.T) {
 
 	// Mid-run snapshot from a history-free run, then restore and finish.
 	var bufM bytes.Buffer
-	if err := run(append(base, "-snapshot", mid, "-snapshot-at", "20"), &bufM); err != nil {
+	if err := run(append(base, "-snapshot", mid, "-snapshot-at", snapshotAt), &bufM); err != nil {
 		t.Fatalf("mid-snapshot run failed: %v\n%s", err, bufM.String())
 	}
 	var bufR bytes.Buffer
-	if err := run([]string{"-protocol", "main", "-trials", "1",
+	if err := run([]string{"-protocol", name, "-trials", "1",
 		"-restore", mid, "-snapshot", finalB}, &bufR); err != nil {
 		t.Fatalf("restored run failed: %v\n%s", err, bufR.String())
 	}
@@ -249,5 +260,8 @@ func TestRunHistoryAndSnapshotRestore(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("restore-then-run final snapshot differs from the uninterrupted run's")
+	}
+	if m, err := os.ReadFile(mid); err != nil || bytes.Equal(m, a) {
+		t.Errorf("the -snapshot-at %s snapshot is not mid-run (err %v)", snapshotAt, err)
 	}
 }

@@ -120,10 +120,9 @@ func init() {
 }
 
 // newMainRunner adapts the full estimation pipeline: it resolves the
-// paper-vs-fast preset, binds the trajectory instrumentation into a local
-// expt.Env (the same env-scoped RunCore cmd/experiments' instrumented
-// generators use), and parses a restore snapshot eagerly so a malformed
-// file fails the command before any trial runs.
+// paper-vs-fast preset and binds the trajectory instrumentation and the
+// eagerly parsed restore snapshot into a local expt.Env (the same
+// env-scoped RunCore cmd/experiments' instrumented generators use).
 func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 	pcfg := popsize.FastConfig()
 	if cfg.Paper {
@@ -133,24 +132,11 @@ func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.N
-	note := ""
-	tc := &expt.TrajectoryConfig{}
-	if t := cfg.Traj; t != nil {
-		tc.HistoryPath, tc.HistoryEvery = t.HistoryPath, t.HistoryEvery
-		tc.SnapshotPath, tc.SnapshotAt = t.SnapshotPath, t.SnapshotAt
-		tc.RestorePath = t.RestorePath
-		if t.RestorePath != "" {
-			snap, err := pop.ReadSnapshotFile[core.State](t.RestorePath)
-			if err != nil {
-				return nil, fmt.Errorf("-restore: %w", err)
-			}
-			tc.Restore = snap
-			n = snap.N
-			note = fmt.Sprintf("restoring from %s: backend=%s n=%d", t.RestorePath, snap.Backend, snap.N)
-		}
+	restore, n, note, err := protocol.Restored[core.State](cfg)
+	if err != nil {
+		return nil, err
 	}
-	env := expt.Env{Backend: cfg.Backend, Par: cfg.Par, Traj: tc}
+	env := expt.Env{Backend: cfg.Backend, Par: cfg.Par, Traj: cfg.Traj, Restore: restore}
 	logN := math.Log2(float64(n))
 	trials := cfg.Trials
 	return &protocol.Runner{

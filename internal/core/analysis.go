@@ -151,20 +151,10 @@ type RunOptions struct {
 	// TrackStates enables distinct-state counting.
 	TrackStates bool
 
-	// History, when non-nil, records the run's sampled configuration
-	// trajectory (the observer is driven by the run; read its Samples
-	// afterwards).
-	History *pop.History[State]
-	// SnapshotSink, when non-nil, receives a versioned engine snapshot:
-	// taken at the first convergence-check boundary whose time is at
-	// least SnapshotAt, or at the end of the run if SnapshotAt <= 0 (or
-	// the run ends first). Snapshots align with check boundaries so a
-	// restored run's chunking — and therefore its byte-level trajectory —
-	// matches the uninterrupted one.
-	SnapshotSink func(*pop.Snapshot[State])
-	// SnapshotAt is the parallel time the snapshot targets (see
-	// SnapshotSink); <= 0 requests an end-of-run snapshot.
-	SnapshotAt float64
+	// Observe attaches trajectory instruments to the run (pop.RunObserved):
+	// a sampled-configuration History and/or a snapshot sink. The zero
+	// value observes nothing.
+	Observe pop.Observers[State]
 	// Restore, when non-nil, resumes the run from this snapshot instead
 	// of constructing a fresh engine; Seed, Backend and Parallelism are
 	// ignored (they are part of the snapshot). The restored run gets a
@@ -209,33 +199,9 @@ func (p *Protocol) Run(n int, o RunOptions) Result {
 	if check <= 0 {
 		check = math.Max(1, math.Log2(float64(n)))
 	}
-	pred := p.Converged
-	taken := false
-	if o.SnapshotSink != nil && o.SnapshotAt > 0 {
-		// Capture at the first convergence-check boundary at or past
-		// SnapshotAt, before evaluating convergence there: boundaries are
-		// where the engine's chunking realigns, so a run restored from this
-		// snapshot replays the rest of the trial byte-identically.
-		inner := pred
-		pred = func(e pop.Engine[State]) bool {
-			if !taken && e.Time() >= o.SnapshotAt {
-				taken = true
-				o.SnapshotSink(mustSnapshot(e))
-			}
-			return inner(e)
-		}
-	}
-	var ok bool
-	var at float64
-	if o.History != nil {
-		ok, at = o.History.RunUntil(s, pred, check, maxTime)
-	} else {
-		ok, at = s.RunUntil(pred, check, maxTime)
-	}
-	if o.SnapshotSink != nil && !taken {
-		// Either SnapshotAt <= 0 (end-of-run snapshot requested) or the run
-		// finished before reaching SnapshotAt; deliver the final state.
-		o.SnapshotSink(mustSnapshot(s))
+	ok, at, err := pop.RunObserved(s, p.Converged, check, maxTime, o.Observe)
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
 	est := Estimates(s)
 	return Result{
@@ -248,14 +214,6 @@ func (p *Protocol) Run(n int, o RunOptions) Result {
 		CountA:         s.Count(func(a State) bool { return a.Role == RoleA }),
 		LogSize2:       int(Maxima(s).LogSize2),
 	}
-}
-
-func mustSnapshot(e pop.Engine[State]) *pop.Snapshot[State] {
-	snap, err := e.Snapshot()
-	if err != nil {
-		panic(fmt.Sprintf("core: snapshotting engine: %v", err))
-	}
-	return snap
 }
 
 // NewEngine constructs a simulation engine for the protocol; the backend

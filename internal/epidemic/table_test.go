@@ -15,13 +15,7 @@ import (
 
 func snapBytes(t *testing.T, e pop.Engine[State]) []byte {
 	t.Helper()
-	s, ok := e.(interface {
-		Snapshot() (*pop.Snapshot[State], error)
-	})
-	if !ok {
-		t.Fatalf("engine %T has no Snapshot", e)
-	}
-	snap, err := s.Snapshot()
+	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}

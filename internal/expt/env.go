@@ -21,10 +21,12 @@ import (
 type Env struct {
 	Backend pop.Backend
 	Par     int
-	// Traj is the single-run instrumentation (history stream, snapshot,
-	// restore) applied by Env.RunCore; nil or inactive leaves trials
-	// uninstrumented.
-	Traj *TrajectoryConfig
+	// Traj is the single-run instrumentation (history stream, snapshot)
+	// applied by Env.RunCore; nil or inactive leaves trials uninstrumented.
+	Traj *sweep.Trajectory
+	// Restore, when non-nil, is Traj's -restore snapshot (parsed eagerly
+	// with sweep.ReadRestore); RunCore resumes each trial from it.
+	Restore *pop.Snapshot[core.State]
 }
 
 // EnvFor resolves the engine environment a sweep request selects. The
@@ -48,4 +50,17 @@ func (e Env) engineOpt() pop.Option {
 // runOptions is the core.RunOptions base an env-bound trial starts from.
 func (e Env) runOptions(seed uint64) core.RunOptions {
 	return core.RunOptions{Seed: seed, Backend: e.Backend, Parallelism: e.Par}
+}
+
+// RunCore runs one trial of p through core.Run with the env's trajectory
+// instrumentation applied (sweep.Observe) and its restore snapshot swapped
+// in. tag distinguishes concurrent trials' artifact files (empty = none).
+// With no instrumentation configured it is exactly p.Run. The returned
+// error is always an artifact-file I/O failure; the Result is valid either
+// way.
+func (e Env) RunCore(p *core.Protocol, n int, tag string, o core.RunOptions) (core.Result, error) {
+	obs, finish := sweep.Observe[core.State](e.Traj, tag)
+	o.Observe, o.Restore = obs, e.Restore
+	r := p.Run(n, o)
+	return r, finish()
 }

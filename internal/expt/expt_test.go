@@ -112,3 +112,38 @@ func TestChurnExperimentsTiny(t *testing.T) {
 }
 
 func ptr[T any](t T) *T { return &t }
+
+// TestResolveEnvTrajectoryRules: the suite instruments F2 only, so
+// -history/-snapshot need F2 in the selection (the error names F2), and
+// -restore is rejected outright — a suite runs F2 at several sizes and
+// trials, and a snapshot is one run. A bad -history-dt fails here too.
+func TestResolveEnvTrajectoryRules(t *testing.T) {
+	req := func(only ...string) sweep.SpecRequest {
+		return sweep.SpecRequest{Quick: true, Experiments: only}
+	}
+	for _, tc := range []struct {
+		req  sweep.SpecRequest
+		traj sweep.Trajectory
+		want string
+	}{
+		{req("E1"), sweep.Trajectory{History: "h.jsonl", HistoryEvery: 1}, "F2"},
+		{req("E1", "E6"), sweep.Trajectory{Snapshot: "s.json"}, "F2"},
+		{req("F2"), sweep.Trajectory{Restore: "mid.json"}, "fig2"},
+		{req(), sweep.Trajectory{Restore: "mid.json"}, "fig2"},
+		{req("F2"), sweep.Trajectory{History: "h.jsonl"}, "-history-dt"},
+	} {
+		if _, err := ResolveEnv(tc.req, &tc.traj); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v %+v: err = %v, want an error naming %s", tc.req.Experiments, tc.traj, err, tc.want)
+		}
+	}
+	traj := &sweep.Trajectory{History: "h.jsonl", HistoryEvery: 1}
+	for _, r := range []sweep.SpecRequest{req("F2", "E1"), req()} {
+		suite, err := ResolveEnv(r, traj)
+		if err != nil || suite.Env.Traj != traj {
+			t.Errorf("%v: err = %v, want the trajectory bound to the env", r.Experiments, err)
+		}
+	}
+	if _, err := ResolveEnv(req("E1"), &sweep.Trajectory{HistoryEvery: 1}); err != nil {
+		t.Errorf("inactive trajectory rejected: %v", err)
+	}
+}

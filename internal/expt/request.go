@@ -1,6 +1,9 @@
 package expt
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/popsim/popsize/internal/core"
 	"github.com/popsim/popsize/internal/sweep"
 	"github.com/popsim/popsize/internal/synthcoin"
@@ -39,11 +42,22 @@ func Resolve(req sweep.SpecRequest) (Suite, error) {
 }
 
 // ResolveEnv is Resolve with trajectory instrumentation attached to the
-// suite's env — the CLI path, where the -history/-snapshot/-restore flags
-// exist (the serializable request cannot carry them).
-func ResolveEnv(req sweep.SpecRequest, traj *TrajectoryConfig) (Suite, error) {
+// suite's env — the CLI path, where the -history/-snapshot flags exist
+// (the serializable request cannot carry them). Only F2 is instrumented,
+// so an active traj needs F2 in the selection. -restore is rejected: a
+// suite runs F2 at several sizes and trials, and one snapshot is one run
+// (cmd/fig2 and cmd/popsim resume it).
+func ResolveEnv(req sweep.SpecRequest, traj *sweep.Trajectory) (Suite, error) {
 	if err := req.Validate(); err != nil {
 		return Suite{}, err
+	}
+	if traj.Active() {
+		if traj.Restore != "" {
+			return Suite{}, fmt.Errorf("-restore resumes one specific run; use fig2 -ns <n> -trials 1 or popsim -trials 1 instead")
+		}
+		if err := traj.Validate(); err != nil {
+			return Suite{}, err
+		}
 	}
 	env, err := EnvFor(req)
 	if err != nil {
@@ -87,8 +101,14 @@ func ResolveEnv(req sweep.SpecRequest, traj *TrajectoryConfig) (Suite, error) {
 			}
 		}
 	}
+	instrumented := false
 	for _, d := range suite.Defs {
 		suite.Points = append(suite.Points, d.Points...)
+		instrumented = instrumented || d.ID == "F2"
+	}
+	if traj.Active() && !instrumented {
+		return Suite{}, fmt.Errorf("-history/-snapshot instrument trajectory-capable experiments only (F2; got -only %s)",
+			strings.Join(req.Experiments, ","))
 	}
 	return suite, nil
 }

@@ -1,6 +1,9 @@
 package pop
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // HistorySample is one point of a sampled trajectory: the full
 // configuration (state → count) at a moment of a run, stamped with the
@@ -113,4 +116,57 @@ func (h *History[S]) RunUntil(e Engine[S], pred func(Engine[S]) bool, checkEvery
 	}
 	h.Observe(e)
 	return false, e.Time()
+}
+
+// Observers are the instruments RunObserved attaches to a run from the
+// outside. The zero value observes nothing.
+type Observers[S comparable] struct {
+	// History, when non-nil, records the run's trajectory on its Δ grid.
+	History *History[S]
+	// SnapshotAt is the parallel time Snapshot targets; <= 0 requests an
+	// end-of-run snapshot.
+	SnapshotAt float64
+	// Snapshot, when non-nil, receives one engine snapshot: taken at the
+	// first convergence check whose time is at least SnapshotAt, or at the
+	// end of the run when SnapshotAt <= 0 or the run ends first. Check
+	// boundaries are where the engine's slicing realigns, so a run
+	// restored from this snapshot replays the rest byte-identically.
+	Snapshot func(*Snapshot[S])
+}
+
+// RunObserved runs e with RunUntil semantics under obs: through
+// obs.History.RunUntil when a History is attached (which slices the run on
+// the sampling grid too), otherwise through e.RunUntil, so an unobserved
+// run is sliced exactly as a plain one. The snapshot is taken before pred
+// is evaluated at its check. err reports a failed e.Snapshot (the snapshot
+// is then not delivered); the run completes either way.
+func RunObserved[S comparable](e Engine[S], pred func(Engine[S]) bool, checkEvery, maxTime float64, obs Observers[S]) (ok bool, at float64, err error) {
+	taken := false
+	take := func(e Engine[S]) {
+		taken = true
+		snap, serr := e.Snapshot()
+		if serr != nil {
+			err = fmt.Errorf("snapshotting engine: %w", serr)
+			return
+		}
+		obs.Snapshot(snap)
+	}
+	if obs.Snapshot != nil && obs.SnapshotAt > 0 {
+		inner := pred
+		pred = func(e Engine[S]) bool {
+			if !taken && e.Time() >= obs.SnapshotAt {
+				take(e)
+			}
+			return inner(e)
+		}
+	}
+	if obs.History != nil {
+		ok, at = obs.History.RunUntil(e, pred, checkEvery, maxTime)
+	} else {
+		ok, at = e.RunUntil(pred, checkEvery, maxTime)
+	}
+	if obs.Snapshot != nil && !taken {
+		take(e)
+	}
+	return ok, at, err
 }

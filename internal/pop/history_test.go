@@ -1,8 +1,10 @@
 package pop
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -141,4 +143,116 @@ func TestHistoryBadInterval(t *testing.T) {
 		}
 	}()
 	NewHistory[int](0)
+}
+
+// observedEngine builds the engine the RunObserved tests drive.
+func observedEngine(bk Backend) Engine[int] {
+	return NewEngine(3000, func(i int, _ *rand.Rand) int { return i % 5 }, mixedRule,
+		WithSeed(17), WithBackend(bk))
+}
+
+// TestRunObservedUnobservedIsRunUntil: with empty Observers, RunObserved
+// is e.RunUntil — the same stop, interaction count, configuration and
+// snapshot bytes.
+func TestRunObservedUnobservedIsRunUntil(t *testing.T) {
+	pred := func(e Engine[int]) bool { return e.Time() >= 6 }
+	for _, bk := range []Backend{Sequential, Batched, Dense} {
+		t.Run(bk.String(), func(t *testing.T) {
+			plain, observed := observedEngine(bk), observedEngine(bk)
+			okP, atP := plain.RunUntil(pred, 1.5, 20)
+			okO, atO, err := RunObserved(observed, pred, 1.5, 20, Observers[int]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if okP != okO || atP != atO {
+				t.Fatalf("RunObserved stopped (%v, %g), RunUntil (%v, %g)", okO, atO, okP, atP)
+			}
+			if plain.Interactions() != observed.Interactions() {
+				t.Fatalf("interactions %d vs %d", observed.Interactions(), plain.Interactions())
+			}
+			if !reflect.DeepEqual(plain.Counts(), observed.Counts()) {
+				t.Fatal("configurations differ")
+			}
+			if !bytes.Equal(snapshotBytes(t, plain), snapshotBytes(t, observed)) {
+				t.Fatal("snapshot bytes differ")
+			}
+		})
+	}
+}
+
+// TestRunObservedSnapshotAtCheck: a SnapshotAt request is served at the
+// first check boundary at or past it (checks every 2 from 0: the one at
+// 6 for SnapshotAt 5), before pred runs there, and a run restored from it
+// finishes byte-identical to the uninterrupted run.
+func TestRunObservedSnapshotAtCheck(t *testing.T) {
+	never := func(Engine[int]) bool { return false }
+	for _, bk := range []Backend{Sequential, Batched, Dense} {
+		t.Run(bk.String(), func(t *testing.T) {
+			e := observedEngine(bk)
+			var checks []int64
+			pred := func(e Engine[int]) bool {
+				checks = append(checks, e.Interactions())
+				return false
+			}
+			var snaps []*Snapshot[int]
+			var snapTime float64
+			obs := Observers[int]{SnapshotAt: 5, Snapshot: func(s *Snapshot[int]) {
+				snaps, snapTime = append(snaps, s), e.Time()
+			}}
+			if _, _, err := RunObserved(e, pred, 2, 12, obs); err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) != 1 {
+				t.Fatalf("got %d snapshots, want 1", len(snaps))
+			}
+			if snapTime < 6-historyEps || snapTime > 6+2.0/float64(e.N()) {
+				t.Fatalf("snapshot at t=%g, want the check at 6", snapTime)
+			}
+			if len(checks) < 4 || snaps[0].Interactions != checks[3] {
+				t.Fatalf("snapshot at interaction %d, checks at %v: want the fourth check (t=0,2,4,6)",
+					snaps[0].Interactions, checks)
+			}
+			resumed, err := Restore(snaps[0], mixedRule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed.RunUntil(never, 2, 12-resumed.Time())
+			if !bytes.Equal(snapshotBytes(t, e), snapshotBytes(t, resumed)) {
+				t.Fatal("restore-then-run differs from the uninterrupted run")
+			}
+		})
+	}
+}
+
+// TestRunObservedEndSnapshot: the snapshot is taken at the end of the run
+// when SnapshotAt <= 0 or when the run converges before SnapshotAt, with
+// or without a History attached.
+func TestRunObservedEndSnapshot(t *testing.T) {
+	converged := func(e Engine[int]) bool { return e.Time() >= 4 }
+	for _, bk := range []Backend{Sequential, Batched, Dense} {
+		for _, tc := range []struct {
+			name    string
+			at      float64
+			history bool
+		}{{"at-0", 0, false}, {"converges-first", 50, false}, {"at-0-history", 0, true}} {
+			t.Run(bk.String()+"/"+tc.name, func(t *testing.T) {
+				e := observedEngine(bk)
+				var snaps []*Snapshot[int]
+				obs := Observers[int]{SnapshotAt: tc.at, Snapshot: func(s *Snapshot[int]) { snaps = append(snaps, s) }}
+				if tc.history {
+					obs.History = NewHistory[int](0.5)
+				}
+				ok, _, err := RunObserved(e, converged, 1, 20, obs)
+				if err != nil || !ok {
+					t.Fatalf("ok=%v err=%v, want a converged run", ok, err)
+				}
+				if len(snaps) != 1 || snaps[0].Interactions != e.Interactions() {
+					t.Fatalf("got %d snapshots, want one at the final interaction %d", len(snaps), e.Interactions())
+				}
+				if tc.history && len(obs.History.Samples()) < 8 {
+					t.Fatalf("history has %d samples over 4 time units at Δ=0.5", len(obs.History.Samples()))
+				}
+			})
+		}
+	}
 }

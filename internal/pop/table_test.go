@@ -203,13 +203,9 @@ func TestWithTableTypeMismatchPanics(t *testing.T) {
 		WithTable(MustCompile(amTable())))
 }
 
-func mustSnapshotBytes[S comparable](t *testing.T, e Engine[S]) []byte {
+func snapshotBytes[S comparable](t *testing.T, e Engine[S]) []byte {
 	t.Helper()
-	s, ok := e.(interface{ Snapshot() (*Snapshot[S], error) })
-	if !ok {
-		t.Fatalf("engine %T has no Snapshot", e)
-	}
-	snap, err := s.Snapshot()
+	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -244,7 +240,7 @@ func TestTableByteIdentity(t *testing.T) {
 			build := func(mk func() Engine[int]) []byte {
 				e := mk()
 				e.RunTime(10)
-				return mustSnapshotBytes(t, e)
+				return snapshotBytes(t, e)
 			}
 			variants := map[string][3]func() Engine[int]{
 				"seq": {
@@ -315,7 +311,7 @@ func TestTableRestoreByteIdentity(t *testing.T) {
 				orig = NewBatch(1000, init, rule, WithSeed(21), c.Option())
 			}
 			orig.RunTime(6)
-			mid := mustSnapshotBytes(t, orig)
+			mid := snapshotBytes(t, orig)
 			snap, err := UnmarshalSnapshot[int](mid)
 			if err != nil {
 				t.Fatalf("%s: unmarshal: %v", backend, err)
@@ -330,7 +326,7 @@ func TestTableRestoreByteIdentity(t *testing.T) {
 			}
 			orig.RunTime(6)
 			resumed.RunTime(6)
-			if !bytes.Equal(mustSnapshotBytes(t, orig), mustSnapshotBytes(t, resumed)) {
+			if !bytes.Equal(snapshotBytes(t, orig), snapshotBytes(t, resumed)) {
 				t.Errorf("%s (restore withTable=%v): restored run diverged from continued original",
 					backend, withTable)
 			}
@@ -351,7 +347,7 @@ func TestTableCompactionByteIdentity(t *testing.T) {
 	plain.RunTime(10)
 	tabled := mk(c.Option())
 	tabled.RunTime(10)
-	if !bytes.Equal(mustSnapshotBytes(t, plain), mustSnapshotBytes(t, tabled)) {
+	if !bytes.Equal(snapshotBytes(t, plain), snapshotBytes(t, tabled)) {
 		t.Error("fallback/compaction path: WithTable changed the snapshot bytes")
 	}
 }

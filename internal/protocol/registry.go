@@ -17,31 +17,13 @@
 package protocol
 
 import (
+	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/popsim/popsize/internal/pop"
 	"github.com/popsim/popsize/internal/sweep"
 )
-
-// Instrumentation carries single-run trajectory instrumentation requested
-// on the command line: a sampled-configuration history stream, a
-// versioned engine snapshot, and/or a snapshot to resume from. Paths are
-// tag-suffixed per trial (TagPath) so concurrent trials never share a
-// file.
-type Instrumentation struct {
-	HistoryPath  string
-	HistoryEvery float64
-	SnapshotPath string
-	SnapshotAt   float64
-	RestorePath  string
-}
-
-// Active reports whether any instrumentation was requested.
-func (i *Instrumentation) Active() bool {
-	return i != nil && (i.HistoryPath != "" || i.SnapshotPath != "" || i.RestorePath != "")
-}
 
 // Config is everything a protocol factory needs to build a runner for
 // one (n, trials) point: sizing, the paper-vs-fast preset switch, the
@@ -57,8 +39,10 @@ type Config struct {
 	// CollectStats makes the runner record per-trial transition-resolution
 	// counters (pop.Stats) for StatsLines (cmd/popsim -stats).
 	CollectStats bool
-	Traj         *Instrumentation
-	OnError      func(error)
+	// Traj is the trajectory instrumentation (-history/-snapshot/
+	// -restore); nil or inactive runs uninstrumented.
+	Traj    *sweep.Trajectory
+	OnError func(error)
 }
 
 // engineOpts assembles the common engine options for one trial.
@@ -73,6 +57,17 @@ func (c Config) Fail(err error) {
 	if c.OnError != nil && err != nil {
 		c.OnError(err)
 	}
+}
+
+// Restored reads cfg's -restore snapshot, if one was requested, and
+// returns it with the effective population size (the snapshot's, which
+// wins over cfg.N) and the banner the CLI prints before the trials.
+func Restored[S comparable](cfg Config) (snap *pop.Snapshot[S], n int, note string, err error) {
+	snap, err = sweep.ReadRestore[S](cfg.Traj)
+	if err != nil || snap == nil {
+		return nil, cfg.N, "", err
+	}
+	return snap, snap.N, fmt.Sprintf("restoring from %s: backend=%s n=%d", cfg.Traj.Restore, snap.Backend, snap.N), nil
 }
 
 // Runner is a protocol instantiated at one (n, trials) point: a sweep
@@ -166,18 +161,4 @@ func Lookup(name string) (Info, error) {
 		return Info{}, sweep.UnknownName("protocol", name, Names())
 	}
 	return info, nil
-}
-
-// TagPath inserts tag before the path's extension ("hist.jsonl", "t2" →
-// "hist.t2.jsonl"), or appends it when the final path element has none,
-// so concurrent trials never write through the same file name. (The same
-// convention expt's Env.RunCore applies to the main protocol's artifacts.)
-func TagPath(path, tag string) string {
-	if tag == "" {
-		return path
-	}
-	if i := strings.LastIndexByte(path, '.'); i > strings.LastIndexByte(path, '/') {
-		return path[:i] + "." + tag + path[i:]
-	}
-	return path + "." + tag
 }

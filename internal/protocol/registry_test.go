@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"github.com/popsim/popsize/internal/pop"
+	"github.com/popsim/popsize/internal/sweep"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,20 +56,6 @@ func TestTrajectoryNamesSubsetOfNames(t *testing.T) {
 	for _, n := range traj {
 		if !all[n] {
 			t.Errorf("trajectory name %s missing from Names()", n)
-		}
-	}
-}
-
-func TestTagPath(t *testing.T) {
-	for _, tc := range []struct{ path, tag, want string }{
-		{"hist.jsonl", "t2", "hist.t2.jsonl"},
-		{"out/hist.jsonl", "t0", "out/hist.t0.jsonl"},
-		{"out.d/hist", "t1", "out.d/hist.t1"},
-		{"hist", "t3", "hist.t3"},
-		{"hist.jsonl", "", "hist.jsonl"},
-	} {
-		if got := TagPath(tc.path, tc.tag); got != tc.want {
-			t.Errorf("TagPath(%q, %q) = %q, want %q", tc.path, tc.tag, got, tc.want)
 		}
 	}
 }
@@ -172,7 +159,7 @@ func TestTableRunnerSnapshotRestore(t *testing.T) {
 	const n, seed = 1500, 21
 	rA, err := info.New(Config{
 		N: n, Trials: 1, Backend: pop.Batched,
-		Traj:    &Instrumentation{SnapshotPath: mid, SnapshotAt: 3},
+		Traj:    &sweep.Trajectory{Snapshot: mid, SnapshotAt: 3},
 		OnError: fail,
 	})
 	if err != nil {
@@ -190,7 +177,7 @@ func TestTableRunnerSnapshotRestore(t *testing.T) {
 	for i, final := range finals {
 		r, err := info.New(Config{
 			Trials: 1, Backend: pop.Batched,
-			Traj:    &Instrumentation{RestorePath: mid, SnapshotPath: final},
+			Traj:    &sweep.Trajectory{Restore: mid, Snapshot: final},
 			OnError: fail,
 		})
 		if err != nil {

@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"sync"
 
 	"github.com/popsim/popsize/internal/pop"
@@ -63,17 +62,9 @@ func RegisterTable[S comparable](sp TableSpec[S]) {
 }
 
 func newTableRunner[S comparable](sp TableSpec[S], cfg Config) (*Runner, error) {
-	n := cfg.N
-	var restore *pop.Snapshot[S]
-	note := ""
-	if cfg.Traj != nil && cfg.Traj.RestorePath != "" {
-		snap, err := pop.ReadSnapshotFile[S](cfg.Traj.RestorePath)
-		if err != nil {
-			return nil, fmt.Errorf("-restore: %w", err)
-		}
-		restore = snap
-		n = snap.N
-		note = fmt.Sprintf("restoring from %s: backend=%s n=%d", cfg.Traj.RestorePath, snap.Backend, snap.N)
+	restore, n, note, err := Restored[S](cfg)
+	if err != nil {
+		return nil, err
 	}
 	c, err := sp.Compile(n)
 	if err != nil {
@@ -98,7 +89,7 @@ func newTableRunner[S comparable](sp TableSpec[S], cfg Config) (*Runner, error) 
 			var err error
 			e, err = pop.Restore(restore, rule, c.Option())
 			if err != nil {
-				cfg.Fail(fmt.Errorf("trial %d: restoring %s: %w", tr, cfg.Traj.RestorePath, err))
+				cfg.Fail(fmt.Errorf("trial %d: restoring %s: %w", tr, cfg.Traj.Restore, err))
 				return sweep.Values{}
 			}
 		} else {
@@ -107,56 +98,13 @@ func newTableRunner[S comparable](sp TableSpec[S], cfg Config) (*Runner, error) 
 				append(cfg.engineOpts(seed), c.Option())...)
 		}
 
-		pred := sp.Converged
-		var snapErr error
-		snapDone := false
-		takeSnapshot := func() {
-			s, ok := e.(interface {
-				Snapshot() (*pop.Snapshot[S], error)
-			})
-			if !ok {
-				snapErr = fmt.Errorf("backend %T does not snapshot", e)
-				return
-			}
-			snap, err := s.Snapshot()
-			if err == nil {
-				err = pop.WriteSnapshotFile(TagPath(cfg.Traj.SnapshotPath, tag), snap)
-			}
-			if err != nil && snapErr == nil {
-				snapErr = err
-			}
-			snapDone = true
+		obs, finish := sweep.Observe[S](cfg.Traj, tag)
+		ok, at, err := pop.RunObserved(e, sp.Converged, checkEvery, sp.MaxTime(n), obs)
+		if ferr := finish(); err == nil {
+			err = ferr
 		}
-		if cfg.Traj != nil && cfg.Traj.SnapshotPath != "" && cfg.Traj.SnapshotAt > 0 {
-			at := cfg.Traj.SnapshotAt
-			inner := pred
-			pred = func(e pop.Engine[S]) bool {
-				if !snapDone && e.Time() >= at {
-					takeSnapshot()
-				}
-				return inner(e)
-			}
-		}
-
-		var hist *pop.History[S]
-		var ok bool
-		var at float64
-		if cfg.Traj != nil && cfg.Traj.HistoryPath != "" {
-			hist = pop.NewHistory[S](cfg.Traj.HistoryEvery)
-			ok, at = hist.RunUntil(e, pred, checkEvery, sp.MaxTime(n))
-		} else {
-			ok, at = e.RunUntil(pred, checkEvery, sp.MaxTime(n))
-		}
-		if cfg.Traj != nil && cfg.Traj.SnapshotPath != "" && !snapDone {
-			takeSnapshot()
-		}
-		if snapErr != nil {
-			cfg.Fail(fmt.Errorf("trial %d: writing snapshot: %w", tr, snapErr))
-		}
-		if hist != nil {
-			if err := writeHistoryFile(TagPath(cfg.Traj.HistoryPath, tag), hist); err != nil {
-				cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
-			}
+		if err != nil {
+			cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 		}
 		if cfg.CollectStats {
 			st := e.Stats()
@@ -187,21 +135,4 @@ func newTableRunner[S comparable](sp TableSpec[S], cfg Config) (*Runner, error) 
 			return lines
 		},
 	}, nil
-}
-
-// writeHistoryFile streams a run's sampled trajectory as HistoryRecord
-// JSONL (the same format expt.RunCore writes for the main protocol).
-func writeHistoryFile[S comparable](path string, hist *pop.History[S]) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("creating history stream: %w", err)
-	}
-	werr := sweep.WriteHistory(fh, sweep.HistoryRecords(hist.Samples()))
-	if cerr := fh.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("writing history %s: %w", path, werr)
-	}
-	return nil
 }

@@ -22,16 +22,9 @@ type Flags struct {
 	JSONL  string
 	Resume bool
 
-	// Trajectory flags (single-run instrumentation; see expt.ConfigureTrajectory):
-	// History streams a sampled configuration trajectory (one HistoryRecord
-	// JSONL line every HistoryEvery time units) to a file; Snapshot writes a
-	// versioned engine snapshot at time SnapshotAt (or at run end when <= 0);
-	// Restore resumes a run from a snapshot file instead of a fresh engine.
-	History      string
-	HistoryEvery float64
-	Snapshot     string
-	SnapshotAt   float64
-	Restore      string
+	// Trajectory is the single-run instrumentation (-history,
+	// -history-dt, -snapshot, -snapshot-at, -restore).
+	Trajectory
 }
 
 // Register declares the shared flags on fs (use flag.CommandLine for a

@@ -93,11 +93,11 @@
 // interaction count, per-segment time accounting, rng stream, and mode
 // (mid-fallback, mid-delegation) — as a versioned snapshot, and restoring
 // one resumes the run byte-identically to an uninterrupted execution on
-// every backend (RunOptions.Restore / RunOptions.SnapshotSink at the
-// library level; -snapshot/-snapshot-at/-restore on the commands). A
-// sampled trajectory history records the full configuration every Δ units
-// of parallel time without perturbing the run statistically
-// (RunOptions.History; -history/-history-dt streams it as JSONL). The
+// every backend (RunOptions.Restore / RunOptions.Observe at the library
+// level; -snapshot/-snapshot-at/-restore on the commands). A sampled
+// trajectory history records the full configuration every Δ units of
+// parallel time without perturbing the run statistically
+// (RunOptions.Observe; -history/-history-dt streams it as JSONL). The
 // churn tracker checkpoints its own state alongside the engine and
 // resumes exactly. See DESIGN.md §1.3.
 //

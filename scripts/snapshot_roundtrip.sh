@@ -3,9 +3,10 @@
 # a mid-run -snapshot must finish with a final snapshot byte-identical to
 # the uninterrupted run's. This is the end-to-end version of the
 # internal/pop restore tests — it additionally crosses the flag plumbing
-# (sweep.Flags -> expt.ConfigureTrajectory -> core.Run) and the snapshot
-# file codec, and it also checks that a -history run emits a readable
-# trajectory stream.
+# (sweep.Flags' embedded sweep.Trajectory -> sweep.Observe ->
+# pop.RunObserved, reached through core.Run for the main pipeline and the
+# table harness for the zoo) and the snapshot file codec, and it also
+# checks that a -history run emits a readable trajectory stream for both.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,18 +59,21 @@ if ! "$workdir/popsim" -protocol approxmajority -n "$N" -trials 1 -seed "$SEED" 
 fi
 echo "table bypass covers the full run (rule=0)"
 
-# History stream: valid JSONL (every line parses), sampled on the Δ grid.
-"$workdir/popsim" "${base[@]}" -backend batch \
-  -history "$workdir/hist.jsonl" -history-dt 5 >/dev/null
-lines=$(wc -l <"$workdir/hist.jsonl")
-if [ "$lines" -lt 3 ]; then
-  echo "history stream has only $lines lines" >&2
-  exit 1
-fi
-while IFS= read -r line; do
-  case "$line" in
-    '{"t":'*'"config":{'*'}'*) ;;
-    *) echo "malformed history line: $line" >&2; exit 1 ;;
-  esac
-done <"$workdir/hist.jsonl"
-echo "history stream: $lines valid JSONL records"
+# History stream, for the core pipeline and the table harness: valid
+# JSONL (every line parses), sampled on the Δ grid.
+for protocol in main approxmajority; do
+  "$workdir/popsim" -protocol "$protocol" -n "$N" -trials 1 -seed "$SEED" \
+    -backend batch -history "$workdir/hist.jsonl" -history-dt 5 >/dev/null
+  lines=$(wc -l <"$workdir/hist.jsonl")
+  if [ "$lines" -lt 3 ]; then
+    echo "$protocol history stream has only $lines lines" >&2
+    exit 1
+  fi
+  while IFS= read -r line; do
+    case "$line" in
+      '{"t":'*'"config":{'*'}'*) ;;
+      *) echo "malformed $protocol history line: $line" >&2; exit 1 ;;
+    esac
+  done <"$workdir/hist.jsonl"
+  echo "$protocol history stream: $lines valid JSONL records"
+done
