@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +350,59 @@ func TestAPIRejectsOversizedBody(t *testing.T) {
 	}
 	if jobs := m.List(); len(jobs) != 0 {
 		t.Fatalf("oversized body created %d jobs", len(jobs))
+	}
+}
+
+// TestAPIRejectsSeqAboveCap: a seq submission with a size above
+// sweep.MaxSeqN would ask for an agent array beyond memory, a fatal error
+// no recover catches, so the POST is refused with 400 naming the cap and
+// creates no job; the same size on dense is accepted.
+func TestAPIRejectsSeqAboveCap(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), 1, 0)
+	defer m.Close()
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"experiments":["fast"],"backend":"seq","ns":[1000000000000]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, strconv.Itoa(sweep.MaxSeqN)) {
+		t.Fatalf("seq above the cap: %d %q, want 400 naming the cap %d", resp.StatusCode, apiErr.Error, sweep.MaxSeqN)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("refused submission created %d jobs", len(jobs))
+	}
+	postJob(t, ts, `{"experiments":["fast"],"backend":"dense","ns":[1000000000000],"trials":1}`)
+
+	// A pending manifest that predates the cap is requeued on restart; it
+	// must fail at admission instead of running.
+	dir := t.TempDir()
+	man := `{"id":"j-0000seq1","request":{"experiments":["fast"],"backend":"seq","ns":[1000000000000]},"state":"pending"}`
+	if err := os.WriteFile(filepath.Join(dir, "j-0000seq1.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2 := newTestManager(t, dir, 1, 0)
+	defer m2.Close()
+	j, ok := m2.Get("j-0000seq1")
+	if !ok {
+		t.Fatal("requeued manifest not loaded")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("requeued job above the cap did not end")
+	}
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, strconv.Itoa(sweep.MaxSeqN)) {
+		t.Fatalf("requeued job above the cap: %s %q, want failed naming the cap", st.State, st.Error)
 	}
 }
 

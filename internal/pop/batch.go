@@ -349,17 +349,12 @@ func (m *multiset[S]) slotBatch(kmax int64) int64 {
 // the rule stream stays serial and ordered.
 func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, ell int64, collided bool) int64 {
 	parts := int64(len(slots))
-	workers := effectiveWorkers(m.par)
-	fanOut := workers > 1 && parts >= 2*parMinForkItems
 	if byState {
 		// Draw the participants' composition, debit it, then realize a
 		// uniformly random arrangement (the pairing).
 		m.comp = m.removeSample(deriveSeed(seed, 1), parts, m.comp)
-		var g *parGroup
-		if fanOut {
-			g = newParGroup(workers)
-		}
-		multisetSeqSplit(g, deriveSeed(seed, 2), 1, m.comp, slots, nil)
+		g := m.group(parts)
+		multisetSeqSplit(g, m.leaf, deriveSeed(seed, 2), 1, m.comp, slots, nil)
 		g.wait()
 	} else {
 		// Per-slot draws chain through the root node stream (no fan-out —
@@ -393,9 +388,8 @@ func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, e
 		}
 		return miss, hits, tblHits
 	}
-	if fanOut && nChunks > 1 {
+	if g := m.group(parts); g != nil && nChunks > 1 {
 		var mu sync.Mutex
-		g := newParGroup(workers)
 		for ci := range missByChunk {
 			lo := int64(ci) * pairChunkSlots
 			g.fork(func() {

@@ -60,7 +60,6 @@ package pop
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 )
 
@@ -120,6 +119,14 @@ type DenseSim[S comparable] struct {
 	send   []int64
 	rows   []int32
 	rowCum []int64
+
+	// The splitter tree's deferred (uncached) cells: misses holds each
+	// receiver row's cells in sender order, missAt[ri] locates row ri's
+	// run, and leafMu guards both, the post multiset and the counters
+	// while leaves run concurrently.
+	misses []denseMiss
+	missAt []missSpan
+	leafMu sync.Mutex
 
 	forceNoDelegate bool // test hook (false in production)
 }
@@ -287,26 +294,33 @@ func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	return d.finishPost(ell, collided)
 }
 
-// denseMiss is one deferred pair-matrix cell: a transition that was not
-// in the cache during the parallel pass, applied later in canonical
-// (row, sender) order so rule randomness stays deterministic.
+// denseMiss is one deferred pair-matrix cell of a receiver row: the
+// sender state id and the cell's multiplicity.
 type denseMiss struct {
-	row  int32 // index into the batch's row list (not a state id)
-	a, b int32 // receiver and sender state ids
+	b    int32
 	mult int64
 }
+
+// missSpan locates one receiver row's deferred cells in DenseSim.misses.
+type missSpan struct{ lo, hi int }
 
 // pairRowsSplit realizes the receiver↔sender matching as recursive
 // hypergeometric splits: a node holding a contiguous row range and its
 // sender multiset S splits the range in half, draws the left half's share
 // of S (one chain with the node's stream), and recurses — forked to
-// another worker when both halves carry enough receivers. Once a node's
-// receiver mass drops to splitLeafMass it stops splitting and runs the
-// sequential multi-row chain (heavy cells by hypergeometric,
-// light tails by suffix-restricted descents) under its own stream, so the
-// splitter's total per-item work stays within one shallow tree of the
-// serial chain's. Cached cells accumulate into the post multiset (merged
-// once per leaf under a mutex); uncached cells are deferred.
+// another worker when both halves carry enough work (see "Worker budget"
+// in parallel.go; a row range costs about min(rows × sender classes,
+// receivers)). Once a node's receiver mass drops to splitLeafMass it
+// stops splitting and runs the sequential multi-row chain (heavy cells by
+// hypergeometric, light tails by suffix-restricted descents) under its
+// own stream, so the splitter's total per-item work stays within one
+// shallow tree of the serial chain's. Cached cells accumulate into the
+// post multiset (merged once per leaf); uncached cells are deferred,
+// each row's already coalesced and in sender order (pairRowsLeaf), so
+// walking the rows in order applies them in canonical (row, sender)
+// order with no sort: applyCell runs exactly once per distinct cell, and
+// the rule stream's consumption — and even the hit/call statistics — do
+// not depend on which worker ran which leaf.
 func (d *DenseSim[S]) pairRowsSplit(seed uint64, ell int64) {
 	d.rows = d.rows[:0]
 	d.rowCum = append(d.rowCum[:0], 0)
@@ -321,55 +335,39 @@ func (d *DenseSim[S]) pairRowsSplit(seed uint64, ell int64) {
 	if sum != ell {
 		panic("pop: DenseSim receiver rows lost mass")
 	}
-	var (
-		mu     sync.Mutex
-		misses []denseMiss
-	)
-	var g *parGroup
-	if ell >= 2*parMinForkItems {
-		g = newParGroup(effectiveWorkers(d.par))
+	classes := int64(0)
+	for _, c := range d.send {
+		if c > 0 {
+			classes++
+		}
 	}
-	d.pairRowsNode(g, &mu, &misses, seed, 1, 0, len(d.rows), d.send, ell, nil)
+	d.misses = d.misses[:0]
+	d.missAt = resizeZero(d.missAt, len(d.rows))
+	g := d.group(min(int64(len(d.rows))*classes, ell))
+	d.pairRowsNode(g, d.leaf, seed, 1, 0, len(d.rows), d.send, ell, classes, nil)
 	g.wait()
-	// Canonical order regardless of which worker recorded which miss,
-	// then coalesce entries of the same cell (a row's random tail can
-	// emit one cell in several pieces): applyCell runs exactly once per
-	// distinct (row, sender) cell, so the rule stream's consumption —
-	// and even the hit/call statistics — are order-independent.
-	sort.Slice(misses, func(i, j int) bool {
-		if misses[i].row != misses[j].row {
-			return misses[i].row < misses[j].row
+	for ri, sp := range d.missAt {
+		for _, ms := range d.misses[sp.lo:sp.hi] {
+			d.st.PairCells++
+			d.applyCell(d.rows[ri], ms.b, ms.mult)
 		}
-		return misses[i].b < misses[j].b
-	})
-	w := 0
-	for _, ms := range misses {
-		if w > 0 && misses[w-1].row == ms.row && misses[w-1].b == ms.b {
-			misses[w-1].mult += ms.mult
-			continue
-		}
-		misses[w] = ms
-		w++
-	}
-	for _, ms := range misses[:w] {
-		d.st.PairCells++
-		d.applyCell(ms.a, ms.b, ms.mult)
 	}
 }
 
 // pairRowsNode is one splitter node of pairRowsSplit, covering rows
 // [rlo, rhi) whose receivers total R and whose sender multiset is snd
-// (owned by the node; Σ snd = R). owned, when non-nil, is snd's
-// int64Pool pointer: this node's subtree is the buffer's last reader and
-// returns it to the pool on the way out (the root's snd is the
-// engine-owned d.send, which passes nil).
-func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseMiss, seed, path uint64, rlo, rhi int, snd []int64, R int64, owned *[]int64) {
+// (owned by the node; Σ snd = R), with at most classes live sender
+// classes. owned, when non-nil, is snd's int64Pool pointer: this node's
+// subtree is the buffer's last reader and returns it to the pool on the
+// way out (the root's snd is the engine-owned d.send, which passes nil).
+// s is the calling goroutine's node stream.
+func (d *DenseSim[S]) pairRowsNode(g *parGroup, s *nodeStream, seed, path uint64, rlo, rhi int, snd []int64, R, classes int64, owned *[]int64) {
 	for {
 		if R == 0 || rhi <= rlo {
 			break
 		}
 		if rhi-rlo == 1 || R <= splitLeafMass {
-			d.pairRowsLeaf(mu, misses, nodeRand(seed, path), rlo, rhi, snd, R)
+			d.pairRowsLeaf(s.at(seed, path), rlo, rhi, snd, R)
 			break
 		}
 		rmid := (rlo + rhi) / 2
@@ -377,17 +375,19 @@ func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseM
 		RR := R - RL
 		sndLP, sndL := getInts(len(snd))
 		if RL > 0 {
-			removeCountsChain(nodeRand(seed, path), nil, snd, 0, len(snd), R, RL,
+			removeCountsChain(s.at(seed, path), nil, snd, 0, len(snd), R, RL,
 				func(b int, k int64) { sndL[b] += k; snd[b] -= k })
 		}
 		lPath, rPath := 2*path, 2*path+1
-		if g != nil && min(RL, RR) >= parMinForkItems {
+		if g != nil && min(int64(rmid-rlo)*classes, RL, int64(rhi-rmid)*classes, RR) >= parMinForkWork {
 			sndR, rR, rHi, ownedR := snd, RR, rhi, owned
-			g.fork(func() { d.pairRowsNode(g, mu, misses, seed, rPath, rmid, rHi, sndR, rR, ownedR) })
+			g.forkNode(func(s *nodeStream) {
+				d.pairRowsNode(g, s, seed, rPath, rmid, rHi, sndR, rR, classes, ownedR)
+			})
 			rhi, snd, R, path, owned = rmid, sndL, RL, lPath, sndLP
 			continue
 		}
-		d.pairRowsNode(g, mu, misses, seed, lPath, rlo, rmid, sndL, RL, sndLP)
+		d.pairRowsNode(g, s, seed, lPath, rlo, rmid, sndL, RL, classes, sndLP)
 		rlo, R, path = rmid, RR, rPath
 	}
 	if owned != nil {
@@ -399,47 +399,44 @@ func (d *DenseSim[S]) pairRowsNode(g *parGroup, mu *sync.Mutex, misses *[]denseM
 // over rows [rlo, rhi) sequentially, one pairRow chain per row, as the
 // root leaf's pairAndApply does over the whole population. All
 // randomness comes from the leaf's node stream r. Cached cells
-// accumulate into a leaf-local post vector (merged once under mu);
-// uncached cells join the deferred miss list.
-func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.Rand, rlo, rhi int, snd []int64, R int64) {
+// accumulate into a leaf-local post vector, merged once under leafMu.
+// Uncached cells accumulate per sender into a leaf-local vector — a
+// row's random tail can draw one cell in several pieces — which each row
+// flushes in sender order into the engine's deferred cells (flushMisses).
+func (d *DenseSim[S]) pairRowsLeaf(r *rand.Rand, rlo, rhi int, snd []int64, R int64) {
 	tree := fenwickPool.Get().(*fenwick)
 	tree.reset(snd)
 	localPostP, localPost := getInts(len(d.post))
-	var localMisses []denseMiss
+	missP, miss := getInts(len(snd))
 	var hitCells, hits, tblHits int64
-	emit := func(row int, a, b int32, k int64) {
-		if oa, ob, ok, fromTable := d.lookupRO(a, b); ok {
-			hitCells++
-			if fromTable {
-				tblHits += k
-			} else {
-				hits += k
-			}
-			localPost[oa] += k
-			localPost[ob] += k
-			return
-		}
-		// Misses count toward PairCells when applied (pairRowsSplit's
-		// serial pass). Coalesce per-item tail draws of the same cell —
-		// the tail emits them one partner at a time.
-		if n := len(localMisses); n > 0 {
-			if last := &localMisses[n-1]; last.row == int32(row) && last.b == b {
-				last.mult += k
-				return
-			}
-		}
-		localMisses = append(localMisses, denseMiss{row: int32(row), a: a, b: b, mult: k})
-	}
 	for ri := rlo; ri < rhi && R > 0; ri++ {
 		a := d.rows[ri]
+		bLo, bHi := len(snd), 0 // the row's uncached sender range
 		pairRow(r, tree, &snd, R, d.rowCum[ri+1]-d.rowCum[ri], func(b int32, k int64) {
 			snd[b] -= k
 			R -= k
-			emit(ri, a, b, k)
+			if oa, ob, ok, fromTable := d.lookupRO(a, b); ok {
+				hitCells++
+				if fromTable {
+					tblHits += k
+				} else {
+					hits += k
+				}
+				localPost[oa] += k
+				localPost[ob] += k
+				return
+			}
+			// Misses count toward PairCells when applied
+			// (pairRowsSplit's serial pass).
+			miss[b] += k
+			bLo, bHi = min(bLo, int(b)), max(bHi, int(b)+1)
 		})
+		if bLo < bHi {
+			d.flushMisses(ri, miss[bLo:bHi], bLo)
+		}
 	}
 	fenwickPool.Put(tree)
-	mu.Lock()
+	d.leafMu.Lock()
 	d.st.PairCells += hitCells
 	d.st.CacheHits += hits
 	d.st.TableHits += tblHits
@@ -451,9 +448,25 @@ func (d *DenseSim[S]) pairRowsLeaf(mu *sync.Mutex, misses *[]denseMiss, r *rand.
 			d.post[id] += c
 		}
 	}
-	*misses = append(*misses, localMisses...)
-	mu.Unlock()
+	d.leafMu.Unlock()
 	int64Pool.Put(localPostP)
+	int64Pool.Put(missP)
+}
+
+// flushMisses appends row ri's uncached cells — miss[j] partners in
+// sender state b0+j — to the engine's deferred cells in sender order,
+// records where they went, and zeroes miss.
+func (d *DenseSim[S]) flushMisses(ri int, miss []int64, b0 int) {
+	d.leafMu.Lock()
+	lo := len(d.misses)
+	for j, k := range miss {
+		if k > 0 {
+			d.misses = append(d.misses, denseMiss{b: int32(b0 + j), mult: k})
+			miss[j] = 0
+		}
+	}
+	d.missAt[ri] = missSpan{lo, len(d.misses)}
+	d.leafMu.Unlock()
 }
 
 // sampleParticipants draws a uniform without-replacement sample of m

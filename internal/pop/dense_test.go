@@ -639,3 +639,37 @@ func TestDenseSamplerMatchesReferenceChain(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseTreeMissOrder pins a splitter-tree run whose rule outputs
+// depend on the randomness they draw, so the order in which the serial
+// miss pass applies uncached cells shows in the trajectory. The golden
+// cases cannot see that order: their randomized transitions emit the same
+// output multiset whichever way a coin lands. Every cell here misses, and
+// the pins — identical at every worker target — were generated by the
+// sort-then-coalesce miss pass that the per-row flush replaced, so they
+// hold the flush to the canonical (row, sender) order.
+func TestDenseTreeMissOrder(t *testing.T) {
+	shrinkSplitter(t)
+	rule := func(a, b int, r *rand.Rand) (int, int) {
+		if r.IntN(3) == 0 {
+			return (a + b + r.IntN(4)) % 11, b
+		}
+		return a, (a + 2*b) % 11
+	}
+	const digest = "c3a05c8643e42e9b7158110599d0a32340ceed5ee08353d688c58c60d354a546"
+	want := Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 14892}
+	for _, par := range []int{0, 1, 2} {
+		d := NewDense(3000, func(i int, _ *rand.Rand) int { return i % 11 }, rule, WithSeed(61), WithParallelism(par))
+		d.Run(6 * 3000)
+		snap, err := d.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stateDigest(t, snap); got != digest {
+			t.Errorf("par=%d: state digest = %s, want %s", par, got, digest)
+		}
+		if got := d.Stats(); got != want {
+			t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, want)
+		}
+	}
+}

@@ -129,10 +129,10 @@ func FuzzMultivariateHypergeometric(f *testing.F) {
 		// shapes — and be a pure function of its seed.
 		split := make([]int64, len(counts))
 		cum := prefixSums(nil, counts)
-		mvhSplitComp(nil, seed, 1, counts, cum, 0, len(counts), total, m, split)
+		mvhSplitComp(nil, newNodeStream(), seed, 1, counts, cum, 0, len(counts), total, m, split)
 		check("splitter", split)
 		again := make([]int64, len(counts))
-		mvhSplitComp(nil, seed, 1, counts, cum, 0, len(counts), total, m, again)
+		mvhSplitComp(nil, newNodeStream(), seed, 1, counts, cum, 0, len(counts), total, m, again)
 		for i := range split {
 			if split[i] != again[i] {
 				t.Fatalf("splitter not deterministic at class %d: %d vs %d", i, split[i], again[i])
@@ -270,7 +270,7 @@ func FuzzRemoveCountsChain(f *testing.F) {
 		k := int64(kRaw % uint64(total+1))
 		run("chain", 0, len(counts), k, chain(new(fenwick), 0, len(counts)))
 		run("splitter", 0, len(counts), k, func(cs []int64, total, k int64, debit func(id int32, d int64)) {
-			m := multiset[int]{counts: append([]int64(nil), cs...), total: total, par: 1}
+			m := multiset[int]{counts: append([]int64(nil), cs...), total: total, par: 1, leaf: newNodeStream()}
 			for id, d := range m.removeSample(seed, k, nil) {
 				if d > 0 {
 					debit(int32(id), -d)

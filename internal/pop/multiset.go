@@ -34,6 +34,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync/atomic"
 )
 
 // countingSource wraps a rand.Source and counts the words drawn through
@@ -107,8 +108,7 @@ type Stats struct {
 type multiset[S comparable] struct {
 	pcg      *rand.PCG // rng's source, retained for snapshotting
 	rng      *rand.Rand
-	leafPCG  *rand.PCG       // reseeded per root-leaf batch (see leafRand)
-	leafRng  *rand.Rand      // leafPCG's Rand
+	leaf     *nodeStream     // the calling goroutine's node stream (see leafRand)
 	ruleRand *countingSource // the same PCG, counting the words rules draw
 	ruleRng  *rand.Rand
 	rule     Rule[S]
@@ -170,9 +170,11 @@ type multiset[S comparable] struct {
 	// rebuilds it on its first batch.
 	runs runLengths
 
-	// batchEvents is a test hook fired at every batch commit (nil in
-	// production).
+	// batchEvents is a test hook fired at every batch commit, and
+	// forkEvents one counting the goroutines the splitter forks (both nil
+	// in production).
 	batchEvents func(ell int, collided bool)
+	forkEvents  *atomic.Int64
 
 	st Stats
 }
@@ -182,12 +184,10 @@ type multiset[S comparable] struct {
 // every constructor and Restore start from.
 func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint) multiset[S] {
 	cs := &countingSource{src: pcg}
-	leaf := new(rand.PCG)
 	return multiset[S]{
 		pcg:       pcg,
 		rng:       rand.New(pcg),
-		leafPCG:   leaf,
-		leafRng:   rand.New(leaf),
+		leaf:      newNodeStream(),
 		ruleRand:  cs,
 		ruleRng:   rand.New(cs),
 		rule:      rule,
@@ -286,9 +286,9 @@ func (m *multiset[S]) addPost(id int32, c int64) {
 
 // resizeZero returns s with length n and every element zero, reusing its
 // backing array when possible.
-func resizeZero(s []int64, n int) []int64 {
+func resizeZero[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -346,20 +346,20 @@ func (m *multiset[S]) step() {
 // replacement and returns their per-state composition in dst (resized to
 // the id range): a multivariate hypergeometric sample of the counts
 // vector drawn by mvhSplitComp under the node streams of seed — a single
-// chain leaf at the root while at most mvhLeafClasses states exist — and
-// debited in id order. seed fully determines the draw, so it is
-// byte-identical for any worker count. Churn removal, the slot batches'
-// composition and both pair-matrix participant passes above the root leaf
-// draw through it.
+// chain leaf at the root, with nothing to fork, while at most
+// mvhLeafClasses states exist — and debited in id order. seed fully
+// determines the draw, so it is byte-identical for any worker count.
+// Churn removal, the slot batches' composition and both pair-matrix
+// participant passes above the root leaf draw through it.
 func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	q := len(m.counts)
 	dst = resizeZero(dst, q)
 	m.cum = prefixSums(m.cum, m.counts)
 	var g *parGroup
-	if k >= 2*parMinForkItems {
-		g = newParGroup(effectiveWorkers(m.par))
+	if q > mvhLeafClasses {
+		g = m.group(min(int64(q), k))
 	}
-	mvhSplitComp(g, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
+	mvhSplitComp(g, m.leaf, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
 	g.wait()
 	for id, c := range dst {
 		if c > 0 {
@@ -369,12 +369,27 @@ func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	return dst
 }
 
-// leafRand returns a root-leaf batch's stream: the root node stream
-// nodeRand(deriveSeed(seed, 1), 1) of the batch's seed word, realized by
-// reseeding the engine's leaf PCG so that no batch allocates.
+// leafRand returns a root-leaf batch's stream: the root node stream of
+// the batch's seed word, (deriveSeed(seed, 1), 1), on the engine's own
+// node stream, which the splitter tree's inline nodes reuse too, so that
+// no batch allocates a stream.
 func (m *multiset[S]) leafRand(seed uint64) *rand.Rand {
-	seedNodePCG(m.leafPCG, deriveSeed(seed, 1), 1)
-	return m.leafRng
+	return m.leaf.at(deriveSeed(seed, 1), 1)
+}
+
+// group returns the fork-join group of a splitter region whose estimated
+// work (see "Worker budget" in parallel.go) is work: nil, running the
+// region inline, unless the work could feed two forked halves and more
+// than one worker is available.
+func (m *multiset[S]) group(work int64) *parGroup {
+	if work < 2*parMinForkWork {
+		return nil
+	}
+	g := newParGroup(effectiveWorkers(m.par))
+	if g != nil {
+		g.forks = m.forkEvents
+	}
+	return g
 }
 
 // advance runs at most k multiset-mode interactions and returns how many

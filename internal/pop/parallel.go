@@ -29,9 +29,9 @@
 //
 // A batch no larger than a splitter leaf (seqLeafSlots slots, or
 // splitLeafMass receivers for a pair-matrix batch) is the tree's root
-// leaf: it runs the engine's serial chains under the root node stream,
-// reseeding one engine-owned PCG (leafRand) instead of allocating node
-// streams, composition vectors or a fork-join group. Short batches are
+// leaf: it runs the engine's serial chains under the root node stream
+// (leafRand) without node splits, composition vectors or a fork-join
+// group. Short batches are
 // the common case below n ≈ 10⁷, so this keeps one sampling path at every
 // population size without paying the tree's per-node overhead there.
 //
@@ -44,6 +44,17 @@
 // trial workers each running a -par P engine schedules ~GOMAXPROCS
 // goroutines, not W·P). Because results are worker-count independent,
 // the budget can adapt at runtime without affecting reproducibility.
+//
+// Within the budget a subtree is forked only when it has work to hand
+// off: both halves must carry at least parMinForkWork units of
+// estimated sampling work, and a region whose whole estimate is below
+// twice that creates no fork-join group at all. The estimate counts what
+// a node really draws, not how many items it moves: a pairing row is one
+// chain over the live sender classes whatever its receiver mass, so a
+// row range costs about min(rows × sender classes, receivers); a
+// composition costs about min(classes, items); an arrangement or a
+// cache-hit pass costs one unit per slot. A pair-matrix batch over three
+// states therefore never forks, however long it is.
 package pop
 
 import (
@@ -100,6 +111,9 @@ func effectiveWorkersFor(par, maxprocs, trialWorkers int) int {
 type parGroup struct {
 	extra atomic.Int64
 	wg    sync.WaitGroup
+	// forks, when non-nil, counts the goroutines the region started (a
+	// test hook carried over from the engine's forkEvents).
+	forks *atomic.Int64
 }
 
 // newParGroup returns a group allowing the given total worker count, or
@@ -124,6 +138,9 @@ func (g *parGroup) fork(f func()) {
 			}
 			if g.extra.CompareAndSwap(free, free-1) {
 				g.wg.Add(1)
+				if g.forks != nil {
+					g.forks.Add(1)
+				}
 				go func() {
 					defer g.wg.Done()
 					defer g.extra.Add(1)
@@ -134,6 +151,17 @@ func (g *parGroup) fork(f func()) {
 		}
 	}
 	f()
+}
+
+// forkNode is fork for a splitter subtree: f runs with a node stream of
+// its own from nodeStreamPool, since a subtree on another goroutine
+// cannot share its parent's.
+func (g *parGroup) forkNode(f func(s *nodeStream)) {
+	g.fork(func() {
+		s := nodeStreamPool.Get().(*nodeStream)
+		f(s)
+		nodeStreamPool.Put(s)
+	})
 }
 
 // wait blocks until every forked goroutine of the region finished.
@@ -150,25 +178,37 @@ func deriveSeed(seed, domain uint64) uint64 {
 	return splitmix64(seed ^ domain*0x9e3779b97f4a7c15)
 }
 
-// nodeRand is the splitter's only randomness source: a PCG stream seeded
-// by the SplitMix64 avalanche of (draw seed, node path). Two distinct
-// paths yield uncorrelated streams, and a node's stream is independent
-// of which worker executes it.
-func nodeRand(seed, path uint64) *rand.Rand {
-	return rand.New(seedNodePCG(new(rand.PCG), seed, path))
+// nodeStream carries the splitter's only randomness source: at(seed,
+// path) reseeds it to the PCG stream of the SplitMix64 avalanche of (draw
+// seed, node path). Two distinct paths yield uncorrelated streams, and a
+// node's stream is independent of which worker executes it. A node
+// consumes its stream before it recurses, so one nodeStream per
+// goroutine serves every node that goroutine runs: the engine's own for
+// the calling goroutine, a pooled one for each forked subtree.
+type nodeStream struct {
+	pcg rand.PCG
+	r   *rand.Rand
 }
 
-// seedNodePCG seeds pcg with the node stream of (draw seed, node path)
-// and returns it.
-func seedNodePCG(pcg *rand.PCG, seed, path uint64) *rand.PCG {
-	h := splitmix64(seed ^ splitmix64(path))
-	pcg.Seed(h, splitmix64(h))
-	return pcg
+func newNodeStream() *nodeStream {
+	s := new(nodeStream)
+	s.r = rand.New(&s.pcg)
+	return s
 }
+
+// at returns the node stream of (draw seed, node path).
+func (s *nodeStream) at(seed, path uint64) *rand.Rand {
+	h := splitmix64(seed ^ splitmix64(path))
+	s.pcg.Seed(h, splitmix64(h))
+	return s.r
+}
+
+// nodeStreamPool recycles forked subtrees' node streams.
+var nodeStreamPool = sync.Pool{New: func() any { return newNodeStream() }}
 
 // Granularity knobs of the splitter path. They are vars so the tests can
 // shrink them and exercise deep recursion and real fan-out at test-scale
-// populations; production never mutates them. parMinForkItems and
+// populations; production never mutates them. parMinForkWork and
 // pairChunkSlots only schedule work — any value yields the identical
 // trajectory — while mvhLeafClasses and seqLeafSlots decide where node
 // streams are consumed, so they must be held fixed across runs being
@@ -178,10 +218,14 @@ var (
 	// many classes draw their chain sequentially with the node's stream
 	// instead of splitting further.
 	mvhLeafClasses = 16
-	// parMinForkItems: a subtree is forked to another worker only when
-	// its sample is at least this large; smaller subtrees run inline
-	// (goroutine handoff would cost more than the draw).
-	parMinForkItems int64 = 1 << 11
+	// parMinForkWork: a subtree is forked to another worker only when
+	// both halves carry at least this much estimated work (see "Worker
+	// budget"), in units of about one univariate draw; smaller subtrees
+	// run inline. On a 2-vCPU VM (BenchmarkSplitterFork) a fork-join
+	// handoff cost about 5 µs, some 20 hypergeometric draws; forking two
+	// halves of 128 draws gained nothing and two of 512 about 30%, so at
+	// 2⁹ the handoff is a few percent of the half it moves.
+	parMinForkWork int64 = 1 << 9
 	// seqLeafSlots: arrangement-splitter leaves of at most this many
 	// slots are written and shuffled in place, and a slot batch of at
 	// most this many slots is the root leaf. Even, so batch pairs
@@ -260,7 +304,8 @@ func chainTail(r *rand.Rand, tree *fenwick, src []int64, i0, end int, rem, m int
 // zeroed. The result is distributed exactly as the sequential chain —
 // multivariate hypergeometric draws factorize over any class partition —
 // and is a pure function of (seed, counts), independent of worker count.
-func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi int, total, m int64, dst []int64) {
+// s is the calling goroutine's node stream.
+func mvhSplitComp(g *parGroup, s *nodeStream, seed, path uint64, counts, cum []int64, lo, hi int, total, m int64, dst []int64) {
 	for {
 		switch {
 		case m == 0:
@@ -274,11 +319,11 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 		case int64(hi-lo) > int64(mvhLeafClasses) && m < 2*int64(hi-lo):
 			// Light node: fewer items than half the classes — per-item
 			// descents beat both bisecting and a per-class chain.
-			chainTail(nodeRand(seed, path), nil, counts, lo, hi, total, m,
+			chainTail(s.at(seed, path), nil, counts, lo, hi, total, m,
 				func(i int, k int64) { dst[i] += k })
 			return
 		case hi-lo <= mvhLeafClasses:
-			removeCountsChain(nodeRand(seed, path), nil, counts, lo, hi, total, m,
+			removeCountsChain(s.at(seed, path), nil, counts, lo, hi, total, m,
 				func(i int, k int64) { dst[i] += k })
 			return
 		}
@@ -286,24 +331,24 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 		leftTot := cum[mid] - cum[lo]
 		kL := int64(0)
 		if leftTot > 0 {
-			kL = hypergeometric(nodeRand(seed, path), total, leftTot, m)
+			kL = hypergeometric(s.at(seed, path), total, leftTot, m)
 		}
 		kR := m - kL
 		lPath, rPath := 2*path, 2*path+1
-		if g != nil && min(kL, kR) >= parMinForkItems {
+		if g != nil && min(int64(mid-lo), kL, int64(hi-mid), kR) >= parMinForkWork {
 			rTot, rHi := total-leftTot, hi
-			g.fork(func() {
-				mvhSplitComp(g, seed, rPath, counts, cum, mid, rHi, rTot, kR, dst)
+			g.forkNode(func(s *nodeStream) {
+				mvhSplitComp(g, s, seed, rPath, counts, cum, mid, rHi, rTot, kR, dst)
 			})
 			hi, total, m, path = mid, leftTot, kL, lPath
 			continue
 		}
 		// Tail-recurse into the larger half, recurse into the smaller.
 		if kL >= kR {
-			mvhSplitComp(g, seed, rPath, counts, cum, mid, hi, total-leftTot, kR, dst)
+			mvhSplitComp(g, s, seed, rPath, counts, cum, mid, hi, total-leftTot, kR, dst)
 			hi, total, m, path = mid, leftTot, kL, lPath
 		} else {
-			mvhSplitComp(g, seed, lPath, counts, cum, lo, mid, leftTot, kL, dst)
+			mvhSplitComp(g, s, seed, lPath, counts, cum, lo, mid, leftTot, kL, dst)
 			lo, total, m, path = mid, total-leftTot, kR, rPath
 		}
 	}
@@ -321,12 +366,13 @@ func mvhSplitComp(g *parGroup, seed, path uint64, counts, cum []int64, lo, hi in
 // pair boundaries never straddle subtrees. owned, when non-nil, is
 // comp's int64Pool pointer: this invocation's subtree is the buffer's
 // last reader and returns it to the pool on the way out (the root comp
-// is engine-owned and passes nil).
-func multisetSeqSplit(g *parGroup, seed, path uint64, comp []int64, out []int32, owned *[]int64) {
+// is engine-owned and passes nil). s is the calling goroutine's node
+// stream.
+func multisetSeqSplit(g *parGroup, s *nodeStream, seed, path uint64, comp []int64, out []int32, owned *[]int64) {
 	for {
 		m := int64(len(out))
 		if m <= seqLeafSlots {
-			r := nodeRand(seed, path)
+			r := s.at(seed, path)
 			w := 0
 			for id, c := range comp {
 				for ; c > 0; c-- {
@@ -345,16 +391,16 @@ func multisetSeqSplit(g *parGroup, seed, path uint64, comp []int64, out []int32,
 		}
 		mL := (m / 2) &^ 1 // even: pair-aligned boundary
 		lCompP, lComp := getInts(len(comp))
-		removeCountsChain(nodeRand(seed, path), nil, comp, 0, len(comp), m, mL,
+		removeCountsChain(s.at(seed, path), nil, comp, 0, len(comp), m, mL,
 			func(i int, k int64) { lComp[i] += k; comp[i] -= k })
 		lPath, rPath := 2*path, 2*path+1
 		lOut, rOut := out[:mL], out[mL:]
-		if g != nil && min(mL, m-mL) >= parMinForkItems {
-			g.fork(func() { multisetSeqSplit(g, seed, lPath, lComp, lOut, lCompP) })
+		if g != nil && min(mL, m-mL) >= parMinForkWork {
+			g.forkNode(func(s *nodeStream) { multisetSeqSplit(g, s, seed, lPath, lComp, lOut, lCompP) })
 			out, path = rOut, rPath
 			continue
 		}
-		multisetSeqSplit(g, seed, lPath, lComp, lOut, lCompP)
+		multisetSeqSplit(g, s, seed, lPath, lComp, lOut, lCompP)
 		out, path = rOut, rPath
 	}
 	if owned != nil {

@@ -31,11 +31,11 @@ func shrinkSplitter(t *testing.T) {
 // that restores the old ones, for callers that scope the shrink to part of
 // a test (deferred, it also runs when a t.Fatal unwinds the goroutine).
 func shrunkSplitter() (restore func()) {
-	oldLeaf, oldFork, oldChunk, oldClasses, oldMass := seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass
+	oldLeaf, oldFork, oldChunk, oldClasses, oldMass := seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass
 	oldProcs := runtime.GOMAXPROCS(4)
-	seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = 8, 4, 8, 2, 16
+	seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass = 8, 4, 8, 2, 16
 	return func() {
-		seqLeafSlots, parMinForkItems, pairChunkSlots, mvhLeafClasses, splitLeafMass = oldLeaf, oldFork, oldChunk, oldClasses, oldMass
+		seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass = oldLeaf, oldFork, oldChunk, oldClasses, oldMass
 		runtime.GOMAXPROCS(oldProcs)
 	}
 }
@@ -98,7 +98,7 @@ func TestMVHSplitCompInvariants(t *testing.T) {
 			dst := make([]int64, q)
 			cum := prefixSums(nil, counts)
 			g := newParGroup(workers)
-			mvhSplitComp(g, seed, 1, counts, cum, 0, q, total, m, dst)
+			mvhSplitComp(g, newNodeStream(), seed, 1, counts, cum, 0, q, total, m, dst)
 			g.wait()
 			return dst
 		}
@@ -136,7 +136,7 @@ func TestMVHSplitCompMoments(t *testing.T) {
 		for i := range dst {
 			dst[i] = 0
 		}
-		mvhSplitComp(nil, r.Uint64(), 1, counts, cum, 0, len(counts), total, m, dst)
+		mvhSplitComp(nil, newNodeStream(), r.Uint64(), 1, counts, cum, 0, len(counts), total, m, dst)
 		for i, k := range dst {
 			sums[i] += float64(k)
 		}
@@ -165,12 +165,12 @@ func TestMultisetSeqSplitArrangement(t *testing.T) {
 		seed := r.Uint64()
 		comp := []int64{ka, kb}
 		g := newParGroup(3)
-		multisetSeqSplit(g, seed, 1, comp, out, nil)
+		multisetSeqSplit(g, newNodeStream(), seed, 1, comp, out, nil)
 		g.wait()
 		// Worker-count independence: rerun serially on a fresh comp.
 		comp2 := []int64{ka, kb}
 		out2 := make([]int32, m)
-		multisetSeqSplit(nil, seed, 1, comp2, out2, nil)
+		multisetSeqSplit(nil, newNodeStream(), seed, 1, comp2, out2, nil)
 		var na, nb int64
 		for i, id := range out {
 			if out2[i] != id {
@@ -350,7 +350,7 @@ func forEachLeafSide(t *testing.T, f func(t *testing.T)) {
 	t.Run("leaf", f)
 	t.Run("tree", func(t *testing.T) {
 		shrinkSplitter(t)
-		parMinForkItems = 1 << 11
+		parMinForkWork = 1 << 11
 		f(t)
 	})
 }
@@ -401,6 +401,162 @@ func TestRootLeafBatchAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, func() { d.runBatch(1 << 20) }); a != 0 {
 		t.Errorf("pair-matrix batch: %v allocations per batch, want 0", a)
+	}
+}
+
+// TestTreeBatchAllocs: above the root leaf a pair-matrix batch at one
+// worker reuses the engine's node stream, miss buffers and pooled node
+// scratch, so once warm it allocates (almost) nothing either.
+func TestTreeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	d := NewDenseFromCounts([]int{-1, 0, 1}, []int64{40_000_000, 20_000_000, 40_000_000}, amRule,
+		WithSeed(1), WithParallelism(1))
+	d.Run(1 << 20)
+	if got := d.Stats().Batches; got == 0 || d.Interactions()/got <= splitLeafMass {
+		t.Fatalf("batches average %d interactions, want above splitLeafMass %d", d.Interactions()/max(got, 1), splitLeafMass)
+	}
+	if a := testing.AllocsPerRun(200, func() { d.runBatch(1 << 20) }); a >= 1 {
+		t.Errorf("splitter pair-matrix batch: %v allocations per batch, want < 1", a)
+	}
+}
+
+// TestSplitterForkGate: the work gate keeps the splitter from forking
+// where it has nothing to hand off — a q ≤ 3 tree batch at production
+// knobs runs inline at any worker target — while a wide configuration
+// still forks, and under shrinkSplitter the configurations of
+// TestWorkerCountInvariance still fork on both backends, so the race
+// step exercises real fan-out.
+func TestSplitterForkGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	par := runtime.GOMAXPROCS(0)
+	uniform := func(q int) ([]int, []int64) {
+		states, counts := make([]int, q), make([]int64, q)
+		for i := range states {
+			states[i], counts[i] = i, 100_000_000/int64(q)
+		}
+		return states, counts
+	}
+	forks := func(d *DenseSim[int], k int64) int64 {
+		var n atomic.Int64
+		d.forkEvents = &n
+		d.Run(k)
+		return n.Load()
+	}
+	states, counts := uniform(3)
+	if f := forks(NewDenseFromCounts(states, counts, amRule, WithSeed(3), WithParallelism(par)), 1<<21); f != 0 {
+		t.Errorf("q=3 tree batches forked %d goroutines at par=%d, want 0", f, par)
+	}
+	states, counts = uniform(64)
+	if f := forks(NewDenseFromCounts(states, counts, coinRule, WithSeed(3), WithParallelism(par)), 1<<17); f == 0 {
+		t.Errorf("q=64 tree batches never forked at par=%d", par)
+	}
+
+	shrinkSplitter(t)
+	const n = 3000
+	init := func(i int, _ *rand.Rand) int { return i % 5 }
+	for _, backend := range []string{"batch", "dense"} {
+		var total atomic.Int64
+		for _, rule := range []Rule[int]{amRule, coinRule, maxRule} {
+			var e Engine[int]
+			if backend == "dense" {
+				d := NewDense(n, init, rule, WithSeed(42), WithParallelism(par))
+				d.forkEvents = &total
+				e = d
+			} else {
+				b := NewBatch(n, init, rule, WithSeed(42), WithParallelism(par))
+				b.forkEvents = &total
+				e = b
+			}
+			e.Run(6 * n)
+			e.AddAgents(1, n/2)
+			e.Run(2 * n)
+			e.RemoveAgents(n)
+			e.Run(4 * n)
+		}
+		if total.Load() == 0 {
+			t.Errorf("%s: no fork under shrinkSplitter", backend)
+		}
+	}
+}
+
+// BenchmarkDenseTreeBatch times one pair-matrix batch above the root leaf
+// (ℓ ≈ 6300 > splitLeafMass at n = 10⁸) at the auto worker target and at
+// one worker: a three-state table majority, where the work gate keeps
+// every batch inline, and 64 uniform states under a randomness-consuming
+// rule, where the rows fork and every cell goes through the serial miss
+// pass.
+func BenchmarkDenseTreeBatch(b *testing.B) {
+	const n = 100_000_000
+	am := MustCompile(amTable())
+	uniform := make([]int, 64)
+	for i := range uniform {
+		uniform[i] = i
+	}
+	cases := []struct {
+		name string
+		mk   func(par int) *DenseSim[int]
+	}{
+		{"majority-q3", func(par int) *DenseSim[int] {
+			return NewDenseFromCounts([]int{1, -1}, []int64{n * 27 / 50, n * 23 / 50}, am.Rule(),
+				WithSeed(1), WithParallelism(par), am.Option())
+		}},
+		{"coin-q64", func(par int) *DenseSim[int] {
+			counts := make([]int64, len(uniform))
+			for i := range counts {
+				counts[i] = n / int64(len(uniform))
+			}
+			return NewDenseFromCounts(uniform, counts, coinRule, WithSeed(1), WithParallelism(par))
+		}},
+	}
+	for _, c := range cases {
+		for _, row := range []struct {
+			suffix string
+			par    int
+		}{{"", 0}, {"/par=1", 1}} {
+			b.Run(c.name+row.suffix, func(b *testing.B) {
+				d := c.mk(row.par)
+				d.Run(1 << 16) // intern the states and warm the caches and pools
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.runBatch(1 << 20)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/batch")
+			})
+		}
+	}
+}
+
+// BenchmarkSplitterFork measures what the work gate (parMinForkWork)
+// trades off: two halves of k hypergeometric draws each, run inline or
+// with one half forked to a second worker. The fork pays only once k is
+// well above the fork-join handoff's cost in draws.
+func BenchmarkSplitterFork(b *testing.B) {
+	half := func(s *nodeStream, k int) {
+		r := s.at(1, 2)
+		for j := 0; j < k; j++ {
+			benchSink += hypergeometric(r, 1_000_000, 300_000, 5_000)
+		}
+	}
+	for _, k := range []int{16, 128, 512} {
+		b.Run(fmt.Sprintf("inline/draws=%d", k), func(b *testing.B) {
+			s := newNodeStream()
+			for i := 0; i < b.N; i++ {
+				half(s, k)
+				half(s, k)
+			}
+		})
+		b.Run(fmt.Sprintf("fork/draws=%d", k), func(b *testing.B) {
+			s := newNodeStream()
+			for i := 0; i < b.N; i++ {
+				g := newParGroup(2)
+				g.forkNode(func(s *nodeStream) { half(s, k) })
+				half(s, k)
+				g.wait()
+			}
+		})
 	}
 }
 

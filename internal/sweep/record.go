@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -179,8 +180,9 @@ func (r Record) JSONL() ([]byte, error) { return r.appendLine(nil) }
 var ErrTornTail = errors.New("sweep: torn final line (missing trailing newline)")
 
 // terminatedLines walks the newline-terminated prefix of a JSONL buffer —
-// the single definition of "which bytes are records" shared by every
-// reader. It calls fn once per non-blank line; on an fn error the walk
+// the definition of "which bytes are records" for the readers that hold
+// a whole file, which ReadRecords applies line by line to a stream. It
+// calls fn once per non-blank line; on an fn error the walk
 // stops with valid still at the offset just past the previous good line,
 // so that line reruns along with everything after it. torn reports an
 // unterminated non-blank tail.
@@ -213,28 +215,33 @@ func terminatedLines(data []byte, fn func(line []byte) error) (valid int64, torn
 // ReadRecords parses a JSONL record stream, tolerating blank lines. Only
 // newline-terminated lines count as records; a truncated (interrupted
 // mid-write) final line is reported as ErrTornTail — with the valid
-// records still returned — so callers can decide whether to proceed.
+// records still returned — so callers can decide whether to proceed. The
+// stream is read one line at a time, so only the records, not the raw
+// bytes of the whole stream, are held at once.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+	br := bufio.NewReader(r)
 	var recs []Record
-	_, torn, err := terminatedLines(data, func(line []byte) error {
+	for {
+		raw, err := br.ReadBytes('\n')
+		line := bytes.TrimSpace(raw)
+		switch {
+		case err == io.EOF:
+			// An unterminated tail: torn unless it is only whitespace.
+			if len(line) != 0 {
+				return recs, ErrTornTail
+			}
+			return recs, nil
+		case err != nil:
+			return nil, err
+		case len(line) == 0:
+			continue
+		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("sweep: corrupt record %q: %w", line, err)
+			return recs, fmt.Errorf("sweep: corrupt record %q: %w", line, err)
 		}
 		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return recs, err
 	}
-	if torn {
-		return recs, ErrTornTail
-	}
-	return recs, nil
 }
 
 // LoadCheckpoint reads an existing sweep JSONL file into a resume map; a

@@ -35,7 +35,7 @@ type SpecRequest struct {
 	// Quick selects the -quick smoke sizing preset.
 	Quick bool `json:"quick,omitempty"`
 	// Backend selects the simulation engine: auto|seq|batch|dense
-	// (default auto).
+	// (default auto). seq refuses ns entries above MaxSeqN.
 	Backend string `json:"backend,omitempty"`
 	// Workers bounds the sweep's worker pool; 0 means GOMAXPROCS (or, in
 	// the daemon, the shared pool size).
@@ -47,6 +47,15 @@ type SpecRequest struct {
 	// (default 1, matching the -seed flag).
 	Seed uint64 `json:"seed,omitempty"`
 }
+
+// MaxSeqN caps the population sizes a request may run on the seq
+// backend. The sequential engine holds one array element per agent, so
+// its memory grows linearly in n (about a gigabyte at this cap for a
+// 16-byte state), and an allocation beyond the machine's memory is a
+// fatal runtime error that no recover catches — one such job would kill
+// the daemon, and its restart would requeue it. The multiset backends
+// hold O(live states) and take larger sizes.
+const MaxSeqN = 1 << 26
 
 // SetDefaults fills the zero-valued knobs whose documented default is not
 // the zero value, mirroring the flag defaults exactly.
@@ -70,7 +79,8 @@ func (r *SpecRequest) ParseBackend() (pop.Backend, error) {
 // Validate checks every knob that can be checked without a resolver (the
 // experiment selection is validated against the catalog at resolve time).
 func (r *SpecRequest) Validate() error {
-	if _, err := r.ParseBackend(); err != nil {
+	be, err := r.ParseBackend()
+	if err != nil {
 		return err
 	}
 	if r.Trials < 0 {
@@ -86,6 +96,9 @@ func (r *SpecRequest) Validate() error {
 	for _, n := range r.Ns {
 		if n < 2 {
 			return fmt.Errorf("sweep: request ns entry %d: population sizes need at least 2 agents", n)
+		}
+		if be == pop.Sequential && n > MaxSeqN {
+			return fmt.Errorf("sweep: request ns entry %d is above the seq backend's agent-array cap of %d agents (MaxSeqN); run it on batch, dense or auto", n, MaxSeqN)
 		}
 		if seen[n] {
 			return fmt.Errorf("sweep: request ns entry %d repeats — duplicate sizes would double-run every trial under identical record keys", n)

@@ -67,6 +67,7 @@ func TestSpecRequestValidate(t *testing.T) {
 		{"negative par", `{"par":-1}`, "par >= 0"},
 		{"tiny n", `{"ns":[1]}`, "at least 2 agents"},
 		{"duplicate n", `{"ns":[4,4]}`, "repeats"},
+		{"seq above cap", `{"backend":"seq","ns":[1000,1000000000000]}`, "agent-array cap of 67108864"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +76,32 @@ func TestSpecRequestValidate(t *testing.T) {
 				t.Fatalf("DecodeSpecRequest(%s) = %v, want error mentioning %q", tc.body, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSpecRequestSeqCap: the seq backend takes sizes up to MaxSeqN and
+// refuses anything above it, naming the cap; the other backends are not
+// capped.
+func TestSpecRequestSeqCap(t *testing.T) {
+	for _, tc := range []struct {
+		backend string
+		n       int
+		ok      bool
+	}{
+		{"seq", MaxSeqN, true},
+		{"seq", MaxSeqN + 1, false},
+		{"auto", 1_000_000_000_000, true},
+		{"batch", 1_000_000_000_000, true},
+		{"dense", 1_000_000_000_000, true},
+	} {
+		req := SpecRequest{Backend: tc.backend, Ns: []int{tc.n}}
+		err := req.Validate()
+		if tc.ok != (err == nil) {
+			t.Errorf("%s at n=%d: Validate() = %v, want ok=%v", tc.backend, tc.n, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(MaxSeqN)) {
+			t.Errorf("%s at n=%d: error %q does not name the cap", tc.backend, tc.n, err)
+		}
 	}
 }
 

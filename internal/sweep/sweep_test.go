@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 
 	"github.com/popsim/popsize/internal/pop"
 )
@@ -324,6 +325,23 @@ func TestLoadCheckpointTolerance(t *testing.T) {
 	}
 	if want := int64(len(content) - len(`{"experiment":"E1","n":10,"tr`)); validLen != want {
 		t.Errorf("validLen = %d, want %d", validLen, want)
+	}
+}
+
+// TestReadRecordsStream: the line-by-line reader takes lines longer than
+// its read buffer, blank lines between records and a stream delivered a
+// few bytes per Read, and it stops at the first corrupt record with the
+// records before it.
+func TestReadRecordsStream(t *testing.T) {
+	long := `{"experiment":"` + strings.Repeat("x", 10_000) + `","n":10,"trial":0,"seed":5,"backend":"auto","values":{"x":1},"wall_ms":1}`
+	short := `{"experiment":"E1","n":10,"trial":1,"seed":6,"backend":"auto","values":{"x":2},"wall_ms":1}`
+	recs, err := ReadRecords(iotest.HalfReader(strings.NewReader(long + "\n \n\n" + short + "\n\t\n")))
+	if err != nil || len(recs) != 2 || len(recs[0].Experiment) != 10_000 || recs[1].Trial != 1 {
+		t.Fatalf("ReadRecords = %d records, %v; want the long and the short record", len(recs), err)
+	}
+	recs, err = ReadRecords(strings.NewReader(short + "\n{oops}\n" + short + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "corrupt record") || len(recs) != 1 {
+		t.Fatalf("corrupt middle line: %d records, %v; want 1 and a corrupt-record error", len(recs), err)
 	}
 }
 
