@@ -304,12 +304,6 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 		j.setState(StateFailed, msg)
 		_ = m.persist(j)
 	}
-	// Submit validated the request, but a manifest written before a
-	// limit was added (the seq backend's MaxSeqN) is requeued unchecked.
-	if err := j.req.Validate(); err != nil {
-		fail(err.Error())
-		return
-	}
 	points, err := m.cfg.Resolve(j.req)
 	if err != nil {
 		fail(err.Error())

@@ -383,14 +383,17 @@ func TestAPIRejectsSeqAboveCap(t *testing.T) {
 	}
 	postJob(t, ts, `{"experiments":["fast"],"backend":"dense","ns":[1000000000000],"trials":1}`)
 
-	// A pending manifest that predates the cap is requeued on restart; it
-	// must fail at admission instead of running.
+	// A pending manifest that predates the cap is requeued on restart; the
+	// production resolver validates it again, so it fails instead of running.
 	dir := t.TempDir()
-	man := `{"id":"j-0000seq1","request":{"experiments":["fast"],"backend":"seq","ns":[1000000000000]},"state":"pending"}`
+	man := `{"id":"j-0000seq1","request":{"experiments":["E1"],"quick":true,"backend":"seq","ns":[1000000000000]},"state":"pending"}`
 	if err := os.WriteFile(filepath.Join(dir, "j-0000seq1.json"), []byte(man), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2 := newTestManager(t, dir, 1, 0)
+	m2, err := NewManager(Config{Dir: dir, Slots: 1, Resolve: expt.ResolvePoints})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer m2.Close()
 	j, ok := m2.Get("j-0000seq1")
 	if !ok {

@@ -346,19 +346,16 @@ func (m *multiset[S]) step() {
 // replacement and returns their per-state composition in dst (resized to
 // the id range): a multivariate hypergeometric sample of the counts
 // vector drawn by mvhSplitComp under the node streams of seed — a single
-// chain leaf at the root, with nothing to fork, while at most
-// mvhLeafClasses states exist — and debited in id order. seed fully
-// determines the draw, so it is byte-identical for any worker count.
-// Churn removal, the slot batches' composition and both pair-matrix
-// participant passes above the root leaf draw through it.
+// chain leaf at the root while at most mvhLeafClasses states exist — and
+// debited in id order. seed fully determines the draw, so it is
+// byte-identical for any worker count. Churn removal, the slot batches'
+// composition and both pair-matrix participant passes above the root leaf
+// draw through it.
 func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	q := len(m.counts)
 	dst = resizeZero(dst, q)
 	m.cum = prefixSums(m.cum, m.counts)
-	var g *parGroup
-	if q > mvhLeafClasses {
-		g = m.group(min(int64(q), k))
-	}
+	g := m.group(min(int64(q), k))
 	mvhSplitComp(g, m.leaf, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
 	g.wait()
 	for id, c := range dst {

@@ -453,7 +453,9 @@ func TestSplitterForkGate(t *testing.T) {
 		t.Errorf("q=64 tree batches never forked at par=%d", par)
 	}
 
-	shrinkSplitter(t)
+	// Deferred, not a t.Cleanup: the shrink's own GOMAXPROCS restore must
+	// unwind before the outer one, or the machine's value is lost.
+	defer shrunkSplitter()()
 	const n = 3000
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	for _, backend := range []string{"batch", "dense"} {

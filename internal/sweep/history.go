@@ -62,12 +62,8 @@ func WriteHistory(w io.Writer, recs []HistoryRecord) error {
 // Like ReadRecords it consumes only the newline-terminated prefix and
 // reports an unterminated tail as ErrTornTail alongside the valid records.
 func ReadHistory(r io.Reader) ([]HistoryRecord, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
 	var recs []HistoryRecord
-	_, torn, err := terminatedLines(data, func(line []byte) error {
+	_, torn, err := terminatedLines(r, func(line []byte) error {
 		var rec HistoryRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("sweep: corrupt history record %q: %w", line, err)

@@ -179,13 +179,14 @@ func (r Record) JSONL() ([]byte, error) { return r.appendLine(nil) }
 // and rewrite that trial.
 var ErrTornTail = errors.New("sweep: torn final line (missing trailing newline)")
 
-// terminatedLines walks the newline-terminated prefix of a JSONL buffer —
-// the definition of "which bytes are records" for the readers that hold
-// a whole file, which ReadRecords applies line by line to a stream. It
-// calls fn once per non-blank line; on an fn error the walk
-// stops with valid still at the offset just past the previous good line,
-// so that line reruns along with everything after it. torn reports an
-// unterminated non-blank tail.
+// terminatedLines walks the newline-terminated prefix of a JSONL stream —
+// the one definition of "which bytes are records" that ReadRecords,
+// LoadCheckpoint and ReadHistory share. It reads one line at a time, so
+// only what fn keeps, not the raw bytes of the whole stream, is held at
+// once. It calls fn once per non-blank line (surrounding whitespace
+// trimmed); on an fn error the walk stops with valid still at the offset
+// just past the previous good line, so that line reruns along with
+// everything after it. torn reports an unterminated non-blank tail.
 //
 // ReadRecords and LoadCheckpoint previously disagreed here: the reader
 // accepted a valid-JSON unterminated final line while the checkpoint
@@ -193,55 +194,48 @@ var ErrTornTail = errors.New("sweep: torn final line (missing trailing newline)"
 // subsequent resume would rerun — and, with a fresh wall time or a
 // re-randomized field, duplicate. Both now consume exactly the
 // newline-terminated prefix.
-func terminatedLines(data []byte, fn func(line []byte) error) (valid int64, torn bool, err error) {
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			torn = len(bytes.TrimSpace(data[off:])) != 0
-			break
+func terminatedLines(r io.Reader, fn func(line []byte) error) (valid int64, torn bool, err error) {
+	br := bufio.NewReader(r)
+	for off := int64(0); ; {
+		raw, err := br.ReadBytes('\n')
+		line := bytes.TrimSpace(raw)
+		switch {
+		case err == io.EOF:
+			return valid, len(line) != 0, nil
+		case err != nil:
+			return valid, false, err
 		}
-		line := bytes.TrimSpace(data[off : off+nl])
-		off += nl + 1
+		off += int64(len(raw))
 		if len(line) != 0 {
 			if err := fn(line); err != nil {
 				return valid, false, err
 			}
 		}
-		valid = int64(off)
+		valid = off
 	}
-	return valid, torn, nil
 }
 
 // ReadRecords parses a JSONL record stream, tolerating blank lines. Only
 // newline-terminated lines count as records; a truncated (interrupted
 // mid-write) final line is reported as ErrTornTail — with the valid
-// records still returned — so callers can decide whether to proceed. The
-// stream is read one line at a time, so only the records, not the raw
-// bytes of the whole stream, are held at once.
+// records still returned — so callers can decide whether to proceed.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
 	var recs []Record
-	for {
-		raw, err := br.ReadBytes('\n')
-		line := bytes.TrimSpace(raw)
-		switch {
-		case err == io.EOF:
-			// An unterminated tail: torn unless it is only whitespace.
-			if len(line) != 0 {
-				return recs, ErrTornTail
-			}
-			return recs, nil
-		case err != nil:
-			return nil, err
-		case len(line) == 0:
-			continue
-		}
+	_, torn, err := terminatedLines(r, func(line []byte) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return recs, fmt.Errorf("sweep: corrupt record %q: %w", line, err)
+			return fmt.Errorf("sweep: corrupt record %q: %w", line, err)
 		}
 		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return recs, err
 	}
+	if torn {
+		return recs, ErrTornTail
+	}
+	return recs, nil
 }
 
 // LoadCheckpoint reads an existing sweep JSONL file into a resume map; a
@@ -257,16 +251,17 @@ func LoadCheckpoint(path string) (map[Key]Record, error) {
 // newline-terminated record prefix: a resuming writer truncates the file to
 // that length before appending, so a torn tail cannot shadow its rerun.
 func loadCheckpointTrim(path string) (map[Key]Record, int64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return map[Key]Record{}, 0, nil
 	}
 	if err != nil {
 		return nil, 0, err
 	}
+	defer f.Close()
 	done := map[Key]Record{}
 	errStop := errors.New("stop")
-	valid, _, err := terminatedLines(data, func(line []byte) error {
+	valid, _, err := terminatedLines(f, func(line []byte) error {
 		var rec struct {
 			Record
 			// Par is set only by checkpoints from before every -par value
