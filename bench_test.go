@@ -374,10 +374,10 @@ func BenchmarkDepletion(b *testing.B) {
 // BenchmarkProducibility is E11: one Lemma 4.2 check on the counter chain.
 func BenchmarkProducibility(b *testing.B) {
 	p := producible.CounterChain(4)
-	cfg := producible.DenseConfig([]int{0}, 1, 10000)
+	states, counts := producible.DenseConfig([]int{0}, 1, 10000)
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rep := p.CheckLemma42(cfg, 1, 4, uint64(i))
+		rep := producible.CheckLemma42(p, states, counts, 1, 4, uint64(i))
 		frac += rep.MinFraction
 	}
 	b.ReportMetric(frac/float64(b.N), "min_density")

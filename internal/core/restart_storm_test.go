@@ -29,7 +29,7 @@ func TestRestartStorm(t *testing.T) {
 	victim.LogSize2 = newLS
 	victim = p.restart(victim, testRand())
 	snap[42] = victim
-	s2 := pop.NewFromConfig(snap, p.Rule, pop.WithSeed(22))
+	s2 := pop.NewEngineFromConfig(snap, p.Rule, pop.WithSeed(22), pop.WithBackend(pop.Sequential)).(*pop.Sim[State])
 
 	// The storm must spread: soon every agent carries the new estimate
 	// with its old output gone, and then reconverges under the new K.

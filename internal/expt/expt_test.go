@@ -91,6 +91,37 @@ func TestSyntheticCoinHonorsBackend(t *testing.T) {
 	}
 }
 
+// TestProducibilityHonorsBackend: both E11 points build their engine
+// through producible.CheckLemma42 with the env's option, so the same seed
+// under Env{Backend: pop.Batched} records different values from the
+// default env (the multiset engine consumes the seed differently from the
+// agent array at this size).
+func TestProducibilityHonorsBackend(t *testing.T) {
+	values := func(env Env) map[string]sweep.Values {
+		out := map[string]sweep.Values{}
+		for _, pt := range ProducibilityDef(env, []int{256}, 1).Points {
+			out[pt.Experiment] = pt.Run(0, 5)
+		}
+		return out
+	}
+	def, batch := values(Env{}), values(Env{Backend: pop.Batched})
+	for _, exp := range []string{"E11/approx-majority", "E11/counter-chain"} {
+		if reflect.DeepEqual(def[exp], batch[exp]) {
+			t.Errorf("%s: batched env recorded the default env's values %v; the backend was ignored", exp, def[exp])
+		}
+	}
+}
+
+// TestDefaultSuiteFitsUnitsCap: the full and -quick suites resolve under
+// sweep.MaxUnits, so the daemon's cap refuses only oversized overrides.
+func TestDefaultSuiteFitsUnitsCap(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		if _, err := Resolve(sweep.SpecRequest{Quick: quick}); err != nil {
+			t.Errorf("quick=%v: %v", quick, err)
+		}
+	}
+}
+
 func TestBaselineAndCompositionTiny(t *testing.T) {
 	cfg := core.FastConfig()
 	checkTable(t, ptr(BaselinesDef(Env{}, cfg, []int{64}, 2).Table(1)), 1)

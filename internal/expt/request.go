@@ -29,7 +29,8 @@ type Suite struct {
 // picks the defs (empty = all). An unknown experiment id fails with the
 // shared sweep.UnknownName error naming every id that does exist — the
 // same message shape whether the request came from cmd/experiments' -only
-// flag or the daemon's POST /v1/jobs body.
+// flag or the daemon's POST /v1/jobs body. A suite whose trials sum above
+// sweep.MaxUnits is refused, so a requeued job is checked again.
 //
 // Resolve is the one id-to-points catalog: cmd/experiments and cmd/popsimd
 // both route through it, so a job submitted over HTTP runs exactly the
@@ -109,6 +110,9 @@ func ResolveEnv(req sweep.SpecRequest, traj *sweep.Trajectory) (Suite, error) {
 	if traj.Active() && !instrumented {
 		return Suite{}, fmt.Errorf("-history/-snapshot instrument trajectory-capable experiments only (F2; got -only %s)",
 			strings.Join(req.Experiments, ","))
+	}
+	if err := sweep.CheckUnits(suite.Points); err != nil {
+		return Suite{}, err
 	}
 	return suite, nil
 }

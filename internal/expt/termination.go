@@ -7,6 +7,7 @@ import (
 	"github.com/popsim/popsize/internal/leaderterm"
 	"github.com/popsim/popsize/internal/pop"
 	"github.com/popsim/popsize/internal/producible"
+	"github.com/popsim/popsize/internal/protocol"
 	"github.com/popsim/popsize/internal/stats"
 	"github.com/popsim/popsize/internal/sweep"
 	"github.com/popsim/popsize/internal/term"
@@ -17,7 +18,7 @@ import (
 // configurations, with the fraction independent of n.
 func ProducibilityDef(env Env, ns []int, trials int) Def {
 	const id = "E11"
-	am := producible.ApproxMajority()
+	am := protocol.AMCompiled()
 	const m = 4
 	cc := producible.CounterChain(m)
 	var points []sweep.Point
@@ -26,15 +27,16 @@ func ProducibilityDef(env Env, ns []int, trials int) Def {
 			sweep.Point{
 				Experiment: id + "/approx-majority", N: n, Trials: trials,
 				Run: func(tr int, seed uint64) sweep.Values {
-					cfg := producible.DenseConfig([]int{0, 1}, 0.5, n)
-					return sweep.Values{"minfrac": am.CheckLemma42(cfg, 1, 1, seed).MinFraction}
+					states, counts := producible.DenseConfig([]int{1, -1}, 0.5, n)
+					rep := producible.CheckLemma42(am, states, counts, 1, 1, seed, env.engineOpt())
+					return sweep.Values{"minfrac": rep.MinFraction}
 				},
 			},
 			sweep.Point{
 				Experiment: id + "/counter-chain", N: n, Trials: trials,
 				Run: func(tr int, seed uint64) sweep.Values {
-					cfg := producible.DenseConfig([]int{0}, 1, n)
-					rep := cc.CheckLemma42(cfg, 1, m, seed)
+					states, counts := producible.DenseConfig([]int{0}, 1, n)
+					rep := producible.CheckLemma42(cc, states, counts, 1, m, seed, env.engineOpt())
 					return sweep.Values{
 						"minfrac":    rep.MinFraction,
 						"terminated": float64(rep.Counts[m]),
@@ -45,7 +47,7 @@ func ProducibilityDef(env Env, ns []int, trials int) Def {
 	render := func(res *sweep.Results) stats.Table {
 		t := stats.Table{
 			Title: "E11: timer/density Lemma 4.2 — min density over Λ^m_ρ at time 1",
-			Note: "3-state approximate majority from ½X/½Y (m=1) and the constant-threshold " +
+			Note: "3-state approximate majority from ½A/½B (m=1) and the constant-threshold " +
 				"counter terminator from all-c0 (m=4, T = terminated state). " +
 				"Densities must not vanish as n grows.",
 			Columns: []string{"protocol", "n", "min density (mean)", "min density (min)", "terminated count (mean)"},

@@ -409,6 +409,67 @@ func TestAPIRejectsSeqAboveCap(t *testing.T) {
 	}
 }
 
+// TestAPIRejectsUnitsAboveCap: Spec.Units allocates one unit per trial,
+// so a request whose trials exceed sweep.MaxUnits, alone or summed over
+// its points, is refused with 400 naming the cap and creates no job; a
+// pending manifest above the cap fails on requeue instead of running.
+func TestAPIRejectsUnitsAboveCap(t *testing.T) {
+	m, err := NewManager(Config{Dir: t.TempDir(), Slots: 1, Resolve: expt.ResolvePoints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	limit := strconv.Itoa(sweep.MaxUnits)
+	for _, body := range []string{
+		`{"experiments":["E1"],"quick":true,"trials":200000}`,                    // 2 sizes × 3·200000
+		`{"experiments":["E1"],"trials":` + strconv.Itoa(sweep.MaxUnits+1) + `}`, // one point's trials
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, limit) {
+			t.Errorf("%s: %d %q, want 400 naming the cap %s", body, resp.StatusCode, apiErr.Error, limit)
+		}
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("refused submissions created %d jobs", len(jobs))
+	}
+
+	dir := t.TempDir()
+	man := `{"id":"j-0000unit","request":{"experiments":["E1"],"quick":true,"trials":200000},"state":"pending"}`
+	if err := os.WriteFile(filepath.Join(dir, "j-0000unit.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewManager(Config{Dir: dir, Slots: 1, Resolve: expt.ResolvePoints})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	j, ok := m2.Get("j-0000unit")
+	if !ok {
+		t.Fatal("requeued manifest not loaded")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("requeued job above the cap did not end")
+	}
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, limit) {
+		t.Fatalf("requeued job above the cap: %s %q, want failed naming the cap", st.State, st.Error)
+	}
+}
+
 // TestAPIStreamResume checks Last-Event-ID / ?after= resume semantics: the
 // stream replays only records past the named key, and an unknown id
 // replays from the start.

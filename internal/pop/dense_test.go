@@ -640,36 +640,65 @@ func TestDenseSamplerMatchesReferenceChain(t *testing.T) {
 	}
 }
 
-// TestDenseTreeMissOrder pins a splitter-tree run whose rule outputs
-// depend on the randomness they draw, so the order in which the serial
-// miss pass applies uncached cells shows in the trajectory. The golden
-// cases cannot see that order: their randomized transitions emit the same
-// output multiset whichever way a coin lands. Every cell here misses, and
-// the pins — identical at every worker target — were generated by the
-// sort-then-coalesce miss pass that the per-row flush replaced, so they
-// hold the flush to the canonical (row, sender) order.
+// TestDenseTreeMissOrder pins runs whose rule outputs depend on the
+// randomness they draw, so the order in which a serial pass applies
+// uncached transitions shows in the trajectory. The golden cases cannot
+// see that order: their randomized transitions emit the same output
+// multiset whichever way a coin lands. Every transition here misses, and
+// each case's pins hold at every worker target.
+//
+//   - dense tree flush: the splitter tree's per-row miss flush. Its pins
+//     were generated by the sort-then-coalesce miss pass that the flush
+//     replaced, so they hold it to the canonical (row, sender) order.
+//   - slot tree misses: the slot tree's serial miss pass (slot order).
+//   - dense root leaf: pairAndApply's row-by-row cell application at the
+//     production leaf sizes, where every batch is the root leaf.
 func TestDenseTreeMissOrder(t *testing.T) {
-	shrinkSplitter(t)
 	rule := func(a, b int, r *rand.Rand) (int, int) {
 		if r.IntN(3) == 0 {
 			return (a + b + r.IntN(4)) % 11, b
 		}
 		return a, (a + 2*b) % 11
 	}
-	const digest = "c3a05c8643e42e9b7158110599d0a32340ceed5ee08353d688c58c60d354a546"
-	want := Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 14892}
-	for _, par := range []int{0, 1, 2} {
-		d := NewDense(3000, func(i int, _ *rand.Rand) int { return i % 11 }, rule, WithSeed(61), WithParallelism(par))
-		d.Run(6 * 3000)
-		snap, err := d.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := stateDigest(t, snap); got != digest {
-			t.Errorf("par=%d: state digest = %s, want %s", par, got, digest)
-		}
-		if got := d.Stats(); got != want {
-			t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, want)
-		}
+	initial := func(i int, _ *rand.Rand) int { return i % 11 }
+	for _, tc := range []struct {
+		name   string
+		shrink bool
+		build  func(par int) Engine[int]
+		digest string
+		want   Stats
+	}{
+		{"dense tree flush", true, func(par int) Engine[int] {
+			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))
+		}, "c3a05c8643e42e9b7158110599d0a32340ceed5ee08353d688c58c60d354a546",
+			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 14892}},
+		{"slot tree misses", true, func(par int) Engine[int] {
+			return NewBatch(3000, initial, rule, WithSeed(61), WithParallelism(par))
+		}, "d81d215e0b1f3a40050480cd73e93bf24e394d5e211d0ea10d9c6519ddaaea61",
+			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1}},
+		{"dense root leaf", false, func(par int) Engine[int] {
+			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))
+		}, "bd698fc3640c1944ef3ce0e9b24887f72952777a54508cacc80a7198f059f0ab",
+			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 17484}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.shrink {
+				shrinkSplitter(t)
+			}
+			for _, par := range []int{0, 1, 2} {
+				e := tc.build(par)
+				e.Run(6 * 3000)
+				snap, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := stateDigest(t, snap); got != tc.digest {
+					t.Errorf("par=%d: state digest = %s, want %s", par, got, tc.digest)
+				}
+				if got := e.Stats(); got != tc.want {
+					t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, tc.want)
+				}
+			}
+		})
 	}
 }

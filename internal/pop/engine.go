@@ -220,7 +220,7 @@ func resolveBackend(o options, total int64) Backend {
 }
 
 // NewEngineFromConfig is NewEngine for an explicit initial configuration
-// (copied), mirroring NewFromConfig.
+// (copied).
 func NewEngineFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) Engine[S] {
 	cp := make([]S, len(agents))
 	copy(cp, agents)
@@ -247,8 +247,8 @@ func NewEngineFromCounts[S comparable](states []S, counts []int64, rule Rule[S],
 		return NewDenseFromCounts(states, counts, rule, opts...)
 	default:
 		// Expand through New's initializer, which visits agents in index
-		// order, so the array is built exactly once (NewFromConfig would
-		// defensively copy a pre-built slice, doubling peak memory).
+		// order, so the array is built exactly once (NewEngineFromConfig
+		// would defensively copy a pre-built slice, doubling peak memory).
 		i, c := 0, int64(0)
 		return New(int(total), func(int, *rand.Rand) S {
 			for c == counts[i] {

@@ -107,16 +107,6 @@ func New[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rule[S],
 	return s
 }
 
-// NewFromConfig constructs a simulator whose initial configuration is an
-// explicit slice of agent states (copied). It is used by the termination
-// and producibility experiments, which need α-dense or leader-containing
-// initial configurations.
-func NewFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) *Sim[S] {
-	cp := make([]S, len(agents))
-	copy(cp, agents)
-	return New(len(cp), func(i int, _ *rand.Rand) S { return cp[i] }, rule, opts...)
-}
-
 // N returns the population size.
 func (s *Sim[S]) N() int { return len(s.agents) }
 

@@ -279,6 +279,26 @@ func (c *Compiled[S]) Rule() Rule[S] {
 	}
 }
 
+// Branches returns the entry of the ordered table-id pair (a, b) as
+// branches over table ids: a randomized entry's merged branches, whose
+// weights sum to the entry's total (a branch's rate is W over that
+// total), or one branch of weight 1 for a deterministic entry. A null
+// pair comes back as its identity branch. Ids index States().
+func (c *Compiled[S]) Branches(a, b int) []Branch[int] {
+	oa, ob, rnd := c.cell(int32(a), int32(b))
+	if !rnd {
+		return []Branch[int]{{W: 1, Rec: int(oa), Sen: int(ob)}}
+	}
+	rc := c.rcells[cellKey(int32(a), int32(b))]
+	out := make([]Branch[int], len(rc.branches))
+	prev := int64(0)
+	for i, br := range rc.branches {
+		out[i] = Branch[int]{W: br.cum - prev, Rec: int(br.oa), Sen: int(br.ob)}
+		prev = br.cum
+	}
+	return out
+}
+
 // Option returns the engine option attaching this compiled table
 // (WithTable(c)): the multiset backends then resolve its deterministic
 // transitions by direct lookup, bypassing the transition cache.

@@ -57,6 +57,39 @@ func TestCompileRuleErrors(t *testing.T) {
 	}
 }
 
+// TestCompiledBranches: the read-only entry accessor speaks table ids,
+// merges duplicate Choose outputs with weights summing to the entry
+// total, and returns a null pair as one identity branch of weight 1.
+func TestCompiledBranches(t *testing.T) {
+	c := MustCompile(Table[string]{ // canonical ids: a=0, b=1, c=2
+		{Rec: "a", Sen: "b"}: Choose(
+			Branch[string]{W: 2, Rec: "b", Sen: "b"},
+			Branch[string]{W: 1, Rec: "c", Sen: "c"},
+			Branch[string]{W: 3, Rec: "b", Sen: "b"},
+		),
+		{Rec: "b", Sen: "c"}: To("c", "a"),
+		{Rec: "c", Sen: "c"}: Choose(
+			Branch[string]{W: 1, Rec: "a", Sen: "a"},
+			Branch[string]{W: 4, Rec: "a", Sen: "a"},
+		),
+	})
+	for _, tc := range []struct {
+		name string
+		a, b int
+		want []Branch[int]
+	}{
+		{"randomized, merged", 0, 1, []Branch[int]{{W: 5, Rec: 1, Sen: 1}, {W: 1, Rec: 2, Sen: 2}}},
+		{"deterministic", 1, 2, []Branch[int]{{W: 1, Rec: 2, Sen: 0}}},
+		{"merged to one output", 2, 2, []Branch[int]{{W: 1, Rec: 0, Sen: 0}}},
+		{"null pair", 0, 0, []Branch[int]{{W: 1, Rec: 0, Sen: 0}}},
+		{"null reversed pair", 1, 0, []Branch[int]{{W: 1, Rec: 1, Sen: 0}}},
+	} {
+		if got := c.Branches(tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Branches(%d, %d) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
 func TestCompileMetadata(t *testing.T) {
 	am := MustCompile(amTable())
 	if got, want := am.States(), []int{-1, 0, 1}; !reflect.DeepEqual(got, want) {

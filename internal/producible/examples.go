@@ -1,83 +1,22 @@
 package producible
 
-// ApproxMajority returns the classic 3-state approximate-majority protocol
-// (states X, Y, B) as an explicit Protocol, used as a density testbed:
-// from any dense {X, Y} configuration all three states are 1-1-producible
-// and reach Θ(n) counts in O(1) time.
-//
-//	X, Y → X, B    Y, X → Y, B    X, B → X, X    Y, B → Y, Y
-func ApproxMajority() *Protocol {
-	const (
-		x = iota
-		y
-		b
-	)
-	return &Protocol{
-		Names: []string{"X", "Y", "B"},
-		Transitions: map[[2]int][]Outcome{
-			{x, y}: {{C: x, D: b, Rho: 1}},
-			{y, x}: {{C: y, D: b, Rho: 1}},
-			{b, x}: {{C: x, D: x, Rho: 1}},
-			{b, y}: {{C: y, D: y, Rho: 1}},
-		},
-	}
-}
+import "github.com/popsim/popsize/internal/pop"
 
-// CounterChain returns the explicit protocol in which every agent counts
-// its own interactions: state c_i moves to c_{i+1} on any interaction, and
-// c_m is the terminated state T (absorbing). It is the canonical uniform
+// CounterChain returns the compiled protocol in which every agent counts
+// its own interactions: state i < m moves to i+1 on any interaction, and
+// m is the terminated state T (absorbing). It is the canonical uniform
 // dense terminating protocol of Theorem 4.1's discussion: T is
-// m-1-producible from {c_0}, so termination happens in O(1) time from dense
-// configurations no matter n.
-func CounterChain(m int) *Protocol {
-	names := make([]string, m+1)
-	for i := 0; i < m; i++ {
-		names[i] = "c" + itoa(i)
-	}
-	names[m] = "T"
-	tr := make(map[[2]int][]Outcome, m*m)
-	inc := func(i int) int {
-		if i < m {
-			return i + 1
-		}
-		return m
-	}
+// m-1-producible from {0}, so termination happens in O(1) time from dense
+// configurations no matter n. For m <= 9 a state's table id is its count.
+func CounterChain(m int) *pop.Compiled[int] {
+	t := make(pop.Table[int], (m+1)*(m+1))
+	inc := func(i int) int { return min(i+1, m) }
 	for i := 0; i <= m; i++ {
 		for j := 0; j <= m; j++ {
-			if i == m && j == m {
-				continue
+			if i < m || j < m {
+				t[pop.Pair[int]{Rec: i, Sen: j}] = pop.To(inc(i), inc(j))
 			}
-			tr[[2]int{i, j}] = []Outcome{{C: inc(i), D: inc(j), Rho: 1}}
 		}
 	}
-	return &Protocol{Names: names, Transitions: tr}
-}
-
-// CoinDoubler returns a randomized protocol used to exercise rate-constant
-// filtering in the closure: state 0 pairs promote to state 1 with rate ½
-// and to state 2 with rate ¼ (the remaining ¼ is a null outcome).
-func CoinDoubler() *Protocol {
-	return &Protocol{
-		Names: []string{"a", "b", "c"},
-		Transitions: map[[2]int][]Outcome{
-			{0, 0}: {
-				{C: 1, D: 1, Rho: 0.5},
-				{C: 2, D: 2, Rho: 0.25},
-			},
-		},
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return pop.MustCompile(t)
 }

@@ -1,10 +1,14 @@
 // Package producible implements the m-ρ-producibility machinery of
-// Section 4: explicit finite protocol descriptions with randomized
-// transition relations, the PROD_ρ operator, the Λ^m_ρ closure, and an
-// empirical check of the timer/density Lemma 4.2 (all states producible
-// via m transitions of rate >= ρ reach count δn within one unit of
-// parallel time, starting from any sufficiently large α-dense
-// configuration).
+// Section 4 over compiled transition tables (pop.Compiled): the PROD_ρ
+// operator, the Λ^m_ρ closure, and an empirical check of the
+// timer/density Lemma 4.2 (all states producible via m transitions of
+// rate >= ρ reach count δn within one unit of parallel time, starting
+// from any sufficiently large α-dense configuration).
+//
+// Prod, Closure and ClosureDepth work on a table's canonical ids (indices
+// into Compiled.States()); CheckLemma42 takes and reports states. A
+// transition's rate is its branch weight over the entry's total weight
+// (Compiled.Branches).
 //
 // This machinery is what makes Theorem 4.1 bite: if a uniform protocol can
 // terminate at all from a dense configuration, its terminated states are
@@ -13,65 +17,29 @@
 package producible
 
 import (
-	"fmt"
-	"math/rand/v2"
-
 	"github.com/popsim/popsize/internal/pop"
 )
 
-// Outcome is one randomized result of a pair interaction: with probability
-// Rho the receiver moves to state C and the sender to state D.
-type Outcome struct {
-	C, D int
-	Rho  float64
-}
-
-// Protocol is an explicit finite population protocol: states are indices
-// into Names, and Transitions maps an ordered (receiver, sender) state pair
-// to its possible outcomes. Pairs without an entry are null transitions.
-// The outcome probabilities for a pair must sum to at most 1; residual
-// probability means "no change".
-type Protocol struct {
-	Names       []string
-	Transitions map[[2]int][]Outcome
-}
-
-// Validate checks state indices and probability mass.
-func (p *Protocol) Validate() error {
-	n := len(p.Names)
-	for pair, outs := range p.Transitions {
-		if pair[0] < 0 || pair[0] >= n || pair[1] < 0 || pair[1] >= n {
-			return fmt.Errorf("producible: transition pair %v out of range", pair)
-		}
-		mass := 0.0
-		for _, o := range outs {
-			if o.C < 0 || o.C >= n || o.D < 0 || o.D >= n {
-				return fmt.Errorf("producible: outcome %+v of pair %v out of range", o, pair)
-			}
-			if o.Rho <= 0 || o.Rho > 1 {
-				return fmt.Errorf("producible: outcome %+v of pair %v has rate outside (0,1]", o, pair)
-			}
-			mass += o.Rho
-		}
-		if mass > 1+1e-9 {
-			return fmt.Errorf("producible: pair %v has probability mass %v > 1", pair, mass)
-		}
-	}
-	return nil
-}
-
 // Prod returns PROD_ρ(Γ): the set of states producible by a single
 // transition with rate >= rho, assuming only states in gamma are present.
-func (p *Protocol) Prod(rho float64, gamma map[int]bool) map[int]bool {
+// Identity branches produce nothing new and are skipped.
+func Prod[S comparable](c *pop.Compiled[S], rho float64, gamma map[int]bool) map[int]bool {
 	out := make(map[int]bool)
-	for pair, outs := range p.Transitions {
-		if !gamma[pair[0]] || !gamma[pair[1]] {
-			continue
-		}
-		for _, o := range outs {
-			if o.Rho >= rho {
-				out[o.C] = true
-				out[o.D] = true
+	for a, inA := range gamma {
+		for b, inB := range gamma {
+			if !inA || !inB {
+				continue
+			}
+			brs := c.Branches(a, b)
+			var total int64
+			for _, br := range brs {
+				total += br.W
+			}
+			for _, br := range brs {
+				if (br.Rec != a || br.Sen != b) && float64(br.W)/float64(total) >= rho {
+					out[br.Rec] = true
+					out[br.Sen] = true
+				}
 			}
 		}
 	}
@@ -79,38 +47,24 @@ func (p *Protocol) Prod(rho float64, gamma map[int]bool) map[int]bool {
 }
 
 // Closure returns the chain Λ⁰_ρ ⊆ Λ¹_ρ ⊆ ... ⊆ Λ^m_ρ of m-ρ-producible
-// state sets starting from the states present in initial. The result has
-// m+1 entries; entry i is Λ^i_ρ as a sorted-iteration-friendly set.
-func (p *Protocol) Closure(rho float64, initial []int, m int) []map[int]bool {
-	cur := make(map[int]bool, len(initial))
-	for _, s := range initial {
-		cur[s] = true
-	}
-	chain := make([]map[int]bool, 0, m+1)
-	chain = append(chain, copySet(cur))
+// state sets starting from the states in initial. The result has m+1
+// entries; entry i is Λ^i_ρ.
+func Closure[S comparable](c *pop.Compiled[S], rho float64, initial []int, m int) []map[int]bool {
+	cur := setOf(initial)
+	chain := []map[int]bool{copySet(cur)}
 	for i := 0; i < m; i++ {
-		next := copySet(cur)
-		for s := range p.Prod(rho, cur) {
-			next[s] = true
-		}
-		chain = append(chain, copySet(next))
-		cur = next
+		cur = step(c, rho, cur)
+		chain = append(chain, copySet(cur))
 	}
 	return chain
 }
 
 // ClosureDepth returns the smallest m with Λ^m_ρ = Λ^(m+1)_ρ (the closure
 // saturates; for finite protocols it always does) along with the final set.
-func (p *Protocol) ClosureDepth(rho float64, initial []int) (int, map[int]bool) {
-	cur := make(map[int]bool, len(initial))
-	for _, s := range initial {
-		cur[s] = true
-	}
+func ClosureDepth[S comparable](c *pop.Compiled[S], rho float64, initial []int) (int, map[int]bool) {
+	cur := setOf(initial)
 	for m := 0; ; m++ {
-		next := copySet(cur)
-		for s := range p.Prod(rho, cur) {
-			next[s] = true
-		}
+		next := step(c, rho, cur)
 		if len(next) == len(cur) {
 			return m, cur
 		}
@@ -118,83 +72,84 @@ func (p *Protocol) ClosureDepth(rho float64, initial []int) (int, map[int]bool) 
 	}
 }
 
-// Rule returns a pop.Rule executing the protocol's randomized transition
-// relation.
-func (p *Protocol) Rule() pop.Rule[int] {
-	return func(rec, sen int, r *rand.Rand) (int, int) {
-		outs := p.Transitions[[2]int{rec, sen}]
-		if len(outs) == 0 {
-			return rec, sen
-		}
-		u := r.Float64()
-		for _, o := range outs {
-			if u < o.Rho {
-				return o.C, o.D
-			}
-			u -= o.Rho
-		}
-		return rec, sen
+// step returns Λ ∪ PROD_ρ(Λ) as a new set.
+func step[S comparable](c *pop.Compiled[S], rho float64, cur map[int]bool) map[int]bool {
+	next := copySet(cur)
+	for s := range Prod(c, rho, cur) {
+		next[s] = true
 	}
+	return next
 }
 
-// DenseConfig builds an n-agent configuration in which every state listed
-// appears with count >= ⌊αn⌋ (the first state absorbs the remainder); it
-// panics if α·len(states) > 1.
-func DenseConfig(states []int, alpha float64, n int) []int {
+// DenseConfig returns the multiset of an n-agent configuration in which
+// every listed state has count >= ⌊αn⌋ (the first state absorbs the
+// remainder), as the states and their counts; it panics if
+// α·len(states) > 1.
+func DenseConfig[S comparable](states []S, alpha float64, n int) ([]S, []int64) {
 	per := int(alpha * float64(n))
 	if per*len(states) > n {
 		panic("producible: alpha too large for state count")
 	}
-	cfg := make([]int, 0, n)
-	for _, s := range states {
-		for i := 0; i < per; i++ {
-			cfg = append(cfg, s)
-		}
+	counts := make([]int64, len(states))
+	for i := range counts {
+		counts[i] = int64(per)
 	}
-	for len(cfg) < n {
-		cfg = append(cfg, states[0])
-	}
-	return cfg
+	counts[0] += int64(n - per*len(states))
+	return states, counts
 }
 
 // MinCountReport is the outcome of one Lemma 4.2 empirical check.
-type MinCountReport struct {
+type MinCountReport[S comparable] struct {
 	// MinFraction is min over s ∈ Λ^m_ρ of count(s)/n at time 1.
 	MinFraction float64
 	// Counts maps each state in Λ^m_ρ to its count at time 1.
-	Counts map[int]int
+	Counts map[S]int
 }
 
-// CheckLemma42 runs the protocol from the given α-dense configuration for
-// one unit of parallel time and reports the minimum density over all states
-// in Λ^m_ρ. Lemma 4.2 asserts this is >= δ for some constant δ > 0 w.h.p.,
-// independent of n.
-func (p *Protocol) CheckLemma42(cfg []int, rho float64, m int, seed uint64) MinCountReport {
-	initialSet := make(map[int]bool)
-	for _, s := range cfg {
-		initialSet[s] = true
+// CheckLemma42 runs the table from the configuration holding counts[i]
+// agents in states[i] for one unit of parallel time and reports the
+// minimum density over all states in Λ^m_ρ. Lemma 4.2 asserts this is
+// >= δ for some constant δ > 0 w.h.p., independent of n. The engine is
+// built by pop.NewEngineFromCounts with the table bypass attached; opts
+// (a backend, say) follow the seed and the table.
+func CheckLemma42[S comparable](c *pop.Compiled[S], states []S, counts []int64, rho float64, m int, seed uint64, opts ...pop.Option) MinCountReport[S] {
+	declared := c.States()
+	id := make(map[S]int, len(declared))
+	for i, s := range declared {
+		id[s] = i
 	}
-	initial := make([]int, 0, len(initialSet))
-	for s := range initialSet {
-		initial = append(initial, s)
+	var initial []int
+	for i, s := range states {
+		if t, ok := id[s]; ok && counts[i] > 0 {
+			initial = append(initial, t)
+		}
 	}
-	chain := p.Closure(rho, initial, m)
+	chain := Closure(c, rho, initial, m)
 	lam := chain[len(chain)-1]
 
-	sim := pop.NewFromConfig(cfg, p.Rule(), pop.WithSeed(seed))
-	sim.RunTime(1)
+	opts = append([]pop.Option{pop.WithSeed(seed), c.Option()}, opts...)
+	e := pop.NewEngineFromCounts(states, counts, c.Rule(), opts...)
+	e.RunTime(1)
 
-	counts := sim.Counts()
-	rep := MinCountReport{MinFraction: 1, Counts: make(map[int]int, len(lam))}
-	n := float64(sim.N())
-	for s := range lam {
-		c := counts[s]
-		rep.Counts[s] = c
-		if f := float64(c) / n; f < rep.MinFraction {
+	got := e.Counts()
+	rep := MinCountReport[S]{MinFraction: 1, Counts: make(map[S]int, len(lam))}
+	n := float64(e.N())
+	for t := range lam {
+		k := got[declared[t]]
+		rep.Counts[declared[t]] = k
+		if f := float64(k) / n; f < rep.MinFraction {
 			rep.MinFraction = f
 		}
 	}
 	return rep
+}
+
+func setOf(states []int) map[int]bool {
+	s := make(map[int]bool, len(states))
+	for _, k := range states {
+		s[k] = true
+	}
+	return s
 }
 
 func copySet(s map[int]bool) map[int]bool {

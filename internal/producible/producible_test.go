@@ -3,43 +3,35 @@ package producible
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/popsim/popsize/internal/pop"
+	"github.com/popsim/popsize/internal/protocol"
 )
 
-func TestValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		p       *Protocol
-		wantErr bool
-	}{
-		{"approx majority", ApproxMajority(), false},
-		{"counter chain", CounterChain(5), false},
-		{"coin doubler", CoinDoubler(), false},
-		{"bad state index", &Protocol{
-			Names:       []string{"a"},
-			Transitions: map[[2]int][]Outcome{{0, 3}: {{C: 0, D: 0, Rho: 1}}},
-		}, true},
-		{"mass over one", &Protocol{
-			Names:       []string{"a"},
-			Transitions: map[[2]int][]Outcome{{0, 0}: {{C: 0, D: 0, Rho: 0.7}, {C: 0, D: 0, Rho: 0.7}}},
-		}, true},
-		{"zero rate", &Protocol{
-			Names:       []string{"a"},
-			Transitions: map[[2]int][]Outcome{{0, 0}: {{C: 0, D: 0, Rho: 0}}},
-		}, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.p.Validate(); (err != nil) != tt.wantErr {
-				t.Errorf("Validate() error = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
-	}
+// coinDoubler is a randomized table used to exercise rate filtering in the
+// closure: pairs of state 0 promote to state 1 with rate ½ and to state 2
+// with rate ¼; the remaining ¼ is the identity branch.
+func coinDoubler() *pop.Compiled[int] {
+	return pop.MustCompile(pop.Table[int]{
+		{Rec: 0, Sen: 0}: pop.Choose(
+			pop.Branch[int]{W: 2, Rec: 1, Sen: 1},
+			pop.Branch[int]{W: 1, Rec: 2, Sen: 2},
+			pop.Branch[int]{W: 1, Rec: 0, Sen: 0},
+		),
+	})
 }
+
+// Approximate-majority table ids (protocol.AMCompiled, canonical order of
+// the opinions −1, 0, 1): X is opinion 1 and Y is −1.
+const (
+	amY = 0
+	amX = 2
+)
 
 func TestClosureCounterChain(t *testing.T) {
 	const m = 6
 	p := CounterChain(m)
-	chain := p.Closure(1, []int{0}, m)
+	chain := Closure(p, 1, []int{0}, m)
 	for i, lam := range chain {
 		// Λ^i = {c0..ci}: counting up one level per transition round.
 		if len(lam) != i+1 {
@@ -52,17 +44,16 @@ func TestClosureCounterChain(t *testing.T) {
 }
 
 func TestClosureDepthSaturates(t *testing.T) {
-	p := ApproxMajority()
-	depth, lam := p.ClosureDepth(1, []int{0, 1})
+	depth, lam := ClosureDepth(protocol.AMCompiled(), 1, []int{amX, amY})
 	if depth != 1 || len(lam) != 3 {
 		t.Errorf("ClosureDepth = %d with %d states; want depth 1, 3 states", depth, len(lam))
 	}
 }
 
 func TestClosureRateFiltering(t *testing.T) {
-	p := CoinDoubler()
+	p := coinDoubler()
 	// With ρ = 0.3 only the rate-0.5 outcome counts: state 2 unreachable.
-	_, lam := p.ClosureDepth(0.3, []int{0})
+	_, lam := ClosureDepth(p, 0.3, []int{0})
 	if lam[2] {
 		t.Error("rate-¼ outcome included at ρ = 0.3")
 	}
@@ -70,7 +61,7 @@ func TestClosureRateFiltering(t *testing.T) {
 		t.Error("rate-½ outcome excluded at ρ = 0.3")
 	}
 	// With ρ = 0.2 both appear.
-	_, lam = p.ClosureDepth(0.2, []int{0})
+	_, lam = ClosureDepth(p, 0.2, []int{0})
 	if !lam[2] {
 		t.Error("rate-¼ outcome excluded at ρ = 0.2")
 	}
@@ -82,7 +73,7 @@ func TestClosureMonotoneIdempotent(t *testing.T) {
 	p := CounterChain(8)
 	f := func(m8 uint8) bool {
 		m := int(m8 % 10)
-		chain := p.Closure(1, []int{0}, m)
+		chain := Closure(p, 1, []int{0}, m)
 		for i := 1; i < len(chain); i++ {
 			for s := range chain[i-1] {
 				if !chain[i][s] {
@@ -98,21 +89,12 @@ func TestClosureMonotoneIdempotent(t *testing.T) {
 }
 
 func TestDenseConfig(t *testing.T) {
-	cfg := DenseConfig([]int{0, 1}, 0.4, 100)
-	if len(cfg) != 100 {
-		t.Fatalf("len = %d, want 100", len(cfg))
+	states, counts := DenseConfig([]int{0, 1}, 0.4, 100)
+	if len(states) != 2 || states[0] != 0 || states[1] != 1 {
+		t.Fatalf("states = %v, want [0 1]", states)
 	}
-	c0, c1 := 0, 0
-	for _, s := range cfg {
-		switch s {
-		case 0:
-			c0++
-		case 1:
-			c1++
-		}
-	}
-	if c0 != 60 || c1 != 40 {
-		t.Errorf("counts = %d,%d; want 60,40", c0, c1)
+	if counts[0] != 60 || counts[1] != 40 {
+		t.Errorf("counts = %d,%d; want 60,40", counts[0], counts[1])
 	}
 	defer func() {
 		if recover() == nil {
@@ -126,10 +108,10 @@ func TestDenseConfig(t *testing.T) {
 // states of the 3-state approximate-majority protocol reach a constant
 // fraction of n by time 1, for n across two orders of magnitude.
 func TestLemma42ApproxMajority(t *testing.T) {
-	p := ApproxMajority()
+	p := protocol.AMCompiled()
 	for _, n := range []int{500, 5000, 50000} {
-		cfg := DenseConfig([]int{0, 1}, 0.5, n)
-		rep := p.CheckLemma42(cfg, 1, 1, 7)
+		states, counts := DenseConfig([]int{1, -1}, 0.5, n)
+		rep := CheckLemma42(p, states, counts, 1, 1, 7)
 		if rep.MinFraction < 0.02 {
 			t.Errorf("n=%d: min density %.4f < 0.02 at time 1", n, rep.MinFraction)
 		}
@@ -143,8 +125,8 @@ func TestLemma42CounterChain(t *testing.T) {
 	const m = 4 // T is 4-producible; agents need 4 interactions each
 	p := CounterChain(m)
 	for _, n := range []int{1000, 10000} {
-		cfg := DenseConfig([]int{0}, 1, n)
-		rep := p.CheckLemma42(cfg, 1, m, 3)
+		states, counts := DenseConfig([]int{0}, 1, n)
+		rep := CheckLemma42(p, states, counts, 1, m, 3)
 		if rep.Counts[m] == 0 {
 			t.Errorf("n=%d: no terminated agents at time 1", n)
 		}

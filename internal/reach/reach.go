@@ -1,8 +1,9 @@
 // Package reach implements the Section 2.1 correctness notions for
-// explicit finite protocols by exhaustive configuration-space search:
-// reachability, *stable correctness* (every reachable configuration is
-// correct), and *silence* (no transition can change any agent's state —
-// the stronger notion the paper contrasts with termination, citing [13]).
+// finite protocols given as compiled transition tables (pop.Compiled) by
+// exhaustive configuration-space search: reachability, *stable
+// correctness* (every reachable configuration is correct), and *silence*
+// (no transition can change any agent's state — the stronger notion the
+// paper contrasts with termination, citing [13]).
 //
 // Population protocols' configuration spaces are multisets, so for the
 // small populations where exhaustion is feasible (the paper's proofs reason
@@ -17,11 +18,12 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/popsim/popsize/internal/producible"
+	"github.com/popsim/popsize/internal/pop"
 )
 
-// Config is a configuration vector: Config[s] is the count of agents in
-// state s (indices into the protocol's state list).
+// Config is a configuration vector over a compiled table's canonical ids:
+// Config[s] is the count of agents in state s (an index into
+// Compiled.States()).
 type Config []int
 
 // N returns the population size of the configuration.
@@ -53,26 +55,30 @@ func (c Config) clone() Config {
 }
 
 // Successors returns every configuration reachable from c by one
-// transition (any outcome with positive probability of any applicable
-// ordered pair). The receiver/sender order matters for asymmetric
-// transition relations.
-func Successors(p *producible.Protocol, c Config) []Config {
+// transition (any branch of any applicable ordered pair; identity
+// branches leave c unchanged and are not listed). The receiver/sender
+// order matters for asymmetric transition relations.
+func Successors[S comparable](p *pop.Compiled[S], c Config) []Config {
 	var out []Config
 	seen := map[string]bool{}
-	for pair, outcomes := range p.Transitions {
-		rec, sen := pair[0], pair[1]
-		if !applicable(c, rec, sen) {
-			continue
-		}
-		for _, o := range outcomes {
-			d := c.clone()
-			d[rec]--
-			d[sen]--
-			d[o.C]++
-			d[o.D]++
-			if k := d.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, d)
+	for rec := range c {
+		for sen := range c {
+			if !applicable(c, rec, sen) {
+				continue
+			}
+			for _, br := range p.Branches(rec, sen) {
+				if br.Rec == rec && br.Sen == sen {
+					continue
+				}
+				d := c.clone()
+				d[rec]--
+				d[sen]--
+				d[br.Rec]++
+				d[br.Sen]++
+				if k := d.Key(); !seen[k] {
+					seen[k] = true
+					out = append(out, d)
+				}
 			}
 		}
 	}
@@ -89,7 +95,7 @@ func applicable(c Config, rec, sen int) bool {
 // Reachable returns the set of configurations reachable from c (including
 // c), keyed by Config.Key, stopping once limit configurations have been
 // discovered. truncated reports whether the limit was hit.
-func Reachable(p *producible.Protocol, c Config, limit int) (set map[string]Config, truncated bool) {
+func Reachable[S comparable](p *pop.Compiled[S], c Config, limit int) (set map[string]Config, truncated bool) {
 	set = map[string]Config{c.Key(): c}
 	queue := []Config{c}
 	for len(queue) > 0 {
@@ -113,14 +119,16 @@ func Reachable(p *producible.Protocol, c Config, limit int) (set map[string]Conf
 // Silent reports whether the configuration is silent: no transition can
 // change any agent's state (Section 4's explicit contrast with
 // "terminated").
-func Silent(p *producible.Protocol, c Config) bool {
-	for pair, outcomes := range p.Transitions {
-		if !applicable(c, pair[0], pair[1]) {
-			continue
-		}
-		for _, o := range outcomes {
-			if o.C != pair[0] || o.D != pair[1] {
-				return false // a state-changing transition applies
+func Silent[S comparable](p *pop.Compiled[S], c Config) bool {
+	for rec := range c {
+		for sen := range c {
+			if !applicable(c, rec, sen) {
+				continue
+			}
+			for _, br := range p.Branches(rec, sen) {
+				if br.Rec != rec || br.Sen != sen {
+					return false // a state-changing transition applies
+				}
 			}
 		}
 	}
@@ -132,7 +140,7 @@ func Silent(p *producible.Protocol, c Config) bool {
 // are correct (Section 2.1). truncated reports an inconclusive search (the
 // reachable set exceeded limit); in that case the boolean is the verdict
 // over the explored prefix.
-func StablyCorrect(p *producible.Protocol, c Config, correct func(Config) bool, limit int) (stable, truncated bool) {
+func StablyCorrect[S comparable](p *pop.Compiled[S], c Config, correct func(Config) bool, limit int) (stable, truncated bool) {
 	set, trunc := Reachable(p, c, limit)
 	for _, cfg := range set {
 		if !correct(cfg) {
@@ -144,7 +152,7 @@ func StablyCorrect(p *producible.Protocol, c Config, correct func(Config) bool, 
 
 // CanReach reports whether some configuration satisfying pred is reachable
 // from c (within limit explored configurations).
-func CanReach(p *producible.Protocol, c Config, pred func(Config) bool, limit int) (found, truncated bool) {
+func CanReach[S comparable](p *pop.Compiled[S], c Config, pred func(Config) bool, limit int) (found, truncated bool) {
 	set, trunc := Reachable(p, c, limit)
 	for _, cfg := range set {
 		if pred(cfg) {

@@ -31,6 +31,7 @@ type SpecRequest struct {
 	// needs at least 2 agents); empty keeps the sizing preset.
 	Ns []int `json:"ns,omitempty"`
 	// Trials overrides the per-point trial count; 0 keeps the preset.
+	// It may not exceed MaxUnits.
 	Trials int `json:"trials,omitempty"`
 	// Quick selects the -quick smoke sizing preset.
 	Quick bool `json:"quick,omitempty"`
@@ -56,6 +57,26 @@ type SpecRequest struct {
 // the daemon, and its restart would requeue it. The multiset backends
 // hold O(live states) and take larger sizes.
 const MaxSeqN = 1 << 26
+
+// MaxUnits caps the trials one sweep may run, summed over its points.
+// Spec.Units allocates one Unit per trial before the first one runs, so
+// an unbounded count is an allocation beyond memory, the same fatal error
+// MaxSeqN guards against. The full default suite is 1156 units (the
+// -quick suite 336), so the cap leaves room for about 900 times its
+// trials.
+const MaxUnits = 1 << 20
+
+// CheckUnits refuses points whose trials sum above MaxUnits.
+func CheckUnits(points []Point) error {
+	total := 0
+	for _, p := range points {
+		total += p.Trials
+		if total > MaxUnits {
+			return fmt.Errorf("sweep: the request's points sum to more than the cap of %d trials (MaxUnits); lower trials or ns", MaxUnits)
+		}
+	}
+	return nil
+}
 
 // SetDefaults fills the zero-valued knobs whose documented default is not
 // the zero value, mirroring the flag defaults exactly.
@@ -85,6 +106,9 @@ func (r *SpecRequest) Validate() error {
 	}
 	if r.Trials < 0 {
 		return fmt.Errorf("sweep: request needs trials >= 0 (got %d)", r.Trials)
+	}
+	if r.Trials > MaxUnits {
+		return fmt.Errorf("sweep: request trials %d is above the cap of %d trials per sweep (MaxUnits)", r.Trials, MaxUnits)
 	}
 	if r.Workers < 0 {
 		return fmt.Errorf("sweep: request needs workers >= 0 (got %d)", r.Workers)

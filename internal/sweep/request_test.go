@@ -105,6 +105,26 @@ func TestSpecRequestSeqCap(t *testing.T) {
 	}
 }
 
+// TestSpecRequestUnitsCap: a request's trials and its points' summed
+// trials are capped at MaxUnits, and both refusals name the cap.
+func TestSpecRequestUnitsCap(t *testing.T) {
+	if err := (&SpecRequest{Trials: MaxUnits}).Validate(); err != nil {
+		t.Errorf("trials at the cap: %v", err)
+	}
+	err := (&SpecRequest{Trials: MaxUnits + 1}).Validate()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxUnits)) {
+		t.Errorf("trials above the cap: Validate() = %v, want an error naming %d", err, MaxUnits)
+	}
+	points := []Point{{Experiment: "a", N: 2, Trials: MaxUnits - 1}, {Experiment: "b", N: 2, Trials: 1}}
+	if err := CheckUnits(points); err != nil {
+		t.Errorf("points summing to the cap: %v", err)
+	}
+	points[1].Trials = 2
+	if err := CheckUnits(points); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxUnits)) {
+		t.Errorf("points summing above the cap: CheckUnits() = %v, want an error naming %d", err, MaxUnits)
+	}
+}
+
 // TestKeyIDRoundTrip checks the wire id codec, including experiment labels
 // carrying the separator character.
 func TestKeyIDRoundTrip(t *testing.T) {
