@@ -12,9 +12,8 @@ import (
 // slot goes to the *next client* in rotation, not to whichever waiter
 // queued first. A big job that keeps a thousand units queued therefore
 // cannot starve a small job — the small job's waiters are interleaved one
-// grant per rotation, the same spirit as pop's effectiveWorkers budgeting
-// (every concurrent consumer gets its share of the core budget, rather
-// than first-come-takes-all).
+// grant per rotation: every concurrent consumer gets its share of the
+// slots, rather than first-come-takes-all.
 //
 // Within one client, waiters are served FIFO.
 type Pool struct {

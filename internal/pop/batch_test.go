@@ -1,12 +1,11 @@
 package pop
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"sort"
 	"testing"
+	"time"
 )
 
 // Toy protocols used by the white-box batch tests. (Tests inside package
@@ -175,90 +174,6 @@ func TestBatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialDistribution is a direct distributional check
-// of the batching machinery (including collision steps, which dominate at
-// tiny n): the full end-configuration distribution of approximate majority
-// at n=8 must agree across the sequential engine, batch Run, and the
-// multiset Step path.
-func TestBatchMatchesSequentialDistribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distribution comparison is not short")
-	}
-	const n, T, trials = 8, 4, 12000
-	initial := func(i int, _ *rand.Rand) int {
-		if i < 5 {
-			return 1
-		}
-		return -1
-	}
-	signature := func(e Engine[int]) string {
-		c := e.Counts()
-		keys := make([]int, 0, len(c))
-		for k := range c {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		s := ""
-		for _, k := range keys {
-			s += fmt.Sprintf("%d:%d;", k, c[k])
-		}
-		return s
-	}
-	run := func(mk func(tr int) Engine[int]) map[string]float64 {
-		sigs := RunTrials(trials, 0, func(tr int) string {
-			e := mk(tr)
-			e.RunTime(T)
-			return signature(e)
-		})
-		freq := make(map[string]float64)
-		for _, s := range sigs {
-			freq[s] += 1.0 / trials
-		}
-		return freq
-	}
-	seq := run(func(tr int) Engine[int] {
-		return New(n, initial, amRule, WithSeed(uint64(tr)*2+1))
-	})
-	bat := run(func(tr int) Engine[int] {
-		return NewBatch(n, initial, amRule, WithSeed(uint64(tr)*2+2))
-	})
-	step := run(func(tr int) Engine[int] {
-		b := NewBatch(n, initial, amRule, WithSeed(uint64(tr)*2+3))
-		return stepOnly[int]{b}
-	})
-	compare := func(name string, a, b map[string]float64) {
-		seen := map[string]bool{}
-		for k := range a {
-			seen[k] = true
-		}
-		for k := range b {
-			seen[k] = true
-		}
-		for k := range seen {
-			d := math.Abs(a[k] - b[k])
-			// ~5 standard errors for a Bernoulli frequency at this trial count.
-			tol := 5*math.Sqrt(math.Max(a[k], b[k])/trials) + 1e-3
-			if d > tol {
-				t.Errorf("%s: signature %q: %.4f vs %.4f (tol %.4f)", name, k, a[k], b[k], tol)
-			}
-		}
-	}
-	compare("seq vs batch", seq, bat)
-	compare("seq vs multiset-step", seq, step)
-}
-
-// stepOnly forces the single-interaction multiset path of a BatchSim.
-type stepOnly[S comparable] struct{ *BatchSim[S] }
-
-func (s stepOnly[S]) Run(k int64) {
-	for ; k > 0; k-- {
-		s.BatchSim.Step()
-	}
-}
-func (s stepOnly[S]) RunTime(t float64) {
-	s.Run(int64(t * float64(s.N())))
-}
-
 // TestBatchCachePolicy: transitions that consume randomness must never be
 // served from the deterministic-transition cache; deterministic ones must.
 func TestBatchCachePolicy(t *testing.T) {
@@ -322,6 +237,20 @@ func TestRunUntilBoundaryParity(t *testing.T) {
 		if at != 4 {
 			t.Errorf("%s: detection time %v, want 4", name, at)
 		}
+	}
+}
+
+// TestRunUntilSubInteractionCheck: a check interval below one interaction
+// (checkEvery·n < 1) still advances each check by one interaction on
+// every backend, so the run reaches maxTime instead of spinning at time 0.
+func TestRunUntilSubInteractionCheck(t *testing.T) {
+	for _, be := range allBackends {
+		e := NewEngineFromCounts([]int{0, 1}, []int64{2, 1}, amRule, WithSeed(1), WithBackend(be))
+		within(t, 10*time.Second, func() {
+			if ok, at := e.RunUntil(func(Engine[int]) bool { return false }, 0.25, 2); ok || at != 2 || e.Interactions() != 6 {
+				t.Errorf("%v: RunUntil = %v at %v after %d interactions, want false at 2 after 6", be, ok, at, e.Interactions())
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // Churn (dynamic population) tests: AddAgents/RemoveAgents across all
-// three backends — exact conservation, hypergeometric removal marginals,
-// per-segment parallel-time accounting, churn while delegated, and the
-// n >= 2 floor shared by every constructor and by RemoveAgents.
+// three backends — exact conservation, per-segment parallel-time
+// accounting, churn while delegated, and the n >= 2 floor shared by every
+// constructor and by RemoveAgents. TestEngineLawOracle's churn cases check
+// the removal law.
 package pop
 
 import (
@@ -10,8 +11,6 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
-
-	"github.com/popsim/popsize/internal/stats"
 )
 
 // allBackends enumerates the concrete backends for churn tests.
@@ -59,38 +58,6 @@ func TestChurnConservation(t *testing.T) {
 			for _, op := range ops {
 				op.apply()
 				check(op.name)
-			}
-		})
-	}
-}
-
-// TestChurnRemovalMarginals: on every backend the per-state removal
-// counts of RemoveAgents(k) must match the multivariate hypergeometric
-// expectation k·c_i/N (mirroring hypergeom_test.go's moment checks, but
-// through the engines' own removal paths).
-func TestChurnRemovalMarginals(t *testing.T) {
-	states := []int{0, 1, 2, 3}
-	counts := []int64{600, 250, 100, 50}
-	const total, k, trials = 1000, 200, 3000
-	for _, be := range allBackends {
-		t.Run(be.String(), func(t *testing.T) {
-			removed := make([]float64, len(states))
-			for tr := 0; tr < trials; tr++ {
-				e := churnEngine(be, states, counts, amRule, uint64(tr)*31+uint64(be))
-				before := e.Counts()
-				e.RemoveAgents(k)
-				after := e.Counts()
-				for i, s := range states {
-					removed[i] += float64(before[s] - after[s])
-				}
-			}
-			for i, c := range counts {
-				want := float64(k) * float64(c) / float64(total)
-				// Hypergeometric SE per trial, 5 SE over the trial mean.
-				se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
-				if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
-					t.Errorf("state %d: mean removed: %v", states[i], err)
-				}
 			}
 		})
 	}

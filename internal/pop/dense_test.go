@@ -251,122 +251,6 @@ func TestDenseDeterminism(t *testing.T) {
 	}
 }
 
-// TestDenseMatchesSequentialDistribution is the direct distributional
-// check of the pair-matrix machinery at n=8, where collision steps
-// dominate: the full end-configuration distribution of approximate
-// majority must agree with the sequential engine's.
-func TestDenseMatchesSequentialDistribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distribution comparison is not short")
-	}
-	const n, T, trials = 8, 4, 12000
-	initial := func(i int, _ *rand.Rand) int {
-		if i < 5 {
-			return 1
-		}
-		return -1
-	}
-	signature := func(e Engine[int]) string {
-		c := e.Counts()
-		s := ""
-		for _, k := range []int{-1, 0, 1} {
-			s += fmt.Sprintf("%d:%d;", k, c[k])
-		}
-		return s
-	}
-	run := func(mk func(tr int) Engine[int]) map[string]float64 {
-		sigs := RunTrials(trials, 0, func(tr int) string {
-			e := mk(tr)
-			e.RunTime(T)
-			return signature(e)
-		})
-		freq := make(map[string]float64)
-		for _, s := range sigs {
-			freq[s] += 1.0 / trials
-		}
-		return freq
-	}
-	seq := run(func(tr int) Engine[int] {
-		return New(n, initial, amRule, WithSeed(uint64(tr)*2+1))
-	})
-	den := run(func(tr int) Engine[int] {
-		return NewDense(n, initial, amRule, WithSeed(uint64(tr)*2+2))
-	})
-	assertSameFrequencies(t, seq, den, trials)
-}
-
-// assertSameFrequencies checks every signature's frequency in the dense
-// runs against the sequential runs' within ~5 standard errors of a
-// Bernoulli frequency at the given trial count, and returns how many
-// signatures occurred.
-func assertSameFrequencies(t *testing.T, seq, den map[string]float64, trials int) int {
-	t.Helper()
-	seen := map[string]bool{}
-	for k := range seq {
-		seen[k] = true
-	}
-	for k := range den {
-		seen[k] = true
-	}
-	for k := range seen {
-		d := math.Abs(seq[k] - den[k])
-		tol := 5*math.Sqrt(math.Max(seq[k], den[k])/float64(trials)) + 1e-3
-		if d > tol {
-			t.Errorf("signature %q: seq %.4f vs dense %.4f (tol %.4f)", k, seq[k], den[k], tol)
-		}
-	}
-	return len(seen)
-}
-
-// TestDenseDelegationMatchesSequential is the distributional check of
-// delegation at n=12: thresholds this small make every trial delegate and
-// fall back to the agent array inside the delegated mode, and a few
-// hundred trials re-enter pair-matrix batches, so the full
-// end-configuration distribution of mixedRule exercises every mode switch
-// against the sequential engine.
-func TestDenseDelegationMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distribution comparison is not short")
-	}
-	const n, T, trials = 12, 6, 20000
-	initial := func(i int, _ *rand.Rand) int { return i % 5 }
-	type outcome struct {
-		sig                    string
-		delegations, reentries int64
-	}
-	run := func(mk func(tr int) Engine[int]) (map[string]float64, outcome) {
-		outs := RunTrials(trials, 0, func(tr int) outcome {
-			e := mk(tr)
-			e.RunTime(T)
-			c := e.Counts()
-			o := outcome{sig: fmt.Sprint(c[0], c[1], c[2], c[3], c[4])}
-			st := e.Stats()
-			o.delegations, o.reentries = st.Delegations, st.DenseReentries
-			return o
-		})
-		freq := make(map[string]float64)
-		var sum outcome
-		for _, o := range outs {
-			freq[o.sig] += 1.0 / trials
-			sum.delegations += o.delegations
-			sum.reentries += o.reentries
-		}
-		return freq, sum
-	}
-	seq, _ := run(func(tr int) Engine[int] {
-		return New(n, initial, mixedRule, WithSeed(uint64(tr)*2+1))
-	})
-	den, st := run(func(tr int) Engine[int] {
-		return NewDense(n, initial, mixedRule, WithSeed(uint64(tr)*2+2),
-			WithDenseThreshold(3), WithBatchThreshold(4))
-	})
-	if st.delegations == 0 || st.reentries == 0 {
-		t.Fatalf("trials never switched modes: %d delegations, %d re-entries", st.delegations, st.reentries)
-	}
-	sigs := assertSameFrequencies(t, seq, den, trials)
-	t.Logf("%d signatures, %d delegations, %d re-entries", sigs, st.delegations, st.reentries)
-}
-
 // TestDenseDistinctStates: on a protocol that can only shuffle its initial
 // values (max-epidemic), the dense engine must report exactly the initial
 // distinct-state count.
@@ -513,9 +397,9 @@ func TestNewEngineFromCounts(t *testing.T) {
 	}
 }
 
-// TestDenseStepOnlyPath: the single-interaction multiset step must agree
-// with Run over many interactions (exercised via interaction parity and
-// conservation rather than distribution — the n=8 suite covers that).
+// TestDenseStepOnlyPath: the single-interaction multiset step keeps the
+// interaction count and conservation on a dense engine (its law is the
+// step case of TestEngineLawOracle).
 func TestDenseStepOnlyPath(t *testing.T) {
 	d := NewDense(50, func(i int, _ *rand.Rand) int { return i % 4 }, amRule, WithSeed(17))
 	for i := 0; i < 200; i++ {
@@ -526,49 +410,6 @@ func TestDenseStepOnlyPath(t *testing.T) {
 	}
 	if got := countsSum[int](d); got != 50 {
 		t.Errorf("conservation after steps: %d agents, want 50", got)
-	}
-}
-
-// oneWayEpidemic is the maximally receiver/sender-asymmetric rule: the
-// receiver adopts infection from the sender, never the reverse.
-func oneWayEpidemic(rec, sen int, _ *rand.Rand) (int, int) {
-	if sen == 1 {
-		return 1, sen
-	}
-	return rec, sen
-}
-
-// TestDensePairTypeExpectation pins the per-interaction ordered-pair-type
-// probability on an asymmetric rule: within a collision-free batch every
-// interaction is marginally a uniform ordered pair of distinct agents, so
-// the per-interaction infection rate of a one-way epidemic must equal
-// (S/n)·(I/(n−1)) exactly. This is the observable that catches
-// receiver/sender conditioning bugs in the pair-matrix sampler — e.g. a
-// row tail drawn from the full pool instead of the chain's remaining
-// suffix halves it — which symmetric-rule distribution tests miss.
-func TestDensePairTypeExpectation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pair-type expectation estimation is not short")
-	}
-	const n, inf, trials = 2000, 40, 20000
-	initial := func(i int, _ *rand.Rand) int {
-		if i < inf {
-			return 1
-		}
-		return 0
-	}
-	var newInf, done float64
-	for tr := 0; tr < trials; tr++ {
-		d := NewDense(n, initial, oneWayEpidemic, WithSeed(uint64(tr)*13+5))
-		done += float64(d.runBatch(1 << 20))
-		newInf += float64(d.Count(func(s int) bool { return s == 1 }) - inf)
-	}
-	got := newInf / done
-	want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
-	// ~5 standard errors of the per-batch estimator is well under 10%
-	// relative at this trial count; the historical suffix bug sat at −51%.
-	if math.Abs(got-want) > 0.1*want {
-		t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
 	}
 }
 

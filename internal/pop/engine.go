@@ -81,9 +81,10 @@ type Engine[S comparable] interface {
 	Run(k int64)
 	// RunTime executes t units of parallel time (t·n interactions).
 	RunTime(t float64)
-	// RunUntil repeatedly executes checkEvery units of parallel time and
-	// then evaluates pred, stopping as soon as pred holds or maxTime units
-	// of parallel time have elapsed since the call began.
+	// RunUntil repeatedly executes checkEvery units of parallel time (at
+	// least one interaction) and then evaluates pred, stopping as soon as
+	// pred holds or maxTime units of parallel time have elapsed since the
+	// call began.
 	RunUntil(pred func(Engine[S]) bool, checkEvery, maxTime float64) (ok bool, at float64)
 	// Counts returns the configuration vector: the multiset of states
 	// present, as a map from state to count.
@@ -184,9 +185,9 @@ func ParseBackend(s string) (Backend, error) {
 
 // NewEngine constructs a simulation engine for a population of n agents
 // whose i'th agent starts in initial(i, rng), using the backend selected
-// by WithBackend (default Auto). Both backends consume the seed
-// identically during initialization, so they start from the same initial
-// configuration.
+// by WithBackend (default Auto). Every backend consumes the seed
+// identically during initialization, so all three start from the same
+// initial configuration.
 func NewEngine[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rule[S], opts ...Option) Engine[S] {
 	var o options
 	for _, opt := range opts {
@@ -328,10 +329,12 @@ func validateCounts[S comparable](states []S, counts []int64) int64 {
 	return total
 }
 
-// runUntil is the single RunUntil implementation shared by both engines,
+// runUntil is the single RunUntil implementation shared by the engines,
 // so that the check-boundary semantics (predicate evaluated only at
 // checkEvery multiples, maxTime measured from the call) are identical by
-// construction.
+// construction. A check advances ⌊checkEvery·n⌋ interactions, as RunTime
+// does, but at least one: below one interaction per check RunTime would
+// run none, and time would never reach maxTime.
 func runUntil[S comparable](e Engine[S], pred func(Engine[S]) bool, checkEvery, maxTime float64) (ok bool, at float64) {
 	if checkEvery <= 0 {
 		panic("pop: RunUntil requires checkEvery > 0")
@@ -341,7 +344,7 @@ func runUntil[S comparable](e Engine[S], pred func(Engine[S]) bool, checkEvery, 
 		return true, start
 	}
 	for e.Time()-start < maxTime {
-		e.RunTime(checkEvery)
+		e.Run(max(1, int64(checkEvery*float64(e.N()))))
 		if pred(e) {
 			return true, e.Time()
 		}

@@ -31,13 +31,14 @@ import (
 // sizes every batch of a par-0 variant is the splitter's root leaf (the
 // serial chains); the par variants run under pop.ShrinkSplitter, so their
 // batches recurse through the splitter tree, and the tree's trajectory law
-// is checked against the reference too.
+// is checked against the reference too. They run it inline (par 1): the
+// trials fill the cores, and other suites cover the forks.
 var equivBackends = []equivBackend{
 	{pop.Sequential, 0, 1},
 	{pop.Batched, 0, 2},
 	{pop.Dense, 0, 3},
-	{pop.Batched, 2, 4},
-	{pop.Dense, 2, 5},
+	{pop.Batched, 1, 4},
+	{pop.Dense, 1, 5},
 }
 
 type equivBackend struct {

@@ -1,8 +1,9 @@
 package pop
 
-// fenwick is a binary indexed tree over int64 weights, used by BatchSim to
-// draw agents (states weighted by their counts) without replacement in
-// O(log q) per draw. Index 0..size-1 externally; the tree is 1-based.
+// fenwick is a binary indexed tree over int64 weights, used by both
+// multiset engines to draw agents (states weighted by their counts)
+// without replacement in O(log q) per draw. Index 0..size-1 externally;
+// the tree is 1-based.
 type fenwick struct {
 	tree    []int64
 	size    int

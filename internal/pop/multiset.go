@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -382,7 +383,7 @@ func (m *multiset[S]) group(work int64) *parGroup {
 	if work < 2*parMinForkWork {
 		return nil
 	}
-	g := newParGroup(effectiveWorkers(m.par))
+	g := newParGroup(min(m.par, runtime.GOMAXPROCS(0)))
 	if g != nil {
 		g.forks = m.forkEvents
 	}

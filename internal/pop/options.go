@@ -63,9 +63,9 @@ func WithBackend(b Backend) Option {
 // p >= 1 allows up to p workers, and p = 0 (the default) means GOMAXPROCS.
 // Every value produces the byte-identical trajectory for a given seed —
 // worker count changes only the execution schedule, never a random draw
-// (see parallel.go) — and the effective worker count is additionally
-// capped so RunTrials-level and intra-trial parallelism never
-// oversubscribe GOMAXPROCS. The sequential engine ignores the option.
+// (see parallel.go) — and a parallel region never runs more than
+// GOMAXPROCS workers. The budget is per engine: concurrent trials each
+// get their own. The sequential engine ignores the option.
 // Negative values are treated as 0.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.parallelism = max(p, 0) }

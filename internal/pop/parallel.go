@@ -37,24 +37,24 @@
 //
 // # Worker budget
 //
-// Fan-out is fork-join per parallel region, bounded by effectiveWorkers:
-// the engine's parallelism target capped by GOMAXPROCS divided by the
-// number of concurrently active RunTrials workers, so trial-level and
-// intra-trial parallelism compose without oversubscription (a sweep of W
-// trial workers each running a -par P engine schedules ~GOMAXPROCS
-// goroutines, not W·P). Because results are worker-count independent,
-// the budget can adapt at runtime without affecting reproducibility.
+// Fan-out is fork-join per parallel region, with at most min(par,
+// GOMAXPROCS) workers per region for the engine's parallelism target
+// par. Nothing divides that budget among concurrent trials: a sweep of W
+// trial workers, each running an engine at par P, may schedule up to W·P
+// goroutines, and the Go scheduler multiplexes them over GOMAXPROCS
+// threads. Results are worker-count independent, so no budget can change
+// a trajectory.
 //
-// Within the budget a subtree is forked only when it has work to hand
-// off: both halves must carry at least parMinForkWork units of
-// estimated sampling work, and a region whose whole estimate is below
-// twice that creates no fork-join group at all. The estimate counts what
-// a node really draws, not how many items it moves: a pairing row is one
-// chain over the live sender classes whatever its receiver mass, so a
-// row range costs about min(rows × sender classes, receivers); a
-// composition costs about min(classes, items); an arrangement or a
-// cache-hit pass costs one unit per slot. A pair-matrix batch over three
-// states therefore never forks, however long it is.
+// A subtree is forked only when it has work to hand off: both halves
+// must carry at least parMinForkWork units of estimated sampling work,
+// and a region whose whole estimate is below twice that creates no
+// fork-join group at all. The estimate counts what a node really draws,
+// not how many items it moves: a pairing row is one chain over the live
+// sender classes whatever its receiver mass, so a row range costs about
+// min(rows × sender classes, receivers); a composition costs about
+// min(classes, items); an arrangement or a cache-hit pass costs one unit
+// per slot. A pair-matrix batch over three states therefore never forks,
+// however long it is.
 package pop
 
 import (
@@ -74,33 +74,6 @@ func resolveParallelism(par int) int {
 		return par
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// activeTrialWorkers counts RunTrials workers currently running, the
-// denominator of the intra-trial worker budget.
-var activeTrialWorkers atomic.Int64
-
-// effectiveWorkers caps an engine's parallelism target so that the
-// product of trial-level and intra-trial workers stays at GOMAXPROCS.
-func effectiveWorkers(par int) int {
-	return effectiveWorkersFor(par, runtime.GOMAXPROCS(0), int(activeTrialWorkers.Load()))
-}
-
-// effectiveWorkersFor is the pure capping rule: par bounded by
-// maxprocs/trialWorkers (at least 1). Exposed as a function of its inputs
-// for direct unit testing.
-func effectiveWorkersFor(par, maxprocs, trialWorkers int) int {
-	if par <= 1 {
-		return 1
-	}
-	if trialWorkers < 1 {
-		trialWorkers = 1
-	}
-	budget := maxprocs / trialWorkers
-	if budget < 1 {
-		budget = 1
-	}
-	return min(par, budget)
 }
 
 // parGroup bounds one parallel region's fan-out: at most workers-1 extra

@@ -1,7 +1,7 @@
 // Tests of the deterministic intra-trial parallelism layer: worker-count
 // invariance (the headline guarantee — `-par 1` and `-par 16` are
 // byte-identical), splitter distribution checks against the sequential
-// chains, the oversubscription cap, and the fork-join budget.
+// chains, the fork work gate, and the fork-join budget.
 package pop
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // shrinkSplitter makes the splitter recurse and fork at test-scale
 // populations: tiny leaves, tiny fork threshold, and enough GOMAXPROCS
-// that effectiveWorkers does not collapse to 1 on a small CI machine.
+// that a parallel region gets more than one worker on a small CI machine.
 // The leaf knobs change where node streams are consumed, so every run
 // compared within one test must execute under the same shrink.
 func shrinkSplitter(t *testing.T) {
@@ -47,27 +47,6 @@ func TestResolveParallelism(t *testing.T) {
 	for _, p := range []int{1, 2, 7} {
 		if got := resolveParallelism(p); got != p {
 			t.Errorf("explicit par %d: %d, want %d", p, got, p)
-		}
-	}
-}
-
-func TestEffectiveWorkersFor(t *testing.T) {
-	cases := []struct {
-		par, maxprocs, trialWorkers, want int
-	}{
-		{1, 8, 1, 1},   // serial target stays serial
-		{8, 8, 1, 8},   // sole trial gets the machine
-		{8, 8, 4, 2},   // 4 trial workers × 2 intra = GOMAXPROCS
-		{8, 8, 8, 1},   // fully subscribed sweep: no intra fan-out
-		{8, 8, 100, 1}, // oversubscribed sweep still floors at 1
-		{16, 8, 0, 8},  // unregistered (no sweep) caps at GOMAXPROCS
-		{2, 8, 2, 2},   // target below budget is honored
-		{0, 8, 1, 1},   // non-positive target is serial
-	}
-	for _, c := range cases {
-		if got := effectiveWorkersFor(c.par, c.maxprocs, c.trialWorkers); got != c.want {
-			t.Errorf("effectiveWorkersFor(%d, %d, %d) = %d, want %d",
-				c.par, c.maxprocs, c.trialWorkers, got, c.want)
 		}
 	}
 }
@@ -289,105 +268,6 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 	}
 }
 
-// TestSplitPairTypeExpectation is TestDensePairTypeExpectation for both
-// multiset backends on both sides of the root-leaf size: within one batch
-// every interaction is marginally a uniform ordered pair, so the one-way
-// epidemic's per-interaction infection rate must equal (S/n)·(I/(n−1)).
-// "leaf" runs the batch as the root leaf (serial chains), "tree" through
-// the splitter. This is the observable that catches receiver/sender
-// conditioning bugs in the pre-drawn sender block and its row
-// distribution.
-func TestSplitPairTypeExpectation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pair-type expectation estimation is not short")
-	}
-	const n, inf, trials = 2000, 40, 6000
-	initial := func(i int, _ *rand.Rand) int {
-		if i < inf {
-			return 1
-		}
-		return 0
-	}
-	for _, backend := range []string{"batch", "dense"} {
-		t.Run(backend, func(t *testing.T) {
-			forEachLeafSide(t, func(t *testing.T) {
-				var newInf, done float64
-				for tr := 0; tr < trials; tr++ {
-					seed := uint64(tr)*13 + 5
-					var e Engine[int]
-					var ran int64
-					if backend == "dense" {
-						d := NewDense(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-						ran = d.runBatch(1 << 20)
-						e = d
-					} else {
-						b := NewBatch(n, initial, oneWayEpidemic, WithSeed(seed), WithParallelism(2))
-						ran = b.slotBatch(1 << 20)
-						e = b
-					}
-					done += float64(ran)
-					newInf += float64(e.Count(func(s int) bool { return s == 1 }) - inf)
-				}
-				got := newInf / done
-				want := (float64(n-inf) / n) * (float64(inf) / float64(n-1))
-				// ~5 SE of the per-batch estimator is well under 10% relative at
-				// this trial count; the historical suffix bug sat at −51%.
-				if math.Abs(got-want) > 0.1*want {
-					t.Errorf("infections per interaction = %.6f, want %.6f ± 10%%", got, want)
-				}
-			})
-		})
-	}
-}
-
-// forEachLeafSide runs f twice: as "leaf" under the production leaf
-// knobs, where test-scale batches and removals are the splitter's root
-// leaf, and as "tree" under shrinkSplitter, where they recurse. Both run
-// inline: the law cannot depend on scheduling, and forking thousands of
-// tiny batches would cost minutes of pure goroutine overhead (the fork
-// path is covered by the invariance suites).
-func forEachLeafSide(t *testing.T, f func(t *testing.T)) {
-	t.Run("leaf", f)
-	t.Run("tree", func(t *testing.T) {
-		shrinkSplitter(t)
-		parMinForkWork = 1 << 11
-		f(t)
-	})
-}
-
-// TestRemoveCountsSplitMarginals: churn removal must keep the
-// multivariate hypergeometric per-state marginals k·c_i/N, whether the
-// composition is one root-leaf chain or a splitter tree.
-func TestRemoveCountsSplitMarginals(t *testing.T) {
-	states := []int{0, 1, 2, 3}
-	counts := []int64{600, 250, 100, 50}
-	const total, k, trials = 1000, 200, 3000
-	for _, be := range []Backend{Batched, Dense} {
-		t.Run(be.String(), func(t *testing.T) {
-			forEachLeafSide(t, func(t *testing.T) {
-				removed := make([]float64, len(states))
-				for tr := 0; tr < trials; tr++ {
-					e := NewEngineFromCounts(states, counts, amRule,
-						WithSeed(uint64(tr)*31+uint64(be)), WithBackend(be), WithParallelism(2))
-					before := e.Counts()
-					e.RemoveAgents(k)
-					after := e.Counts()
-					for i, s := range states {
-						removed[i] += float64(before[s] - after[s])
-					}
-				}
-				for i, c := range counts {
-					want := float64(k) * float64(c) / float64(total)
-					se := math.Sqrt(want * float64(total-c) / total * float64(total-k) / (total - 1) / trials)
-					if err := stats.MeanNear(removed[i]/trials, want, 5*se, 0.05); err != nil {
-						t.Errorf("state %d: %v", states[i], err)
-					}
-				}
-			})
-		})
-	}
-}
-
 // TestRootLeafBatchAllocs: a root-leaf batch reseeds the engine's leaf
 // PCG and reuses its scratch, so once warm it allocates nothing.
 func TestRootLeafBatchAllocs(t *testing.T) {
@@ -559,52 +439,6 @@ func BenchmarkSplitterFork(b *testing.B) {
 				g.wait()
 			}
 		})
-	}
-}
-
-// TestNestedTrialsNoOversubscription: a sweep of RunTrials workers whose
-// trials each run a -par GOMAXPROCS engine must not multiply the two
-// levels into W·P goroutines — the intra-trial budget divides by the
-// registered trial workers, keeping the process near GOMAXPROCS total.
-func TestNestedTrialsNoOversubscription(t *testing.T) {
-	shrinkSplitter(t)
-	maxprocs := runtime.GOMAXPROCS(0)
-	const trialWorkers = 4
-	base := runtime.NumGoroutine()
-	var peak atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				close(done)
-				return
-			default:
-				if g := int64(runtime.NumGoroutine()); g > peak.Load() {
-					peak.Store(g)
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	pop := func(tr int) int {
-		e := NewBatch(4000, func(i int, _ *rand.Rand) int { return i % 3 }, amRule,
-			WithSeed(uint64(tr)), WithParallelism(maxprocs))
-		e.Run(40000)
-		return e.Count(func(s int) bool { return s == 1 })
-	}
-	RunTrials(16, trialWorkers, pop)
-	done <- struct{}{}
-	// Budget: trial workers + their capped intra-trial forks (≤ GOMAXPROCS
-	// extra in total) + the sampler and test harness overhead. Quadratic
-	// spawning (trialWorkers × GOMAXPROCS each) would blow far past this.
-	bound := int64(base + trialWorkers + maxprocs + 8)
-	if p := peak.Load(); p > bound {
-		t.Errorf("peak goroutines %d exceeds composed-parallelism bound %d", p, bound)
-	}
-	// And the cap itself, as the pure rule states it:
-	if got := effectiveWorkersFor(maxprocs, maxprocs, trialWorkers); got > max(1, maxprocs/trialWorkers) {
-		t.Errorf("effectiveWorkersFor leaked %d workers per trial", got)
 	}
 }
 

@@ -20,14 +20,6 @@ func RunTrials[T any](trials, workers int, fn func(trial int) T) []T {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Register the trial-level pool so intra-trial parallelism
-	// (WithParallelism) divides the core budget instead of multiplying it:
-	// effectiveWorkers caps each engine at GOMAXPROCS over the number of
-	// concurrently registered trial workers. Results are unaffected — the
-	// splitter path is worker-count independent by construction.
-	registered := int64(min(workers, trials))
-	activeTrialWorkers.Add(registered)
-	defer activeTrialWorkers.Add(-registered)
 	out := make([]T, trials)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)

@@ -62,8 +62,9 @@
 //
 // The default (pop.Auto) picks the batched engine for populations of at
 // least 4096 agents and the dense engine beyond ~8 million (2²³).
-// Multi-trial experiments parallelize across goroutines with
-// pop.RunTrials.
+// Multi-trial experiments parallelize across goroutines in the sweep
+// layer (internal/sweep), which runs each trial as one unit of a bounded
+// worker pool.
 //
 // A single trial also parallelizes: RunOptions.Parallelism (the
 // commands' -par flag) sets the worker target of the multiset engines'
