@@ -16,8 +16,8 @@
 // The dense backend makes very large populations practical (its state is
 // the count vector, never an agent array): -protocol weak -n 1000000000
 // runs in ordinary memory. -par additionally parallelizes each trial's
-// batch sampling across cores (deterministically: every -par value
-// yields the identical trajectory for a given seed). -stats prints each trial's
+// dense pair-matrix batches across cores (deterministically: every -par
+// value yields the identical trajectory for a given seed). -stats prints each trial's
 // transition-resolution counters — how many pair transitions the
 // declared-table bypass, the deterministic-transition cache and actual
 // rule invocations resolved, and how many interactions were stepped on an

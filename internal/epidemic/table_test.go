@@ -1,8 +1,8 @@
 // Golden byte-identity for the table-compiled epidemic: on every backend
-// (sequential, batched, dense — as the splitter's root leaf and through
-// its tree) the compiled table's rule must reproduce the handwritten
-// Rule's trajectory byte for byte under the same seed, with and without
-// the declared-table bypass.
+// (sequential, batched, dense — the dense one as the splitter's root leaf
+// and through its tree) the compiled table's rule must reproduce the
+// handwritten Rule's trajectory byte for byte under the same seed, with
+// and without the declared-table bypass.
 package epidemic
 
 import (
@@ -33,9 +33,11 @@ func TestTableMatchesRuleByteIdentical(t *testing.T) {
 	init := func(i int, _ *rand.Rand) State {
 		return State{Val: boolToInt(i < 5), Member: i < n-200}
 	}
-	// At n = 1200 every multiset batch is the splitter's root leaf. The
-	// par2 rows run at n = 2²⁵ instead, where most batches exceed the
-	// root-leaf size and recurse through the splitter tree.
+	// At n = 1200 every multiset batch is short. The par2 rows run at
+	// n = 2²⁵ instead: there dense/par2's pair-matrix batches exceed the
+	// root-leaf size and recurse through the splitter tree, and
+	// batch/par2's slot batches of about 7300 slots run the serial chains
+	// at a length the small rows never reach.
 	const big = 1 << 25
 	bigStates := []State{{Val: 1, Member: true}, {Val: 0, Member: true}, {Val: 0, Member: false}}
 	bigCounts := []int64{1 << 22, 1 << 24, big - 1<<22 - 1<<24}

@@ -28,7 +28,11 @@
 // from the counts vector, taken either state-by-state (when batches are
 // long relative to q, with a Fisher–Yates shuffle realizing the uniformly
 // random pairing) or slot-by-slot through a Fenwick tree (when q is large
-// relative to the batch). The collision interaction itself, when one was
+// relative to the batch). Both run serially under one stream derived from
+// a seed word the batch draws from the main stream (leafRand), at every
+// batch length and worker target: slot batches have no splitter tree
+// (parallel.go), since one ran slower than these chains at every
+// population where it ran. The collision interaction itself, when one was
 // sampled, is resolved exactly: the colliding pair is drawn from the
 // correct conditional distribution over batch participants (whose
 // post-interaction states are known) and outsiders. The configuration
@@ -44,19 +48,17 @@
 // # Fallback
 //
 // Protocols (or phases) whose live state count exceeds WithBatchThreshold
-// get no benefit from multiset bookkeeping, so the slot arrangement
-// materializes an explicit agent array and steps it sequentially — the
+// get no benefit from multiset bookkeeping, so the slot batches
+// materialize an explicit agent array and step it sequentially — the
 // exact reference semantics — re-entering batch mode if the configuration
-// re-concentrates.
+// re-concentrates. Above MaxAgentArray agents they keep batching instead:
+// slower at high live-state counts, but never an allocation beyond memory.
 // The batched engine cannot provide per-agent interaction counts
 // (WithInteractionCounts); use the sequential engine for those
 // experiments.
 package pop
 
-import (
-	"math/rand/v2"
-	"sync"
-)
+import "math/rand/v2"
 
 const (
 	// defaultBatchThreshold is the live-state cutoff beyond which the
@@ -82,6 +84,13 @@ const (
 	// mode.
 	seqRecheckFactor = 2
 )
+
+// MaxAgentArray caps the populations held as an agent array, one element
+// per agent (about a gigabyte at this cap for a 16-byte state). An
+// allocation beyond the machine's memory is a fatal runtime error that no
+// recover catches, so the slot batches never materialize their fallback
+// above the cap, and sweep.MaxSeqN refuses sequential requests above it.
+const MaxAgentArray = 1 << 26
 
 // BatchSim is the batched multiset engine: the multiset core running its
 // slot batches. See the file comment for the algorithm. It is not safe for
@@ -273,14 +282,15 @@ func (m *multiset[S]) Step() {
 }
 
 // runSlots executes k interactions in slot batches, switching to and from
-// the agent-array fallback on the live-state threshold.
+// the agent-array fallback on the live-state threshold while the
+// population fits under MaxAgentArray.
 func (m *multiset[S]) runSlots(k int64) {
 	for k > 0 {
 		if m.seqMode {
 			k -= m.seqRun(k)
 			continue
 		}
-		if m.live > m.qMax {
+		if m.live > m.qMax && m.n <= MaxAgentArray {
 			m.materialize()
 			continue
 		}
@@ -291,9 +301,8 @@ func (m *multiset[S]) runSlots(k int64) {
 // slotBatch simulates one collision-free slot batch (plus its collision
 // interaction, if one was sampled) of at most kmax interactions, and
 // returns how many interactions it executed. Every batch draws one seed
-// word; a batch of at most seqLeafSlots slots is the splitter's root leaf
-// and runs the serial chains under leafRand, a larger one the splitter
-// tree (slotBatchSplit).
+// word and runs the serial chains under its root node stream (leafRand),
+// whatever its length.
 func (m *multiset[S]) slotBatch(kmax int64) int64 {
 	ell, collided := m.batchLength(kmax, maxBatchPairs)
 	if ell == 0 {
@@ -306,14 +315,10 @@ func (m *multiset[S]) slotBatch(kmax int64) int64 {
 		m.slots = make([]int32, parts+2)
 	}
 	slots := m.slots[:parts]
-	byState := parts >= int64(stateSampleFactor*m.live)
-	if parts > seqLeafSlots {
-		return m.slotBatchSplit(seed, slots, byState, ell, collided)
-	}
 
 	// Draw the 2ℓ participant states without replacement and pair them.
 	r := m.leafRand(seed)
-	if byState {
+	if parts >= int64(stateSampleFactor*m.live) {
 		m.sampleSlotsByState(r, slots)
 	} else {
 		m.sampleSlotsByFenwick(r, slots)
@@ -333,99 +338,6 @@ func (m *multiset[S]) slotBatch(kmax int64) int64 {
 		m.addCount(id, 1)
 	}
 	return m.endBatch(ell, collided)
-}
-
-// slotBatchSplit is slotBatch above the root leaf: the same
-// collision-free batch law, with every draw below the batch's seed word
-// derived from (seed, node path) so the trajectory is byte-identical for
-// any worker count. The batch proceeds in phases — participant
-// composition (removeSample) and uniform arrangement (multisetSeqSplit),
-// or per-slot Fenwick draws when the batch is short relative to the
-// live-state count, a read-only cache-hit pair pass over independent
-// chunks, a serial pass over the cache misses (rule calls consume the
-// shared rule stream in slot order), collision resolution over the post
-// multiset, and an O(q) commit. Only the composition, arrangement and
-// cache-hit phases fan out; everything touching the engine's own rng or
-// the rule stream stays serial and ordered.
-func (m *multiset[S]) slotBatchSplit(seed uint64, slots []int32, byState bool, ell int64, collided bool) int64 {
-	parts := int64(len(slots))
-	if byState {
-		// Draw the participants' composition, debit it, then realize a
-		// uniformly random arrangement (the pairing).
-		m.comp = m.removeSample(deriveSeed(seed, 1), parts, m.comp)
-		g := m.group(parts)
-		multisetSeqSplit(g, m.leaf, deriveSeed(seed, 2), 1, m.comp, slots, nil)
-		g.wait()
-	} else {
-		// Per-slot draws chain through the root node stream (no fan-out —
-		// each draw conditions on the previous ones).
-		m.sampleSlotsByFenwick(m.leafRand(seed), slots)
-	}
-
-	// Cache-hit pair pass: chunks are independent and read-only on engine
-	// state (concurrent cache and table reads are safe — nothing writes
-	// until the serial miss pass). Hits accumulate into per-chunk post
-	// vectors; misses defer.
-	m.post = resizeZero(m.post, len(m.states))
-	nChunks := int((parts + pairChunkSlots - 1) / pairChunkSlots)
-	missByChunk := make([][]int64, nChunks)
-	// scan resolves the pairs of slots[lo:hi] that lookupRO answers into
-	// post and returns the slot indices of the rest.
-	scan := func(lo, hi int64, post []int64) (miss []int64, hits, tblHits int64) {
-		for i := lo; i < hi; i += 2 {
-			oa, ob, ok, fromTable := m.lookupRO(slots[i], slots[i+1])
-			switch {
-			case !ok:
-				miss = append(miss, i)
-				continue
-			case fromTable:
-				tblHits++
-			default:
-				hits++
-			}
-			post[oa]++
-			post[ob]++
-		}
-		return miss, hits, tblHits
-	}
-	if g := m.group(parts); g != nil && nChunks > 1 {
-		var mu sync.Mutex
-		for ci := range missByChunk {
-			lo := int64(ci) * pairChunkSlots
-			g.fork(func() {
-				localPost := make([]int64, len(m.post))
-				miss, hits, tblHits := scan(lo, min(lo+pairChunkSlots, parts), localPost)
-				missByChunk[ci] = miss // distinct index per chunk
-				mu.Lock()
-				for id, c := range localPost {
-					if c > 0 {
-						m.post[id] += c
-					}
-				}
-				m.st.CacheHits += hits
-				m.st.TableHits += tblHits
-				mu.Unlock()
-			})
-		}
-		g.wait()
-	} else {
-		var hits, tblHits int64
-		missByChunk[0], hits, tblHits = scan(0, parts, m.post)
-		m.st.CacheHits += hits
-		m.st.TableHits += tblHits
-	}
-
-	// Serial miss pass, in slot order: rule calls (and their randomness)
-	// happen here and only here, so the rule stream's consumption order
-	// is a pure function of the trajectory.
-	for _, chunk := range missByChunk {
-		for _, i := range chunk {
-			oa, ob, _ := m.resolve(slots[i], slots[i+1], 1)
-			m.addPost(oa, 1)
-			m.addPost(ob, 1)
-		}
-	}
-	return m.finishPost(ell, collided)
 }
 
 // sampleSlotsByState fills slots with a uniform without-replacement sample

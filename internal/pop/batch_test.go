@@ -1,6 +1,7 @@
 package pop
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -155,6 +156,30 @@ func TestBatchFallbackReentry(t *testing.T) {
 	}
 }
 
+// TestBatchFallbackCap: above MaxAgentArray agents the slot batches keep
+// batching past the live-state threshold instead of materializing an agent
+// array (2²⁷ int agents would take 1 GiB), while the same configuration
+// at a small n still falls back.
+func TestBatchFallbackCap(t *testing.T) {
+	states := []int{-1, 0, 1}
+	for _, tc := range []struct {
+		n        int64
+		fallback bool
+	}{{MaxAgentArray * 2, false}, {1 << 12, true}} {
+		b := NewBatchFromCounts(states, []int64{tc.n / 4, tc.n / 4, tc.n / 2}, amRule,
+			WithSeed(5), WithBatchThreshold(2))
+		b.Run(1 << 20)
+		st := b.Stats()
+		if got := st.Fallbacks > 0; got != tc.fallback {
+			t.Errorf("n=%d: %d fallbacks, want fallback=%v", tc.n, st.Fallbacks, tc.fallback)
+		}
+		if !tc.fallback && (st.BatchedInteractions != 1<<20 || b.LiveStates() != 3) {
+			t.Errorf("n=%d: %d batched interactions over %d live states, want %d over 3",
+				tc.n, st.BatchedInteractions, b.LiveStates(), 1<<20)
+		}
+	}
+}
+
 // TestBatchDeterminism: the same seed must reproduce the identical
 // configuration trajectory, checkpoint by checkpoint.
 func TestBatchDeterminism(t *testing.T) {
@@ -283,5 +308,34 @@ func TestBatchCompaction(t *testing.T) {
 	}
 	if b.DistinctStates() < 1000 {
 		t.Errorf("DistinctStates = %d, expected a long state cycle", b.DistinctStates())
+	}
+}
+
+// BenchmarkSlotBatch times slot batches of about 12 600 slots at
+// n = 10⁸ under the modular rule (a, b) → ((a+b+1) mod q, b) over q
+// uniform states, at one worker and at two. At q = 300 the transition
+// cache serves most pairs; at q = 5000 most pairs miss it and call the
+// rule. It reports ns per interaction.
+func BenchmarkSlotBatch(b *testing.B) {
+	const n = 100_000_000
+	for _, q := range []int{300, 5000} {
+		rule := func(a, s int, _ *rand.Rand) (int, int) { return (a + s + 1) % q, s }
+		states, counts := make([]int, q), make([]int64, q)
+		for i := range states {
+			states[i], counts[i] = i, n/int64(q)
+		}
+		counts[0] += n % int64(q)
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("q=%d/par=%d", q, par), func(b *testing.B) {
+				e := NewBatchFromCounts(states, counts, rule, WithSeed(1), WithParallelism(par))
+				e.Run(1 << 20) // intern the states and warm the cache and scratch
+				start := e.Interactions()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.slotBatch(1 << 20)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Interactions()-start), "ns/interaction")
+			})
+		}
 	}
 }

@@ -491,7 +491,8 @@ func TestDenseSamplerMatchesReferenceChain(t *testing.T) {
 //   - dense tree flush: the splitter tree's per-row miss flush. Its pins
 //     were generated by the sort-then-coalesce miss pass that the flush
 //     replaced, so they hold it to the canonical (row, sender) order.
-//   - slot tree misses: the slot tree's serial miss pass (slot order).
+//   - slot root leaf: the slot batches' in-place resolve, pair by pair in
+//     slot order, at the production knobs.
 //   - dense root leaf: pairAndApply's row-by-row cell application at the
 //     production leaf sizes, where every batch is the root leaf.
 func TestDenseTreeMissOrder(t *testing.T) {
@@ -513,9 +514,9 @@ func TestDenseTreeMissOrder(t *testing.T) {
 			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))
 		}, "c3a05c8643e42e9b7158110599d0a32340ceed5ee08353d688c58c60d354a546",
 			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 14892}},
-		{"slot tree misses", true, func(par int) Engine[int] {
+		{"slot root leaf", false, func(par int) Engine[int] {
 			return NewBatch(3000, initial, rule, WithSeed(61), WithParallelism(par))
-		}, "d81d215e0b1f3a40050480cd73e93bf24e394d5e211d0ea10d9c6519ddaaea61",
+		}, "4dc3f5e800b70629aaed14864db2afafbe11e86ee235bd97e2e773b84edaf799",
 			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1}},
 		{"dense root leaf", false, func(par int) Engine[int] {
 			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))

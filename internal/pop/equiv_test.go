@@ -28,16 +28,17 @@ import (
 // equivBackends are the engines under comparison: the sequential engine
 // is the reference, every other backend's metric distribution must match
 // it. Seed offsets keep the backends' trial streams disjoint. At these
-// sizes every batch of a par-0 variant is the splitter's root leaf (the
-// serial chains); the par variants run under pop.ShrinkSplitter, so their
-// batches recurse through the splitter tree, and the tree's trajectory law
-// is checked against the reference too. They run it inline (par 1): the
-// trials fill the cores, and other suites cover the forks.
+// sizes every pair-matrix batch of a par-0 variant is the splitter's root
+// leaf (the serial chains); the dense par variant runs under
+// pop.ShrinkSplitter, so its batches recurse through the splitter tree,
+// and the tree's trajectory law is checked against the reference too. It
+// runs the tree inline (par 1): the trials fill the cores, and other
+// suites cover the forks. Slot batches have no tree, so the batched
+// engine needs no par variant.
 var equivBackends = []equivBackend{
 	{pop.Sequential, 0, 1},
 	{pop.Batched, 0, 2},
 	{pop.Dense, 0, 3},
-	{pop.Batched, 1, 4},
 	{pop.Dense, 1, 5},
 }
 

@@ -69,15 +69,12 @@ func FuzzRandomTable(f *testing.F) {
 		init := func(i int, _ *rand.Rand) int { return declared[i%len(declared)] }
 
 		// Byte-identity with/without the table, on both multiset
-		// backends, as the splitter's root leaf and (par2, underTree)
-		// through its tree — plus conservation and, for
+		// backends, and for dense also (par2, underTree) through the
+		// splitter tree — plus conservation and, for
 		// declared-deterministic tables, a rule-call-free bypass.
 		type mk func(opts ...Option) Engine[int]
 		for name, build := range map[string]mk{
 			"batch": func(opts ...Option) Engine[int] { return NewBatch(n, init, rule, opts...) },
-			"batch/par2": func(opts ...Option) Engine[int] {
-				return NewBatch(n, init, rule, append(opts, WithParallelism(2))...)
-			},
 			"dense": func(opts ...Option) Engine[int] { return NewDense(n, init, rule, opts...) },
 			"dense/par2": func(opts ...Option) Engine[int] {
 				return NewDense(n, init, rule, append(opts, WithParallelism(2))...)

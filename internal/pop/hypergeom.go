@@ -143,7 +143,7 @@ func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, ds
 // share is emitted, and the tail's tree is built before its first emit.
 // It is the single chain behind the root leaf's participant draws and
 // every splitter node that draws a composition share — the mvhSplitComp
-// leaf, the arrangement split and the dense row split — so they cannot
+// leaf and the dense row split — so they cannot
 // drift apart.
 func removeCountsChain(r *rand.Rand, tree *fenwick, counts []int64, lo, hi int, total, k int64, emit func(i int, k int64)) {
 	rem := total

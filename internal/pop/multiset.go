@@ -8,7 +8,7 @@
 // batch framing (run-length prologue, post-multiset collision step, commit
 // and conservation check), the splitter's composition draw (removeSample),
 // churn, the snapshot body, the execution counters (Stats), and the
-// slot-batch arrangement with its agent-array fallback (batch.go), once.
+// slot batches with their agent-array fallback (batch.go), once.
 // BatchSim is that core alone. DenseSim embeds the same core and adds the
 // pair-count matrix; it switches to the core's slot batches in place
 // (delegation) while the live-state count is too high for the matrix to
@@ -132,10 +132,10 @@ type multiset[S comparable] struct {
 	live     int
 	distinct int
 
-	qMax int // live-state threshold of the slot arrangement's agent-array fallback
+	qMax int // live-state threshold of the slot batches' agent-array fallback
 	par  int // intra-trial worker target (>= 1); never affects a draw
 
-	// Agent-array fallback of the slot arrangement (batch.go): the mode
+	// Agent-array fallback of the slot batches (batch.go): the mode
 	// flag, the agents, and the interactions until the next re-entry
 	// check. While seqMode is set the agents are the configuration and
 	// the counts vector is stale.
@@ -157,8 +157,8 @@ type multiset[S comparable] struct {
 
 	// Scratch: the Fenwick tree behind per-item chain draws; the batch's
 	// post-interaction multiset (indexed by state id, growing as rule
-	// outputs intern new states mid-batch); the splitter path's
-	// composition and counts prefix sums; the slot batches' participant
+	// outputs intern new states mid-batch); churn removal's composition;
+	// the splitter's counts prefix sums; the slot batches' participant
 	// slots (pre states, then post states).
 	tree  fenwick
 	post  []int64
@@ -349,9 +349,8 @@ func (m *multiset[S]) step() {
 // vector drawn by mvhSplitComp under the node streams of seed — a single
 // chain leaf at the root while at most mvhLeafClasses states exist — and
 // debited in id order. seed fully determines the draw, so it is
-// byte-identical for any worker count. Churn removal, the slot batches'
-// composition and both pair-matrix participant passes above the root leaf
-// draw through it.
+// byte-identical for any worker count. Churn removal and both pair-matrix
+// participant passes above the root leaf draw through it.
 func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	q := len(m.counts)
 	dst = resizeZero(dst, q)
@@ -407,7 +406,7 @@ func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 
 // batchLength samples the next batch's collision-free run length ℓ from
 // the core's checkpointed survival table (see runLengths) in O(log ℓ)
-// plus one stride of the product. A cap from kmax, the arrangement's
+// plus one stride of the product. A cap from kmax, the batch kind's
 // maxPairs or the population size just ends the batch early with no
 // collision interaction, which composes exactly — each batch draws its
 // participants from the fully committed configuration. ℓ = 0 is possible

@@ -20,7 +20,7 @@ type goldenCase struct {
 	sha    string
 	digest string
 	stats  Stats
-	tree   bool // run under shrinkSplitter, so batches recurse through the splitter tree
+	tree   bool // run under shrinkSplitter, so pair-matrix batches recurse through the splitter tree
 }
 
 // stateDigest is the SHA-256 of a snapshot's engine-state fields only —
@@ -52,10 +52,11 @@ func stateDigest(t *testing.T, snap *Snapshot[int]) string {
 // TestMultisetGolden pins the exact trajectories of both multiset engines
 // across commits: every backend × closure/table combination, a run
 // snapshotted mid-fallback, runs mid-delegation and after re-entry, and a
-// churn script, plus tree cases (closure rule under churn, table under
-// the main script) whose batches run through the splitter tree instead of
-// its root leaf. Each case must reach its one row of pins under every
-// parallelism in goldenPars: the worker target never moves a trajectory.
+// churn script, plus dense tree cases (closure rule under churn, table
+// under the main script) whose batches run through the splitter tree
+// instead of its root leaf. Each case must reach its one row of pins
+// under every parallelism in goldenPars: the worker target never moves a
+// trajectory.
 // The values were generated once and must not change under refactors that
 // claim byte-identity; a change that alters a trajectory on purpose
 // regenerates them and says so. A change of the snapshot format alone
@@ -133,24 +134,12 @@ func TestMultisetGolden(t *testing.T) {
 			sha:    "6cecbd2414dbc5f7a1ffc4c3050303e09d7ae593b6ff8f80d031002330cd81f9",
 			digest: "01f0cb4a09d70b2471ae2ff9f6aeb34dea771b9c1f26d808fe16a1f0c6ed9428",
 			stats:  Stats{Batches: 526, BatchedInteractions: 14977, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 6976, CacheHits: 8239, RuleCalls: 6738, TableHits: 0, Compactions: 1}},
-		{name: "batch/par%d/tree", tree: true, mk: func(par int) Engine[int] {
-			return NewBatch(n, mixedInit, mixedRule, WithSeed(47), WithParallelism(par))
-		}, ops: churn,
-			sha:    "a42e0d2136423d7e788127d9f8e40339a5893d805167cadce04d0e3377e0110f",
-			digest: "9dc6bf981bb5cd57e7cc14ce269fb81addd7f14a40582790fb1425aaffacf7b5",
-			stats:  Stats{Batches: 454, BatchedInteractions: 15878, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 8997, RuleCalls: 6888, TableHits: 0, Compactions: 1}},
 		{name: "dense/par%d/tree", tree: true, mk: func(par int) Engine[int] {
 			return NewDense(n, mixedInit, mixedRule, WithSeed(47), WithParallelism(par))
 		}, ops: churn,
 			sha:    "995a6e2d8ca3c0d94a6aef5f0212c56d65b19c54bf96f234f9588a9edbb276d6",
 			digest: "0581fa3c7fd99c0e2b87800c2de80ec5b70bd66230f4fb6fd440a2e96ba83de5",
 			stats:  Stats{Batches: 445, BatchedInteractions: 15885, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 5951, CacheHits: 9021, RuleCalls: 6854, TableHits: 0, Compactions: 1}},
-		{name: "batch/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
-			return NewBatch(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
-		}, ops: script,
-			sha:    "af61539d149580983617f3835a0c2486582289130ac64d4102b4542f2bcc6717",
-			digest: "f9467d825f32cf5a5a41c77f357369ed466bc0f9e1a755b4527eb4049aa2a1c2",
-			stats:  Stats{Batches: 661, BatchedInteractions: 23612, SeqInteractions: 0, Fallbacks: 0, Reentries: 0, CacheHits: 0, RuleCalls: 3705, TableHits: 19913, Compactions: 1}},
 		{name: "dense/par%d/table-tree", tree: true, mk: func(par int) Engine[int] {
 			return NewDense(n, coinInit, coin.Rule(), WithSeed(53), WithParallelism(par), coin.Option())
 		}, ops: script,

@@ -61,11 +61,13 @@ func WithBackend(b Backend) Option {
 
 // WithParallelism sets the multiset engines' intra-trial worker target:
 // p >= 1 allows up to p workers, and p = 0 (the default) means GOMAXPROCS.
-// Every value produces the byte-identical trajectory for a given seed —
-// worker count changes only the execution schedule, never a random draw
-// (see parallel.go) — and a parallel region never runs more than
-// GOMAXPROCS workers. The budget is per engine: concurrent trials each
-// get their own. The sequential engine ignores the option.
+// The workers serve the splitter tree (parallel.go): the dense engine's
+// pair-matrix batches above the root leaf and churn removals; slot
+// batches always run serially. Every value produces the byte-identical
+// trajectory for a given seed — worker count changes only the execution
+// schedule, never a random draw — and a parallel region never runs more
+// than GOMAXPROCS workers. The budget is per engine: concurrent trials
+// each get their own. The sequential engine ignores the option.
 // Negative values are treated as 0.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.parallelism = max(p, 0) }
@@ -75,7 +77,8 @@ func WithParallelism(p int) Option {
 // threshold: when the number of distinct states simultaneously present
 // exceeds q, BatchSim — or a DenseSim delegated to slot batches —
 // materializes an agent array and steps sequentially until the
-// configuration re-concentrates. The default (8192) suits protocols with
+// configuration re-concentrates; above MaxAgentArray agents it keeps
+// running slot batches instead. The default (8192) suits protocols with
 // polylog(n) live states; tests use small values to exercise the fallback
 // path.
 func WithBatchThreshold(q int) Option {

@@ -140,13 +140,13 @@ type lawOp struct {
 
 // lawProbe is what one trial saw of its engine: its stats, interactions
 // and applied churn events, and its batch commits by kind through the
-// batchEvents and forkEvents hooks. slotTree and denseTree count batches
-// above the splitter's root leaf (2ℓ > seqLeafSlots, ℓ > splitLeafMass),
-// fenwick slot batches drawn slot by slot (ℓ below the live states).
+// batchEvents and forkEvents hooks. denseTree counts batches above the
+// dense splitter's root leaf (ℓ > splitLeafMass), fenwick slot batches
+// drawn slot by slot (ℓ below the live states).
 type lawProbe struct {
 	Stats
-	interactions, churns                          int64
-	collided, slotTree, denseTree, fenwick, forks int64
+	interactions, churns                int64
+	collided, denseTree, fenwick, forks int64
 }
 
 // lawTrials is the number of independent runs per oracle case. The race
@@ -199,10 +199,10 @@ func (lc *lawCase) engine(seed uint64) (Engine[int], *multiset[int]) {
 }
 
 // treeKnobs shrinks the splitter so test-scale batches run its trees:
-// slot batches above 8 slots, pair-matrix batches above 4 receivers, and
-// compositions over more than 2 classes split. forks decides whether
-// every subtree may run on another goroutine or all run inline. It
-// returns the function that restores the knobs.
+// pair-matrix batches above 4 receivers and compositions over more than 2
+// classes split. forks decides whether every subtree may run on another
+// goroutine or all run inline. It returns the function that restores the
+// knobs.
 func treeKnobs(forks bool) func() {
 	restore := shrunkSplitter()
 	splitLeafMass, parMinForkWork = 4, 1
@@ -224,9 +224,6 @@ func (lc *lawCase) trial(seed uint64) ([]config, lawProbe) {
 		m.batchEvents = func(ell int, collided bool) {
 			if collided {
 				pr.collided++
-			}
-			if int64(2*ell) > seqLeafSlots {
-				pr.slotTree++
 			}
 			if int64(ell) > splitLeafMass {
 				pr.denseTree++
@@ -377,7 +374,9 @@ func cycleTable() Table[int] {
 // (amTable) at n = 300 runs batches of ℓ ≈ 11 with heavy and light
 // pairing cells and a collision step; n = 100 and thresholds of 2 live
 // states drive the mode switches; the coin table's 3:1 Choose entry is
-// drawn by the rule on every backend.
+// drawn by the rule on every backend. Slot batches have no tree, so
+// churn/batch/tree exercises the split churn composition (removeSample
+// over three states, split at two classes) on the batch backend.
 func lawCases() []lawCase {
 	am, coin, cycle := MustCompile(amTable()), MustCompile(coinTable()), MustCompile(cycleTable())
 	amInit, small, coinInit := []int64{90, 60, 150}, []int64{40, 20, 40}, []int64{100, 100, 100} // B, U, A
@@ -391,11 +390,9 @@ func lawCases() []lawCase {
 		{name: "step", tbl: am, init: amInit, script: run, be: Batched, step: true,
 			ran: func(p lawProbe) bool { return p.interactions > 0 && p.Batches == 0 }},
 		{name: "batch/leaf", tbl: am, init: amInit, script: run, be: Batched,
-			ran: func(p lawProbe) bool { return batched(p) && p.slotTree == 0 && p.fenwick < p.Batches }},
+			ran: func(p lawProbe) bool { return batched(p) && p.fenwick < p.Batches }},
 		{name: "batch/fenwick", tbl: cycle, init: []int64{16, 16, 16, 16}, script: []lawOp{{run: 128}, {check: true}},
 			be: Batched, ran: func(p lawProbe) bool { return batched(p) && p.fenwick > p.Batches/4 }},
-		{name: "batch/tree", tbl: am, init: amInit, script: run, be: Batched, opts: []Option{am.Option()},
-			tree: true, forks: true, ran: func(p lawProbe) bool { return p.slotTree > 0 && p.forks > 0 }},
 		{name: "dense/leaf", tbl: am, init: amInit, script: run, be: Dense,
 			ran: func(p lawProbe) bool { return batched(p) && p.denseTree == 0 && p.Delegations == 0 }},
 		{name: "dense/tree", tbl: am, init: amInit, script: run, be: Dense, opts: []Option{am.Option()},
@@ -414,8 +411,7 @@ func lawCases() []lawCase {
 			ran:  func(p lawProbe) bool { return p.Delegations > 0 && p.Fallbacks > 0 && p.DenseReentries > 0 }},
 		{name: "churn/seq", tbl: am, init: amInit, script: churn, be: Sequential, ran: churned},
 		{name: "churn/batch/leaf", tbl: am, init: amInit, script: churn, be: Batched, ran: churned},
-		{name: "churn/batch/tree", tbl: am, init: amInit, script: churn, be: Batched, tree: true,
-			ran: func(p lawProbe) bool { return churned(p) && p.slotTree > 0 }},
+		{name: "churn/batch/tree", tbl: am, init: amInit, script: churn, be: Batched, tree: true, ran: churned},
 		{name: "churn/dense/leaf", tbl: am, init: amInit, script: churn, be: Dense, ran: churned},
 		{name: "churn/dense/tree", tbl: am, init: amInit, script: churn, be: Dense, tree: true,
 			ran: func(p lawProbe) bool { return churned(p) && p.denseTree > 0 }},

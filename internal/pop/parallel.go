@@ -1,17 +1,18 @@
 // Deterministic intra-trial parallelism: divide-and-conquer batch
-// sampling.
+// sampling for the dense engine's pair-matrix batches and the multiset
+// core's composition draw (removeSample).
 //
 // # Why a splitter
 //
-// RunTrials parallelism helps sweeps, but a single n = 10⁸–10⁹ trial
-// still advances on one core. The batched engines' hot work — drawing a
-// multivariate hypergeometric composition, arranging a sampled multiset
-// into slots, distributing a sender block over receiver rows — all
-// factorizes recursively: a draw of m items from a class range splits
-// into left/right halves with one univariate hypergeometric per node
-// (the left half's share is Hyp(total, leftTotal, m)), after which the
-// two subtrees are conditionally independent and can run on different
-// cores.
+// Independent trials run in parallel on their own (RunTrials in tests,
+// the sweep package's worker pool in sweeps), but a single n = 10⁸–10⁹
+// trial still advances on one core. The dense engine's hot work — drawing
+// a multivariate hypergeometric composition, distributing a sender block
+// over receiver rows — factorizes recursively: a draw of m items from a
+// class range splits into left/right halves with one univariate
+// hypergeometric per node (the left half's share is Hyp(total, leftTotal,
+// m)), after which the two subtrees are conditionally independent and can
+// run on different cores.
 //
 // # Node-path seeding
 //
@@ -27,13 +28,15 @@
 //
 // # Root leaf
 //
-// A batch no larger than a splitter leaf (seqLeafSlots slots, or
-// splitLeafMass receivers for a pair-matrix batch) is the tree's root
-// leaf: it runs the engine's serial chains under the root node stream
-// (leafRand) without node splits, composition vectors or a fork-join
-// group. Short batches are
-// the common case below n ≈ 10⁷, so this keeps one sampling path at every
-// population size without paying the tree's per-node overhead there.
+// A pair-matrix batch of at most splitLeafMass receivers is the tree's
+// root leaf: it runs the engine's serial chains under the root node
+// stream (leafRand) without node splits, composition vectors or a
+// fork-join group. Short batches are the common case below n ≈ 10⁷, so
+// this keeps one sampling path at every population size without paying
+// the tree's per-node overhead there. Slot batches (batch.go) run their
+// serial chains this way at every length: splitting their arrangement and
+// cache-hit pass into a tree measured slower than the chains from
+// n = 2·10⁷ to 10⁹, at one worker and at two.
 //
 // # Worker budget
 //
@@ -51,10 +54,9 @@
 // fork-join group at all. The estimate counts what a node really draws,
 // not how many items it moves: a pairing row is one chain over the live
 // sender classes whatever its receiver mass, so a row range costs about
-// min(rows × sender classes, receivers); a composition costs about
-// min(classes, items); an arrangement or a cache-hit pass costs one unit
-// per slot. A pair-matrix batch over three states therefore never forks,
-// however long it is.
+// min(rows × sender classes, receivers), and a composition costs about
+// min(classes, items). A pair-matrix batch over three states therefore
+// never forks, however long it is.
 package pop
 
 import (
@@ -145,7 +147,7 @@ func (g *parGroup) wait() {
 }
 
 // deriveSeed gives each draw within a batch its own seed domain, so the
-// receiver, sender, arrangement and pairing trees of one batch never
+// receiver, sender and pairing trees of one batch never
 // share a node stream.
 func deriveSeed(seed, domain uint64) uint64 {
 	return splitmix64(seed ^ domain*0x9e3779b97f4a7c15)
@@ -181,11 +183,10 @@ var nodeStreamPool = sync.Pool{New: func() any { return newNodeStream() }}
 
 // Granularity knobs of the splitter path. They are vars so the tests can
 // shrink them and exercise deep recursion and real fan-out at test-scale
-// populations; production never mutates them. parMinForkWork and
-// pairChunkSlots only schedule work — any value yields the identical
-// trajectory — while mvhLeafClasses and seqLeafSlots decide where node
-// streams are consumed, so they must be held fixed across runs being
-// compared for byte-identity.
+// populations; production never mutates them. parMinForkWork only
+// schedules work — any value yields the identical trajectory — while
+// mvhLeafClasses and splitLeafMass decide where node streams are consumed,
+// so they must be held fixed across runs being compared for byte-identity.
 var (
 	// mvhLeafClasses: composition-splitter nodes covering at most this
 	// many classes draw their chain sequentially with the node's stream
@@ -199,23 +200,13 @@ var (
 	// halves of 128 draws gained nothing and two of 512 about 30%, so at
 	// 2⁹ the handoff is a few percent of the half it moves.
 	parMinForkWork int64 = 1 << 9
-	// seqLeafSlots: arrangement-splitter leaves of at most this many
-	// slots are written and shuffled in place, and a slot batch of at
-	// most this many slots is the root leaf. Even, so batch pairs
-	// (2i, 2i+1) never straddle a leaf boundary.
-	seqLeafSlots int64 = 1 << 12
 	// splitLeafMass: the dense row splitter stops bisecting once a node's
 	// receiver mass is at most this and runs the sequential multi-row
 	// chain under the node's stream, and a pair-matrix batch of at most
 	// this many receivers is the root leaf. Bisection redistributes
 	// the same items at every level (O(R·depth) descents), so leaves must
-	// carry enough mass that the tree stays shallow; like the other leaf
-	// knobs this one decides where node streams are consumed and must be
-	// held fixed across runs compared for byte-identity.
+	// carry enough mass that the tree stays shallow.
 	splitLeafMass int64 = 1 << 11
-	// pairChunkSlots: the batched engine's cache-hit pair pass works in
-	// independent slot chunks of this size (even, pair-aligned).
-	pairChunkSlots int64 = 1 << 12
 )
 
 // fenwickPool recycles the node-local Fenwick trees behind chainTail:
@@ -223,8 +214,8 @@ var (
 // scratch tree the way the root leaf's chains do.
 var fenwickPool = sync.Pool{New: func() any { return new(fenwick) }}
 
-// int64Pool recycles the splitter nodes' per-node count vectors — left-
-// half compositions, sender shares, leaf-local post multisets. Nodes run
+// int64Pool recycles the splitter nodes' per-node count vectors — sender
+// shares, leaf-local post multisets and miss lists. Nodes run
 // concurrently, so they cannot share an engine-owned scratch slice the
 // way the root leaf's chains do, and allocating one per node made the
 // allocator a measurable per-batch cost of the dense pairing path.
@@ -324,60 +315,6 @@ func mvhSplitComp(g *parGroup, s *nodeStream, seed, path uint64, counts, cum []i
 			mvhSplitComp(g, s, seed, lPath, counts, cum, lo, mid, leftTot, kL, dst)
 			lo, total, m, path = mid, total-leftTot, kR, rPath
 		}
-	}
-}
-
-// multisetSeqSplit writes a uniformly random arrangement of the multiset
-// comp (class id i appearing comp[i] times, Σ comp = len(out)) into out:
-// the left half of the positions receives a multivariate hypergeometric
-// share of the multiset (drawn with the node's stream), halves recurse
-// independently, and leaves of at most seqLeafSlots positions are written
-// as runs and Fisher–Yates shuffled in place. Splitting a uniform
-// arrangement at any fixed position yields exactly this law, so the
-// result is distributed identically to sampling slots one by one without
-// replacement. comp is consumed. Halves are kept even so consecutive
-// pair boundaries never straddle subtrees. owned, when non-nil, is
-// comp's int64Pool pointer: this invocation's subtree is the buffer's
-// last reader and returns it to the pool on the way out (the root comp
-// is engine-owned and passes nil). s is the calling goroutine's node
-// stream.
-func multisetSeqSplit(g *parGroup, s *nodeStream, seed, path uint64, comp []int64, out []int32, owned *[]int64) {
-	for {
-		m := int64(len(out))
-		if m <= seqLeafSlots {
-			r := s.at(seed, path)
-			w := 0
-			for id, c := range comp {
-				for ; c > 0; c-- {
-					out[w] = int32(id)
-					w++
-				}
-			}
-			if int64(w) != m {
-				panic("pop: arrangement splitter multiset/slot mismatch")
-			}
-			for i := len(out) - 1; i > 0; i-- {
-				j := r.IntN(i + 1)
-				out[i], out[j] = out[j], out[i]
-			}
-			break
-		}
-		mL := (m / 2) &^ 1 // even: pair-aligned boundary
-		lCompP, lComp := getInts(len(comp))
-		removeCountsChain(s.at(seed, path), nil, comp, 0, len(comp), m, mL,
-			func(i int, k int64) { lComp[i] += k; comp[i] -= k })
-		lPath, rPath := 2*path, 2*path+1
-		lOut, rOut := out[:mL], out[mL:]
-		if g != nil && min(mL, m-mL) >= parMinForkWork {
-			g.forkNode(func(s *nodeStream) { multisetSeqSplit(g, s, seed, lPath, lComp, lOut, lCompP) })
-			out, path = rOut, rPath
-			continue
-		}
-		multisetSeqSplit(g, s, seed, lPath, lComp, lOut, lCompP)
-		out, path = rOut, rPath
-	}
-	if owned != nil {
-		int64Pool.Put(owned)
 	}
 }
 

@@ -18,10 +18,12 @@ import (
 )
 
 // shrinkSplitter makes the splitter recurse and fork at test-scale
-// populations: tiny leaves, tiny fork threshold, and enough GOMAXPROCS
-// that a parallel region gets more than one worker on a small CI machine.
-// The leaf knobs change where node streams are consumed, so every run
-// compared within one test must execute under the same shrink.
+// populations: pair-matrix leaves of 16 receivers, compositions split
+// above 2 classes, a tiny fork threshold, and enough GOMAXPROCS that a
+// parallel region gets more than one worker on a small CI machine. Slot
+// batches have no tree, so the shrink leaves them alone. The leaf knobs
+// change where node streams are consumed, so every run compared within
+// one test must execute under the same shrink.
 func shrinkSplitter(t *testing.T) {
 	t.Helper()
 	t.Cleanup(shrunkSplitter())
@@ -31,11 +33,11 @@ func shrinkSplitter(t *testing.T) {
 // that restores the old ones, for callers that scope the shrink to part of
 // a test (deferred, it also runs when a t.Fatal unwinds the goroutine).
 func shrunkSplitter() (restore func()) {
-	oldLeaf, oldFork, oldChunk, oldClasses, oldMass := seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass
+	oldFork, oldClasses, oldMass := parMinForkWork, mvhLeafClasses, splitLeafMass
 	oldProcs := runtime.GOMAXPROCS(4)
-	seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass = 8, 4, 8, 2, 16
+	parMinForkWork, mvhLeafClasses, splitLeafMass = 4, 2, 16
 	return func() {
-		seqLeafSlots, parMinForkWork, pairChunkSlots, mvhLeafClasses, splitLeafMass = oldLeaf, oldFork, oldChunk, oldClasses, oldMass
+		parMinForkWork, mvhLeafClasses, splitLeafMass = oldFork, oldClasses, oldMass
 		runtime.GOMAXPROCS(oldProcs)
 	}
 }
@@ -129,57 +131,6 @@ func TestMVHSplitCompMoments(t *testing.T) {
 	}
 }
 
-// TestMultisetSeqSplitArrangement: the recursive arrangement must contain
-// exactly the input multiset, be worker-count independent, and pair slots
-// (2i, 2i+1) with the uniform-pairing law — the AB-ordered-pair rate of a
-// two-class multiset must match 2·ka·kb/(m(m−1))·(m/2) in expectation.
-func TestMultisetSeqSplitArrangement(t *testing.T) {
-	shrinkSplitter(t)
-	const ka, kb = int64(70), int64(58)
-	m := ka + kb
-	out := make([]int32, m)
-	r := rand.New(rand.NewPCG(5, 6))
-	var abPairs, trials float64
-	for trial := 0; trial < 4000; trial++ {
-		seed := r.Uint64()
-		comp := []int64{ka, kb}
-		g := newParGroup(3)
-		multisetSeqSplit(g, newNodeStream(), seed, 1, comp, out, nil)
-		g.wait()
-		// Worker-count independence: rerun serially on a fresh comp.
-		comp2 := []int64{ka, kb}
-		out2 := make([]int32, m)
-		multisetSeqSplit(nil, newNodeStream(), seed, 1, comp2, out2, nil)
-		var na, nb int64
-		for i, id := range out {
-			if out2[i] != id {
-				t.Fatalf("trial %d: worker count changed the arrangement at slot %d", trial, i)
-			}
-			if id == 0 {
-				na++
-			} else {
-				nb++
-			}
-		}
-		if na != ka || nb != kb {
-			t.Fatalf("trial %d: arrangement lost the multiset: %d/%d, want %d/%d", trial, na, nb, ka, kb)
-		}
-		for i := int64(0); i < m; i += 2 {
-			if out[i] == 0 && out[i+1] == 1 {
-				abPairs++
-			}
-		}
-		trials++
-	}
-	fm := float64(m)
-	wantPerTrial := (fm / 2) * 2 * float64(ka) * float64(kb) / (fm * (fm - 1)) / 2
-	// Var per trial is below m/4; 5 SE with a small absolute slack.
-	se := math.Sqrt(fm / 4 / trials)
-	if err := stats.MeanNear(abPairs/trials, wantPerTrial, 5*se, 0.05); err != nil {
-		t.Errorf("AB-ordered-pair rate: %v", err)
-	}
-}
-
 // parSignature summarizes everything observable about an engine run that
 // the worker-count invariance suite compares: the exact end configuration,
 // the interaction count, segmented parallel time, and state accounting.
@@ -269,18 +220,25 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 }
 
 // TestRootLeafBatchAllocs: a root-leaf batch reseeds the engine's leaf
-// PCG and reuses its scratch, so once warm it allocates nothing.
+// PCG and reuses its scratch, so once warm it allocates nothing — also a
+// slot batch of about 5400 interactions at n = 2²⁶, since every slot
+// batch is the root leaf whatever its length.
 func TestRootLeafBatchAllocs(t *testing.T) {
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	b := NewBatch(3000, init, maxRule, WithSeed(1))
 	d := NewDense(3000, init, maxRule, WithSeed(1))
+	big := NewBatchFromCounts([]int{-1, 0, 1}, []int64{1 << 24, 1 << 24, 1 << 25}, amRule, WithSeed(1))
 	b.Run(30000)
 	d.Run(30000)
+	big.Run(1 << 20)
 	if a := testing.AllocsPerRun(200, func() { b.slotBatch(1 << 20) }); a != 0 {
 		t.Errorf("slot batch: %v allocations per batch, want 0", a)
 	}
 	if a := testing.AllocsPerRun(200, func() { d.runBatch(1 << 20) }); a != 0 {
 		t.Errorf("pair-matrix batch: %v allocations per batch, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { big.slotBatch(1 << 20) }); a != 0 {
+		t.Errorf("slot batch at n=2²⁶: %v allocations per batch, want 0", a)
 	}
 }
 
@@ -305,9 +263,9 @@ func TestTreeBatchAllocs(t *testing.T) {
 // TestSplitterForkGate: the work gate keeps the splitter from forking
 // where it has nothing to hand off — a q ≤ 3 tree batch at production
 // knobs runs inline at any worker target — while a wide configuration
-// still forks, and under shrinkSplitter the configurations of
-// TestWorkerCountInvariance still fork on both backends, so the race
-// step exercises real fan-out.
+// still forks, and under shrinkSplitter the dense configurations of
+// TestWorkerCountInvariance still fork, so the race step exercises real
+// fan-out.
 func TestSplitterForkGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	par := runtime.GOMAXPROCS(0)
@@ -338,28 +296,18 @@ func TestSplitterForkGate(t *testing.T) {
 	defer shrunkSplitter()()
 	const n = 3000
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
-	for _, backend := range []string{"batch", "dense"} {
-		var total atomic.Int64
-		for _, rule := range []Rule[int]{amRule, coinRule, maxRule} {
-			var e Engine[int]
-			if backend == "dense" {
-				d := NewDense(n, init, rule, WithSeed(42), WithParallelism(par))
-				d.forkEvents = &total
-				e = d
-			} else {
-				b := NewBatch(n, init, rule, WithSeed(42), WithParallelism(par))
-				b.forkEvents = &total
-				e = b
-			}
-			e.Run(6 * n)
-			e.AddAgents(1, n/2)
-			e.Run(2 * n)
-			e.RemoveAgents(n)
-			e.Run(4 * n)
-		}
-		if total.Load() == 0 {
-			t.Errorf("%s: no fork under shrinkSplitter", backend)
-		}
+	var total atomic.Int64
+	for _, rule := range []Rule[int]{amRule, coinRule, maxRule} {
+		d := NewDense(n, init, rule, WithSeed(42), WithParallelism(par))
+		d.forkEvents = &total
+		d.Run(6 * n)
+		d.AddAgents(1, n/2)
+		d.Run(2 * n)
+		d.RemoveAgents(n)
+		d.Run(4 * n)
+	}
+	if total.Load() == 0 {
+		t.Error("dense: no fork under shrinkSplitter")
 	}
 }
 

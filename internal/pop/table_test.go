@@ -165,22 +165,22 @@ func TestCompiledRuleRandomizedDistribution(t *testing.T) {
 }
 
 // tableEngines builds the multiset-engine variants the bypass tests run
-// over: batched and dense, serial and forced-parallel. Build and run a
-// par2 variant inside underTree: at test scale every batch is otherwise
-// the splitter's root leaf.
+// over: batched, and dense serial and forced-parallel. Build and run the
+// par2 variant inside underTree: at test scale every pair-matrix batch is
+// otherwise the splitter's root leaf. Slot batches have no tree, so a
+// batched par2 variant would repeat the batched one.
 func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]func() Engine[int] {
 	return map[string]func() Engine[int]{
 		"batch":      func() Engine[int] { return NewBatch(n, init, rule, opts...) },
-		"batch/par2": func() Engine[int] { return NewBatch(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...) },
 		"dense":      func() Engine[int] { return NewDense(n, init, rule, opts...) },
 		"dense/par2": func() Engine[int] { return NewDense(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...) },
 	}
 }
 
 // underTree runs f, under shrunkSplitter when variant names a forced-
-// parallel ("…/par2") variant, so that variant's batches recurse through
-// the splitter tree and its table bypass (the cache-hit scan, the pair-row
-// leaves) is the code under test.
+// parallel ("…/par2") variant, so that variant's pair-matrix batches
+// recurse through the splitter tree and its table bypass (the pair-row
+// leaves' cache-hit scan) is the code under test.
 func underTree(variant string, f func()) {
 	if strings.HasSuffix(variant, "/par2") {
 		defer shrunkSplitter()()
@@ -254,8 +254,8 @@ func snapshotBytes[S comparable](t *testing.T, e Engine[S]) []byte {
 // without a table, and (c) the compiled rule with WithTable produce
 // byte-identical snapshots on every backend. The coin variant checks the
 // mixed case, where randomized pairs take the rule path while
-// deterministic ones use the bypass. The par2 variants run through the
-// splitter tree (underTree), the others as its root leaf.
+// deterministic ones use the bypass. The dense par2 variant runs through
+// the splitter tree (underTree), the others as its root leaf.
 func TestTableByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -285,13 +285,6 @@ func TestTableByteIdentity(t *testing.T) {
 					func() Engine[int] { return NewBatch(1000, tc.init, rule, WithSeed(seed)) },
 					func() Engine[int] { return NewBatch(1000, tc.init, rule, WithSeed(seed), c.Option()) },
 					func() Engine[int] { return NewBatch(1000, tc.init, amRule, WithSeed(seed)) },
-				},
-				"batch/par2": {
-					func() Engine[int] { return NewBatch(1000, tc.init, rule, WithSeed(seed), WithParallelism(2)) },
-					func() Engine[int] {
-						return NewBatch(1000, tc.init, rule, WithSeed(seed), WithParallelism(2), c.Option())
-					},
-					func() Engine[int] { return NewBatch(1000, tc.init, amRule, WithSeed(seed), WithParallelism(2)) },
 				},
 				"dense": {
 					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed)) },

@@ -50,13 +50,12 @@ type SpecRequest struct {
 }
 
 // MaxSeqN caps the population sizes a request may run on the seq
-// backend. The sequential engine holds one array element per agent, so
-// its memory grows linearly in n (about a gigabyte at this cap for a
-// 16-byte state), and an allocation beyond the machine's memory is a
+// backend at pop.MaxAgentArray. The sequential engine holds one array
+// element per agent, and an allocation beyond the machine's memory is a
 // fatal runtime error that no recover catches — one such job would kill
 // the daemon, and its restart would requeue it. The multiset backends
 // hold O(live states) and take larger sizes.
-const MaxSeqN = 1 << 26
+const MaxSeqN = pop.MaxAgentArray
 
 // MaxUnits caps the trials one sweep may run, summed over its points.
 // Spec.Units allocates one Unit per trial before the first one runs, so
