@@ -1,6 +1,7 @@
 package exactcount
 
 import (
+	"math"
 	"testing"
 
 	"github.com/popsim/popsize/internal/pop"
@@ -60,5 +61,43 @@ func TestTimeGrowsSuperlogarithmically(t *testing.T) {
 	// superlinear in n/„log-ish“ terms passes.
 	if ratio := t512 / t64; ratio < 5 {
 		t.Errorf("time ratio (512 vs 64) = %.1f, want >= 5 (Θ(n log n) growth)", ratio)
+	}
+}
+
+// TestRuleMatchesMeetComposition: Rule, with its follower fast path,
+// returns what the plain composition of the two meets and the
+// termination epidemic returns, on every ordered pair over leader,
+// counted and terminated flags and a drought one below, at and above the
+// termination limit once the leader's meet increments it.
+func TestRuleMatchesMeetComposition(t *testing.T) {
+	p := New(0)
+	ref := func(rec, sen State) (State, State) {
+		rec, sen = p.meet(rec, sen)
+		sen, rec = p.meet(sen, rec)
+		if rec.Terminated != sen.Terminated {
+			rec.Terminated, sen.Terminated = true, true
+		}
+		return rec, sen
+	}
+	const count = 5
+	limit := uint32(math.Ceil(p.termFactor * count * math.Log(count+2)))
+	var states []State
+	for _, leader := range []bool{false, true} {
+		for _, counted := range []bool{false, true} {
+			for _, term := range []bool{false, true} {
+				for _, d := range []uint32{limit - 2, limit - 1, limit} {
+					states = append(states, State{Leader: leader, Counted: counted, Count: count, Drought: d, Terminated: term})
+				}
+			}
+		}
+	}
+	for _, a := range states {
+		for _, b := range states {
+			ga, gb := p.Rule(a, b, nil)
+			wa, wb := ref(a, b)
+			if ga != wa || gb != wb {
+				t.Errorf("Rule(%+v, %+v) = (%+v, %+v), meets give (%+v, %+v)", a, b, ga, gb, wa, wb)
+			}
+		}
 	}
 }

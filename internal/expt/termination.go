@@ -13,14 +13,21 @@ import (
 	"github.com/popsim/popsize/internal/term"
 )
 
+// e11ChainLen is the length m of E11's counter chain, and e11Chain the
+// chain, compiled once like protocol.AMCompiled: every Resolve builds
+// E11's Def, and compiling the table there was a fifth of Resolve's cost.
+const e11ChainLen = 4
+
+var e11Chain = producible.CounterChain(e11ChainLen)
+
 // ProducibilityDef is E11: the timer/density Lemma 4.2 — every state in
 // Λ^m_ρ reaches a constant fraction of n by time 1 from α-dense
 // configurations, with the fraction independent of n.
 func ProducibilityDef(env Env, ns []int, trials int) Def {
 	const id = "E11"
 	am := protocol.AMCompiled()
-	const m = 4
-	cc := producible.CounterChain(m)
+	const m = e11ChainLen
+	cc := e11Chain
 	var points []sweep.Point
 	for _, n := range ns {
 		points = append(points,

@@ -162,23 +162,34 @@ func FuzzFenwick(f *testing.F) {
 			total += shadow[i]
 		}
 		var tree fenwick
+		var ref refFenwick
 		tree.reset(shadow)
+		ref.reset(shadow)
 		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 		for op := 0; op < int(ops); op++ {
 			if total == 0 {
 				break
 			}
 			if op%5 == 4 {
-				// Occasionally add weight back, as the engines do.
+				// Occasionally move weight directly: a debit, as dense
+				// pairRow's heavy cells make them, or weight added back,
+				// as a with-replacement draw would.
 				i := r.IntN(len(shadow))
 				delta := int64(r.IntN(7))
+				if op%10 == 4 {
+					delta = -min(delta, shadow[i])
+				}
 				tree.add(i, delta)
+				ref.add(i, delta)
 				shadow[i] += delta
 				total += delta
 				continue
 			}
 			u := r.Int64N(total)
 			got := tree.findAndDec(u)
+			if want := ref.refFindAndDec(u); got != want {
+				t.Fatalf("findAndDec(%d) = %d, branchy reference %d (weights %v)", u, got, want, shadow)
+			}
 			// Oracle: the index whose cumulative weight interval holds u.
 			want := 0
 			acc := int64(0)
@@ -201,7 +212,11 @@ func FuzzFenwick(f *testing.F) {
 		// drain it completely and count hits per index.
 		remaining := make([]int64, len(shadow))
 		for ; total > 0; total-- {
-			remaining[tree.findAndDec(0)]++
+			got := tree.findAndDec(0)
+			if want := ref.refFindAndDec(0); got != want {
+				t.Fatalf("drain: findAndDec(0) = %d, branchy reference %d", got, want)
+			}
+			remaining[got]++
 			// u = 0 always lands on the first positive-weight index; the
 			// oracle property was already checked above, so here we only
 			// need the multiset to drain consistently.

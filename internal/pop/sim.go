@@ -43,6 +43,7 @@
 package pop
 
 import (
+	"fmt"
 	"math/rand/v2"
 )
 
@@ -81,6 +82,13 @@ type Sim[S comparable] struct {
 // supports inputs (e.g. majority opinions) and initial leaders.
 func New[S comparable](n int, initial func(i int, r *rand.Rand) S, rule Rule[S], opts ...Option) *Sim[S] {
 	validatePopSize(int64(n))
+	// Checked here, not in validatePopSize: the multiset engines hold n
+	// far above the cap.
+	if n > MaxAgentArray {
+		panic(fmt.Sprintf(
+			"pop: population size %d exceeds MaxAgentArray = %d, the cap on an agent array; the multiset backends (NewEngineFromCounts) hold larger populations",
+			n, MaxAgentArray))
+	}
 	if rule == nil {
 		panic("pop: nil rule")
 	}
@@ -268,16 +276,16 @@ func (s *Sim[S]) Step() {
 	if j >= i {
 		j++
 	}
-	a, b := s.rule(s.agents[i], s.agents[j], s.rng)
-	s.agents[i], s.agents[j] = a, b
+	ai, aj := &s.agents[i], &s.agents[j]
+	*ai, *aj = s.rule(*ai, *aj, s.rng)
 	s.interactions++
 	if s.icounts != nil {
 		s.icounts[i]++
 		s.icounts[j]++
 	}
 	if s.seen != nil {
-		s.seen[a] = struct{}{}
-		s.seen[b] = struct{}{}
+		s.seen[*ai] = struct{}{}
+		s.seen[*aj] = struct{}{}
 	}
 }
 

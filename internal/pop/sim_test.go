@@ -1,8 +1,11 @@
 package pop
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +37,43 @@ func TestNewPanics(t *testing.T) {
 				}
 			}()
 			tt.f()
+		})
+	}
+}
+
+// TestNewRefusesAboveAgentArrayCap: an agent-array engine above
+// MaxAgentArray panics naming the cap before it allocates the array or
+// builds a single agent — called directly, and when Auto picks the
+// sequential backend for WithInteractionCounts from a count vector.
+func TestNewRefusesAboveAgentArrayCap(t *testing.T) {
+	const n = MaxAgentArray + 1
+	initial := func(int, *rand.Rand) pair {
+		t.Fatal("initial called above the agent-array cap")
+		return pair{}
+	}
+	for name, fn := range map[string]func(){
+		"New": func() { New(n, initial, countRule) },
+		"NewEngineFromCounts": func() {
+			NewEngineFromCounts([]pair{{}}, []int64{n}, countRule, WithInteractionCounts())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			defer func() {
+				runtime.ReadMemStats(&after)
+				r := recover()
+				if r == nil {
+					t.Fatal("no panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "MaxAgentArray") {
+					t.Errorf("panic %q does not name the cap", msg)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+					t.Errorf("allocated %d bytes before refusing", grew)
+				}
+			}()
+			fn()
 		})
 	}
 }
