@@ -67,10 +67,6 @@ const (
 	// maxBatchPairs caps a single batch's length (slots memory and
 	// scratch sizes scale with it).
 	maxBatchPairs = 1 << 16
-	// cacheBits sizes the direct-mapped transition cache: 1<<cacheBits
-	// slots of 16 bytes (4 MiB). Conflicting pairs simply evict each
-	// other; the hot working set of real protocols is far smaller.
-	cacheBits = 18
 	// stateSampleFactor: batches with at least stateSampleFactor slots
 	// per live state sample slot counts state-by-state (hypergeometric
 	// chain + shuffle); shorter ones sample slot-by-slot (Fenwick).
@@ -105,7 +101,7 @@ type BatchSim[S comparable] struct {
 func newBatchSim[S comparable](n int, rule Rule[S], opts []Option) *BatchSim[S] {
 	var o options
 	Combine(opts...)(&o)
-	return &BatchSim[S]{multiset: newShell("batched", n, rule, o, cacheBits)}
+	return &BatchSim[S]{multiset: newShell("batched", n, rule, o)}
 }
 
 // NewBatch constructs a batched multiset simulator; the arguments mirror
@@ -154,13 +150,20 @@ func (m *multiset[S]) Stats() Stats { return m.st }
 func (m *multiset[S]) Time() float64 { return m.timeAt(m.interacts) }
 
 // AddAgents adds k agents in state st (a join event): one count edit in
-// multiset mode, k appended agents in the agent-array fallback.
+// multiset mode, k appended agents in the agent-array fallback. A join
+// that would grow the fallback's array past MaxAgentArray leaves the
+// fallback instead; the slot batches then keep batching above the cap.
 func (m *multiset[S]) AddAgents(st S, k int) {
 	checkJoin(m.n, k)
 	if k == 0 {
 		return
 	}
 	m.beginSegment(m.interacts)
+	if m.seqMode && m.n+k > MaxAgentArray {
+		m.recountFromAgents()
+		m.seqMode, m.agents = false, nil // the array can never hold this population
+		m.st.Reentries++
+	}
 	if m.seqMode {
 		m.intern(st) // keep DistinctStates exact, as seqStep does
 		for i := 0; i < k; i++ {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -180,6 +181,36 @@ func TestBatchFallbackCap(t *testing.T) {
 	}
 }
 
+// TestFallbackJoinAboveCap: a join that would grow the slot batches'
+// agent-array fallback past MaxAgentArray leaves the fallback instead of
+// allocating, and the engine keeps batching at the new size.
+func TestFallbackJoinAboveCap(t *testing.T) {
+	b := NewBatch(600, func(int, *rand.Rand) int { return 0 }, explodeRule, WithSeed(5), WithBatchThreshold(16))
+	b.Run(20 * 600)
+	if !b.seqMode {
+		t.Fatal("setup: the engine is not in its fallback")
+	}
+	zeros := b.Count(func(s int) bool { return s == 0 })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.AddAgents(0, MaxAgentArray)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("the join allocated %d bytes", grew)
+	}
+	const n = 600 + MaxAgentArray
+	if b.seqMode || b.N() != n || countsSum[int](b) != n || b.Count(func(s int) bool { return s == 0 }) != zeros+MaxAgentArray {
+		t.Fatalf("after the join: fallback=%v, N=%d, Σcounts=%d, want batch mode with %d agents",
+			b.seqMode, b.N(), countsSum[int](b), n)
+	}
+	st := b.Stats()
+	b.Run(1 << 16)
+	if got := b.Stats(); got.Fallbacks != st.Fallbacks || got.BatchedInteractions != st.BatchedInteractions+1<<16 || countsSum[int](b) != n {
+		t.Errorf("after the join the engine ran %d of %d interactions batched, fell back %d times, holds %d agents",
+			got.BatchedInteractions-st.BatchedInteractions, 1<<16, got.Fallbacks-st.Fallbacks, countsSum[int](b))
+	}
+}
+
 // TestBatchDeterminism: the same seed must reproduce the identical
 // configuration trajectory, checkpoint by checkpoint.
 func TestBatchDeterminism(t *testing.T) {
@@ -337,5 +368,24 @@ func BenchmarkSlotBatch(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Interactions()-start), "ns/interaction")
 			})
 		}
+	}
+}
+
+// BenchmarkSmallEngine times what a small engine costs end to end:
+// building approximate majority (amTable, rule closure, no declared-table
+// bypass) from B/U/A = 90/60/150 and running 3000 interactions, on each
+// backend. Construction dominates at this size, so it tracks every
+// per-engine allocation, the transition cache included.
+func BenchmarkSmallEngine(b *testing.B) {
+	am := MustCompile(amTable())
+	init := []int64{90, 60, 150}
+	for _, be := range []Backend{Sequential, Batched, Dense} {
+		b.Run(be.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := NewEngineFromCounts(am.States(), init, am.Rule(), WithSeed(uint64(i)), WithBackend(be))
+				e.Run(3000)
+			}
+		})
 	}
 }

@@ -53,8 +53,8 @@
 // A recheck every few parallel time units switches back to pair-matrix
 // batches once the configuration re-concentrates below half the cutoff.
 // Nothing is copied or reseeded at either switch, and the worker target
-// and the transition-cache size stay the dense engine's. The same
-// Rule purity contract as BatchSim's applies.
+// stays the dense engine's. The same Rule purity contract as BatchSim's
+// applies.
 package pop
 
 import (
@@ -69,11 +69,6 @@ const (
 	// run-length table, at most denseMaxPairs/64 checkpoints; it binds
 	// well above the natural Θ(√n) collision point for every feasible n.
 	denseMaxPairs = 1 << 20
-	// denseCacheBits sizes DenseSim's direct-mapped transition cache.
-	// Pair-matrix batches run only below the delegation cutoff, so their
-	// hot pair set is much smaller than BatchSim's; delegated stretches
-	// keep the same cache rather than quadruple the engine's footprint.
-	denseCacheBits = 16
 	// denseRecheckFactor: while delegated, the live-state count is
 	// rechecked every denseRecheckFactor·n interactions to decide on
 	// re-entering pair-matrix batches.
@@ -137,7 +132,7 @@ func newDenseSim[S comparable](n int, rule Rule[S], opts []Option) *DenseSim[S] 
 	var o options
 	Combine(opts...)(&o)
 	d := &DenseSim[S]{
-		multiset:       newShell("dense", n, rule, o, denseCacheBits),
+		multiset:       newShell("dense", n, rule, o),
 		cutoffOverride: o.denseThreshold,
 	}
 	d.rescaleCutoff()

@@ -68,7 +68,9 @@ type Engine[S comparable] interface {
 	Time() float64
 	// AddAgents adds k agents, all in state s, to the population (a join
 	// event). New agents are indistinguishable from incumbents to the
-	// scheduler from the next interaction on. k must be >= 0.
+	// scheduler from the next interaction on. k must be >= 0. The
+	// sequential engine panics if the population would exceed
+	// MaxAgentArray.
 	AddAgents(s S, k int)
 	// RemoveAgents removes k agents chosen uniformly at random without
 	// replacement (a leave event). It panics if the removal would shrink
@@ -220,12 +222,11 @@ func resolveBackend(o options, total int64) Backend {
 	}
 }
 
-// NewEngineFromConfig is NewEngine for an explicit initial configuration
-// (copied).
+// NewEngineFromConfig is NewEngine for an explicit initial configuration.
+// Every engine copies the states out of agents while it is constructed
+// and keeps no reference to the slice.
 func NewEngineFromConfig[S comparable](agents []S, rule Rule[S], opts ...Option) Engine[S] {
-	cp := make([]S, len(agents))
-	copy(cp, agents)
-	return NewEngine(len(cp), func(i int, _ *rand.Rand) S { return cp[i] }, rule, opts...)
+	return NewEngine(len(agents), func(i int, _ *rand.Rand) S { return agents[i] }, rule, opts...)
 }
 
 // NewEngineFromCounts is NewEngine for an initial configuration given as a
@@ -249,7 +250,7 @@ func NewEngineFromCounts[S comparable](states []S, counts []int64, rule Rule[S],
 	default:
 		// Expand through New's initializer, which visits agents in index
 		// order, so the array is built exactly once (NewEngineFromConfig
-		// would defensively copy a pre-built slice, doubling peak memory).
+		// would need a pre-built slice, doubling peak memory).
 		i, c := 0, int64(0)
 		return New(int(total), func(int, *rand.Rand) S {
 			for c == counts[i] {

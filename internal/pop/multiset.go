@@ -20,18 +20,27 @@
 // deterministic. The engines feed rules a rand.Rand whose Source counts
 // how many random words the rule consumes: a (receiver, sender) state pair
 // whose transition consumed none is a pure function of its inputs and is
-// cached in a fixed-size direct-mapped table keyed by the id pair, so
-// subsequent interactions of that pair skip the rule entirely (conflicting
-// pairs simply evict each other). This relies on rules being pure
-// functions of (rec, sen, randomness) — true of every protocol in this
-// repository and required by the Rule contract. Compaction remaps ids, so
-// it advances a generation stamp embedded in the keys and carries the
-// surviving hot entries across.
+// cached in a direct-mapped table keyed by the id pair, so subsequent
+// interactions of that pair skip the rule entirely (conflicting pairs
+// simply evict each other). This relies on rules being pure functions of
+// (rec, sen, randomness) — true of every protocol in this repository and
+// required by the Rule contract. Compaction remaps ids, so it advances a
+// generation stamp embedded in the keys and carries the surviving hot
+// entries across.
+//
+// The table is sized to the live pair working set, q² for q live states:
+// every compaction sizes it to nextPow2(4q²) slots, clamped to
+// [2^cacheMinLog, 2^cacheMaxLog], and a batch boundary grows it (never
+// shrinks it) once 4q² exceeds twice the slot count. A core is built with
+// no table at all; the construction compaction sizes the first one. The
+// cache holds only transitions that drew no randomness, so its size moves
+// the CacheHits/RuleCalls counters but never a trajectory.
 package pop
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"sort"
@@ -62,6 +71,13 @@ type cacheSlot struct {
 // the remaining 20 bits holding the compaction generation).
 const cacheMaxID = 1 << 22
 
+// cacheMinLog and cacheMaxLog clamp the transition cache to 2⁸..2¹⁶
+// slots of 16 bytes (4 KiB..1 MiB); see the file comment.
+const (
+	cacheMinLog = 8
+	cacheMaxLog = 16
+)
+
 // Stats reports how an engine run was executed; it is diagnostic only
 // (tests, benchmarks, tuning and cmd/popsim -stats). Every engine returns
 // it from Engine.Stats, and every counter only grows over a run. The
@@ -85,7 +101,9 @@ type Stats struct {
 	// transition cache (with multiplicity); RuleCalls counts actual rule
 	// invocations. TableHits counts interactions resolved by the
 	// declared-table bypass (WithTable), which skips both. Interactions
-	// stepped on an agent array call the rule uncounted.
+	// stepped on an agent array call the rule uncounted. CacheHits and
+	// RuleCalls depend on the cache's size and eviction history: they are
+	// not trajectory state, and a restored engine starts its cache cold.
 	CacheHits int64
 	RuleCalls int64
 	TableHits int64
@@ -143,12 +161,16 @@ type multiset[S comparable] struct {
 	agents     []S
 	seqRecheck int64
 
-	// Direct-mapped transition cache of 1<<cacheBits slots. Compaction
+	// Direct-mapped transition cache, sized by the file comment's policy
+	// (nil until the first compaction); a key's slot is the top
+	// log₂ len(cache) = 64 − cacheShift bits of its hash. Compaction
 	// remaps ids, so it bumps cacheGen, implicitly invalidating every
-	// older entry.
-	cache     []cacheSlot
-	cacheBits uint
-	cacheGen  uint64
+	// older entry. cachePin, when nonzero, replaces the policy's log₂
+	// size (a test hook; 0 in production).
+	cache      []cacheSlot
+	cacheShift uint
+	cacheGen   uint64
+	cachePin   uint
 
 	// Declared-table bypass (WithTable): the compiled table plus the
 	// engine-id ↔ table-id translation, rebuilt on compaction. nil when
@@ -181,22 +203,20 @@ type multiset[S comparable] struct {
 }
 
 // newMultiset builds a core with rng streams on pcg, an empty interning
-// table and a cold transition cache of 1<<cacheBits slots — the state
-// every constructor and Restore start from.
-func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], cacheBits uint) multiset[S] {
+// table and no transition cache yet — the state every constructor and
+// Restore start from.
+func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S]) multiset[S] {
 	cs := &countingSource{src: pcg}
 	return multiset[S]{
-		pcg:       pcg,
-		rng:       rand.New(pcg),
-		leaf:      newNodeStream(),
-		ruleRand:  cs,
-		ruleRng:   rand.New(cs),
-		rule:      rule,
-		pos:       make(map[S]int32, posSizeFor(tbl)),
-		tbl:       tbl,
-		cache:     make([]cacheSlot, 1<<cacheBits),
-		cacheBits: cacheBits,
-		cacheGen:  1,
+		pcg:      pcg,
+		rng:      rand.New(pcg),
+		leaf:     newNodeStream(),
+		ruleRand: cs,
+		ruleRng:  rand.New(cs),
+		rule:     rule,
+		pos:      make(map[S]int32, posSizeFor(tbl)),
+		tbl:      tbl,
+		cacheGen: 1,
 	}
 }
 
@@ -204,14 +224,14 @@ func newMultiset[S comparable](pcg *rand.PCG, rule Rule[S], tbl *tableView[S], c
 // options a multiset engine cannot honor, seeds the rng from WithSeed,
 // attaches WithTable and sets the fallback threshold from
 // WithBatchThreshold. backend names the engine in panic messages.
-func newShell[S comparable](backend string, n int, rule Rule[S], o options, cacheBits uint) multiset[S] {
+func newShell[S comparable](backend string, n int, rule Rule[S], o options) multiset[S] {
 	if rule == nil {
 		panic("pop: nil rule")
 	}
 	if o.trackInteractions {
 		panic("pop: the " + backend + " backend cannot track per-agent interaction counts; use WithBackend(Sequential)")
 	}
-	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o), cacheBits)
+	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o))
 	m.n = n
 	m.par = resolveParallelism(o.parallelism)
 	m.qMax = defaultBatchThreshold
@@ -392,7 +412,9 @@ func (m *multiset[S]) group(work int64) *parGroup {
 // advance runs at most k multiset-mode interactions and returns how many
 // ran: one exact step for short remainders and tiny populations,
 // otherwise one batch of the engine's runBatch, compacting first when
-// dead states dominate the interning tables.
+// dead states dominate the interning tables, or else growing the
+// transition cache when the live pairs outgrew it (see the file comment).
+// Both run between batches, so no splitter leaf reads the cache meanwhile.
 func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 	if k < 8 || m.n < 8 {
 		m.step()
@@ -400,6 +422,10 @@ func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 	}
 	if len(m.states) >= 4*m.live && len(m.states) >= 256 {
 		m.compact()
+	} else if 4*int64(m.live)*int64(m.live) > 2*int64(len(m.cache)) {
+		if lg := m.cacheLogWanted(); 1<<lg > len(m.cache) {
+			m.rehomeCache(lg)
+		}
 	}
 	return runBatch(k)
 }
@@ -548,7 +574,7 @@ func (m *multiset[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
 		return 0, 0, false
 	}
 	key := m.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-	s := m.cache[(key*0x9e3779b97f4a7c15)>>(64-m.cacheBits)]
+	s := m.cache[(key*0x9e3779b97f4a7c15)>>m.cacheShift]
 	if s.key != key {
 		return 0, 0, false
 	}
@@ -559,7 +585,7 @@ func (m *multiset[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
 // under the current generation; ids must be below cacheMaxID.
 func (m *multiset[S]) cacheStore(ida, idb, oa, ob int32) {
 	key := m.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
-	m.cache[(key*0x9e3779b97f4a7c15)>>(64-m.cacheBits)] = cacheSlot{
+	m.cache[(key*0x9e3779b97f4a7c15)>>m.cacheShift] = cacheSlot{
 		key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
 }
 
@@ -587,6 +613,59 @@ func (m *multiset[S]) invalidateCache() {
 		return
 	}
 	m.cacheGen++
+}
+
+// cacheLogWanted is log₂ of the transition cache's size for the current
+// live count: the policy's nextPow2(4·live²) slots, clamped, or cachePin
+// when a test set one.
+func (m *multiset[S]) cacheLogWanted() uint {
+	if m.cachePin > 0 {
+		return m.cachePin
+	}
+	want := max(4*int64(m.live)*int64(m.live), 1)
+	return min(max(uint(bits.Len64(uint64(want-1))), cacheMinLog), cacheMaxLog)
+}
+
+// resizeCache replaces the transition cache with an empty table of
+// 1<<lg slots, unless the current one already has that size.
+func (m *multiset[S]) resizeCache(lg uint) {
+	if len(m.cache) != 1<<lg {
+		m.cache, m.cacheShift = make([]cacheSlot, 1<<lg), 64-lg
+	}
+}
+
+// rehomeCache moves the transition cache's current-generation entries
+// into a table of 1<<lg slots.
+func (m *multiset[S]) rehomeCache(lg uint) {
+	old := m.cache
+	m.resizeCache(lg)
+	m.carryCache(old, m.cacheGen, nil)
+}
+
+// carryCache stores every entry of old stamped with generation gen into
+// the current table under the current generation, its ids translated
+// through remap (old id → new id, -1 if dead; nil keeps them) and
+// entries naming a dead id dropped. old may be the current table itself:
+// an entry re-stored there carries the new generation and is skipped
+// when the walk reaches it.
+func (m *multiset[S]) carryCache(old []cacheSlot, gen uint64, remap []int32) {
+	for _, s := range old {
+		if s.key == 0 || s.key>>44 != gen {
+			continue
+		}
+		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
+		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
+		if remap != nil {
+			if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
+				continue
+			}
+			a, c, oa, ob = remap[a], remap[c], remap[oa], remap[ob]
+			if a < 0 || c < 0 || oa < 0 || ob < 0 {
+				continue
+			}
+		}
+		m.cacheStore(a, c, oa, ob)
+	}
 }
 
 // compact rebuilds the interning tables over the live states, ordered by
@@ -626,30 +705,17 @@ func (m *multiset[S]) compact() {
 		m.tbl.rebuild(m.states)
 	}
 
-	// Ids were remapped: advance the cache generation so stale entries
-	// can never match, then carry the still-live hot transitions over
-	// under their new ids (re-deriving them would cost a rule call per
-	// hot pair after every compaction).
-	oldGen := m.cacheGen
+	// Ids were remapped: size the cache to the live count, advance its
+	// generation so stale entries can never match, then carry the
+	// still-live hot transitions over under their new ids (re-deriving
+	// them would cost a rule call per hot pair after every compaction).
+	old, oldGen := m.cache, m.cacheGen
+	m.resizeCache(m.cacheLogWanted())
 	m.invalidateCache()
 	if m.cacheGen == 1 {
 		return // wrapped: table cleared, nothing to carry
 	}
-	for _, s := range m.cache {
-		if s.key == 0 || s.key>>44 != oldGen {
-			continue
-		}
-		a, c := int32(s.key>>22)&(cacheMaxID-1), int32(s.key)&(cacheMaxID-1)
-		oa, ob := int32(s.out>>32), int32(s.out&math.MaxUint32)
-		if int(a) >= len(remap) || int(c) >= len(remap) || int(oa) >= len(remap) || int(ob) >= len(remap) {
-			continue
-		}
-		na, nc, noa, nob := remap[a], remap[c], remap[oa], remap[ob]
-		if na < 0 || nc < 0 || noa < 0 || nob < 0 {
-			continue
-		}
-		m.cacheStore(na, nc, noa, nob)
-	}
+	m.carryCache(old, oldGen, remap)
 }
 
 // snapshot captures the core's full state: the header, the interning
@@ -684,14 +750,15 @@ func (m *multiset[S]) snapshot(backend Backend) (*Snapshot[S], error) {
 }
 
 // restoreMultiset rebuilds a multiset core from a validated snapshot,
-// with the transition cache cold (generation 1, empty) by design — see
-// the file comment. The interning tables load verbatim and in id order.
-func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, cacheBits uint) (multiset[S], error) {
+// with the transition cache cold (generation 1, empty, sized for the
+// restored live count) by design — see the file comment. The interning
+// tables load verbatim and in id order.
+func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options) (multiset[S], error) {
 	pcg, err := restorePCG(snap.RNG)
 	if err != nil {
 		return multiset[S]{}, err
 	}
-	m := newMultiset(pcg, rule, attachTable[S](o), cacheBits)
+	m := newMultiset(pcg, rule, attachTable[S](o))
 	m.n = snap.N
 	m.interacts = snap.Interactions
 	m.timeBase = snap.TimeBase
@@ -724,5 +791,6 @@ func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options, c
 	if m.tbl != nil {
 		m.tbl.rebuild(m.states)
 	}
+	m.resizeCache(m.cacheLogWanted())
 	return m, nil
 }

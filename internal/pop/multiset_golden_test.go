@@ -62,6 +62,40 @@ func stateDigest(t *testing.T, snap *Snapshot[int]) string {
 // regenerates them and says so. A change of the snapshot format alone
 // re-pins only the SHAs: the digests and stats must hold.
 func TestMultisetGolden(t *testing.T) {
+	for _, tc := range goldenCases() {
+		if strings.Contains(tc.name, "%d") {
+			for _, par := range goldenPars {
+				t.Run(fmt.Sprintf(tc.name, par), func(t *testing.T) { checkGolden(t, tc, par, 0) })
+			}
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, par := range goldenPars {
+				checkGolden(t, tc, par, 0)
+			}
+		})
+	}
+}
+
+// TestCacheSizeInvariance reruns every golden case with the transition
+// cache pinned at the policy's smallest and largest sizes, at every
+// parallelism in goldenPars. The cache holds only transitions that drew
+// no randomness, so its size must move neither the snapshot nor any
+// counter but the cache-size-dependent ones (see checkGolden).
+func TestCacheSizeInvariance(t *testing.T) {
+	for _, tc := range goldenCases() {
+		for _, lg := range []uint{cacheMinLog, cacheMaxLog} {
+			t.Run(fmt.Sprintf("2^%d/%s", lg, strings.ReplaceAll(tc.name, "par%d/", "")), func(t *testing.T) {
+				for _, par := range goldenPars {
+					checkGolden(t, tc, par, lg)
+				}
+			})
+		}
+	}
+}
+
+// goldenCases lists TestMultisetGolden's pinned runs.
+func goldenCases() []goldenCase {
 	const n = 3000
 	mixedInit := func(i int, _ *rand.Rand) int { return i % 5 }
 	coinInit := func(i int, _ *rand.Rand) int { return i % 3 }
@@ -73,7 +107,7 @@ func TestMultisetGolden(t *testing.T) {
 	churn := []snapOp{opRun(n), opJoin(3, 400), opRun(n), opLeave(700), opRun(n / 2),
 		opJoin(1, 250), opRun(2 * n), opLeave(300), opRunTime(0.9)}
 
-	cases := []goldenCase{
+	return []goldenCase{
 		{name: "batch/par%d/closure", mk: func(par int) Engine[int] {
 			return NewBatch(n, mixedInit, mixedRule, WithSeed(41), WithParallelism(par))
 		}, ops: script,
@@ -103,13 +137,13 @@ func TestMultisetGolden(t *testing.T) {
 		}, ops: []snapOp{opRun(20 * 600)},
 			sha:    "936489517c225051af477202d2f9a2146b944c2f8921392bbe2138e79e4907bf",
 			digest: "d0dd70eef3c85d85602402362c216ca5ddf0e9638f05e98bbe5531a4c0438267",
-			stats:  Stats{Batches: 128, BatchedInteractions: 2093, SeqInteractions: 9907, Fallbacks: 1, Reentries: 0, CacheHits: 1912, RuleCalls: 181, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 128, BatchedInteractions: 2093, SeqInteractions: 9907, Fallbacks: 1, Reentries: 0, CacheHits: 1898, RuleCalls: 195, TableHits: 0, Compactions: 1}},
 		{name: "dense/mid-delegation", mk: func(par int) Engine[int] {
 			return NewDense(600, zero, explodeRule, WithSeed(5), WithDenseThreshold(8), WithParallelism(par))
 		}, ops: []snapOp{opRun(2 * 600)},
 			sha:    "5e606245c19046c5bdea32d1ec970abeaef83f7b92954a3f6726c3ee3db61dd1",
 			digest: "9ebf92277be0645d353981ecd236f87c388a9f2f0aa83a0bf018ef00d9acd251",
-			stats:  Stats{Batches: 73, BatchedInteractions: 1200, DelegatedInteractions: 499, Delegations: 1, DenseReentries: 0, PairCells: 398, CacheHits: 1116, RuleCalls: 74, TableHits: 0, Compactions: 1}},
+			stats:  Stats{Batches: 73, BatchedInteractions: 1200, DelegatedInteractions: 499, Delegations: 1, DenseReentries: 0, PairCells: 398, CacheHits: 1105, RuleCalls: 85, TableHits: 0, Compactions: 1}},
 		{name: "batch/after-reentry", mk: func(par int) Engine[int] {
 			return NewBatch(600, ident, mixedRule, WithSeed(13), WithBatchThreshold(48), WithParallelism(par))
 		}, ops: []snapOp{opRun(30 * 600)},
@@ -147,19 +181,6 @@ func TestMultisetGolden(t *testing.T) {
 			digest: "9f36c43c7fcbd5657a57a4285db5a889188fdb047f348a80eb9898dbd8f3c95c",
 			stats:  Stats{Batches: 674, BatchedInteractions: 23617, DelegatedInteractions: 0, Delegations: 0, DenseReentries: 0, PairCells: 5816, CacheHits: 0, RuleCalls: 3641, TableHits: 19977, Compactions: 1}},
 	}
-	for _, tc := range cases {
-		if strings.Contains(tc.name, "%d") {
-			for _, par := range goldenPars {
-				t.Run(fmt.Sprintf(tc.name, par), func(t *testing.T) { checkGolden(t, tc, par) })
-			}
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			for _, par := range goldenPars {
-				checkGolden(t, tc, par)
-			}
-		})
-	}
 }
 
 // goldenPars are the WithParallelism values that must all reach a golden
@@ -167,13 +188,23 @@ func TestMultisetGolden(t *testing.T) {
 var goldenPars = []int{0, 1, 2}
 
 // checkGolden runs one golden case at parallelism par and compares its
-// snapshot SHA, state digest and Stats() with the pins.
-func checkGolden(t *testing.T, tc goldenCase, par int) {
+// snapshot SHA, state digest and Stats() with the pins. A nonzero pin
+// fixes the transition cache at 1<<pin slots from construction on; the
+// pinned Stats() then leave out CacheHits and RuleCalls, which count the
+// cache's hits and misses, and PairCells, whose dense splitter leaves
+// count a cached cell once per drawn piece but an uncached one once per
+// coalesced (row, sender) cell.
+func checkGolden(t *testing.T, tc goldenCase, par int, pin uint) {
 	t.Helper()
 	if tc.tree {
 		shrinkSplitter(t)
 	}
 	e := tc.mk(par)
+	if pin > 0 {
+		m := coreOf(e)
+		m.cachePin = pin
+		m.rehomeCache(pin)
+	}
 	for _, op := range tc.ops {
 		op(e)
 	}
@@ -192,7 +223,23 @@ func checkGolden(t *testing.T, tc goldenCase, par int) {
 	if d := stateDigest(t, snap); d != tc.digest {
 		t.Errorf("par=%d: state digest = %s, want %s", par, d, tc.digest)
 	}
-	if got := e.Stats(); got != tc.stats {
-		t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, tc.stats)
+	got, want := e.Stats(), tc.stats
+	if pin > 0 {
+		got.CacheHits, got.RuleCalls, got.PairCells = 0, 0, 0
+		want.CacheHits, want.RuleCalls, want.PairCells = 0, 0, 0
 	}
+	if got != want {
+		t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, want)
+	}
+}
+
+// coreOf returns a multiset engine's core.
+func coreOf(e Engine[int]) *multiset[int] {
+	switch e := e.(type) {
+	case *BatchSim[int]:
+		return &e.multiset
+	case *DenseSim[int]:
+		return &e.multiset
+	}
+	panic(fmt.Sprintf("pop: %T is not a multiset engine", e))
 }

@@ -154,12 +154,6 @@ type lawProbe struct {
 // many: the test stays exact, with less power.
 const lawTrials = 20000
 
-// lawCacheBits sizes the multiset engines' transition cache under the
-// oracle. Every trial builds an engine, and allocating a production-sized
-// cache (4 MiB for BatchSim) costs more than the trial runs. The cache
-// holds only deterministic transitions, so its size cannot change the law.
-const lawCacheBits = 8
-
 // lawCase is one engine path under the oracle: an engine of backend be
 // with opts is built from init (counts per table id of tbl), under
 // treeKnobs when tree is set, and driven through script in each of
@@ -176,23 +170,17 @@ type lawCase struct {
 	ran               func(p lawProbe) bool
 }
 
-// engine builds the case's engine the way its backend's constructor
-// does, but with a lawCacheBits transition cache.
+// engine builds the case's engine with its backend's constructor and
+// returns, for a multiset engine, its core for the path probes.
 func (lc *lawCase) engine(seed uint64) (Engine[int], *multiset[int]) {
 	states, rule := lc.tbl.States(), lc.tbl.Rule()
 	opts := append([]Option{WithSeed(seed)}, lc.opts...)
-	var o options
-	Combine(opts...)(&o)
-	n := int(validateCounts(states, lc.init))
 	switch lc.be {
 	case Dense:
-		d := &DenseSim[int]{multiset: newShell("dense", n, rule, o, lawCacheBits), cutoffOverride: o.denseThreshold}
-		d.rescaleCutoff()
-		d.fillCounts(states, lc.init)
+		d := NewDenseFromCounts(states, lc.init, rule, opts...)
 		return d, &d.multiset
 	case Batched:
-		b := &BatchSim[int]{multiset: newShell("batched", n, rule, o, lawCacheBits)}
-		b.fillCounts(states, lc.init)
+		b := NewBatchFromCounts(states, lc.init, rule, opts...)
 		return b, &b.multiset
 	}
 	return NewEngineFromCounts(states, lc.init, rule, append(opts, WithBackend(lc.be))...), nil

@@ -140,9 +140,16 @@ func (s *Sim[S]) beginSegment() {
 }
 
 // AddAgents adds k agents in state st (a join event). The appended slots
-// are indistinguishable from incumbents to the uniform scheduler.
+// are indistinguishable from incumbents to the uniform scheduler. It
+// panics, before growing the array, if the population would exceed
+// MaxAgentArray.
 func (s *Sim[S]) AddAgents(st S, k int) {
 	checkJoin(len(s.agents), k)
+	if len(s.agents)+k > MaxAgentArray {
+		panic(fmt.Sprintf(
+			"pop: AddAgents(%d) would grow the agent array of %d past MaxAgentArray = %d; the multiset backends hold larger populations",
+			k, len(s.agents), MaxAgentArray))
+	}
 	if k == 0 {
 		return
 	}

@@ -43,19 +43,28 @@ func TestNewPanics(t *testing.T) {
 
 // TestNewRefusesAboveAgentArrayCap: an agent-array engine above
 // MaxAgentArray panics naming the cap before it allocates the array or
-// builds a single agent — called directly, and when Auto picks the
-// sequential backend for WithInteractionCounts from a count vector.
+// builds a single agent — called directly, from an agent slice (of a
+// zero-size state, so the slice itself occupies no memory), and when Auto
+// picks the sequential backend for WithInteractionCounts from a count
+// vector — and a join that would grow a sequential engine past the cap
+// panics the same way before it grows the array.
 func TestNewRefusesAboveAgentArrayCap(t *testing.T) {
 	const n = MaxAgentArray + 1
 	initial := func(int, *rand.Rand) pair {
 		t.Fatal("initial called above the agent-array cap")
 		return pair{}
 	}
+	unitRule := func(a, b struct{}, _ *rand.Rand) (struct{}, struct{}) { return a, b }
+	small := New(10, func(int, *rand.Rand) pair { return pair{} }, countRule)
 	for name, fn := range map[string]func(){
 		"New": func() { New(n, initial, countRule) },
+		"NewEngineFromConfig": func() {
+			NewEngineFromConfig(make([]struct{}, n), unitRule, WithBackend(Sequential))
+		},
 		"NewEngineFromCounts": func() {
 			NewEngineFromCounts([]pair{{}}, []int64{n}, countRule, WithInteractionCounts())
 		},
+		"AddAgents": func() { small.AddAgents(pair{}, MaxAgentArray) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -75,6 +84,9 @@ func TestNewRefusesAboveAgentArrayCap(t *testing.T) {
 			}()
 			fn()
 		})
+	}
+	if small.N() != 10 {
+		t.Errorf("refused join left %d agents, want 10", small.N())
 	}
 }
 

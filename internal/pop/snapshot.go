@@ -23,12 +23,12 @@
 // miss re-derives exactly the outputs a hit would have returned without
 // consuming the rule stream — cache state can never influence the
 // trajectory, only the hit/call statistics. Excluding it keeps snapshots
-// small (a 4 MiB table would dwarf a polylog(n)-state configuration) and
-// makes the byte-identity guarantee independent of cache history. The
-// interning table, by contrast, IS captured in full — including entries
-// whose count has dropped to zero — because the compaction trigger reads
-// the table length, so dropping dead entries would change when future
-// compactions fire.
+// small (a table of up to 1 MiB would dwarf a polylog(n)-state
+// configuration) and makes the byte-identity guarantee independent of
+// cache history. The interning table, by contrast, IS captured in full —
+// including entries whose count has dropped to zero — because the
+// compaction trigger reads the table length, so dropping dead entries
+// would change when future compactions fire.
 //
 // # Versioning and compatibility
 //
@@ -365,13 +365,13 @@ func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Eng
 	case Sequential.String():
 		return restoreSim(snap, rule)
 	case Batched.String():
-		m, err := restoreMultiset(snap, rule, o, cacheBits)
+		m, err := restoreMultiset(snap, rule, o)
 		if err != nil {
 			return nil, err
 		}
 		return &BatchSim[S]{multiset: m}, nil
 	default:
-		m, err := restoreMultiset(snap, rule, o, denseCacheBits)
+		m, err := restoreMultiset(snap, rule, o)
 		if err != nil {
 			return nil, err
 		}
