@@ -156,13 +156,6 @@ func cmpState(a, b core.State) int {
 // (e.g. -benchtime=20000000x) for stable numbers; -short skips every
 // population size above 10⁶ (the 10⁸⁺ rows warm for minutes, see
 // warmedConfig).
-// Sub-benchmark rows carry a parallelism dimension on the multiset
-// backends: the bare row (no /par segment) is the default configuration
-// (a GOMAXPROCS worker target), /par=1 executes the same sampler
-// serially, and /par=8 with an 8-worker target — byte-identical
-// trajectories by construction, so their ns/interaction ratio is pure
-// execution speedup. The sequential backend ignores parallelism and
-// benches only bare.
 func BenchmarkEngineInteractions(b *testing.B) {
 	p := core.MustNew(core.FastConfig())
 	all := []pop.Backend{pop.Sequential, pop.Batched, pop.Dense}
@@ -180,26 +173,16 @@ func BenchmarkEngineInteractions(b *testing.B) {
 			continue
 		}
 		for _, backend := range row.backends {
-			pars := []int{0, 1, 8}
-			if backend == pop.Sequential {
-				pars = []int{0}
-			}
-			for _, par := range pars {
-				name := fmt.Sprintf("%v/n=%d", backend, row.n)
-				if par > 0 {
-					name += fmt.Sprintf("/par=%d", par)
-				}
-				b.Run(name, func(b *testing.B) {
-					// Warming inside the sub-benchmark (excluded from the
-					// timing below) so -bench filters only pay for the sizes
-					// they select.
-					cfg := warmedConfig(b, row.n)
-					e := pop.NewEngineFromCounts(cfg.states, cfg.counts, p.Rule,
-						pop.WithSeed(9), pop.WithBackend(backend), pop.WithParallelism(par))
-					b.ResetTimer()
-					e.Run(int64(b.N))
-				})
-			}
+			b.Run(fmt.Sprintf("%v/n=%d", backend, row.n), func(b *testing.B) {
+				// Warming inside the sub-benchmark (excluded from the
+				// timing below) so -bench filters only pay for the sizes
+				// they select.
+				cfg := warmedConfig(b, row.n)
+				e := pop.NewEngineFromCounts(cfg.states, cfg.counts, p.Rule,
+					pop.WithSeed(9), pop.WithBackend(backend))
+				b.ResetTimer()
+				e.Run(int64(b.N))
+			})
 		}
 	}
 }

@@ -9,8 +9,7 @@
 // -ns overrides the size grid (comma-separated), -full adds n = 100000
 // and -paper switches to the 95/5 constants of Protocol 1 (≈30× more
 // interactions; budget accordingly). -backend selects the simulation
-// engine (auto|seq|batch|dense) and -par the deterministic intra-trial
-// worker target.
+// engine (auto|seq|batch|dense).
 package main
 
 import (

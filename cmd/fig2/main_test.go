@@ -68,26 +68,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunParDeterminism: the -par flag must not change the rendered
-// figure for a fixed seed (worker-count invariance at the CLI level).
-func TestRunParDeterminism(t *testing.T) {
-	outs := map[string]string{}
-	for _, par := range []string{"0", "1", "4"} {
-		var buf bytes.Buffer
-		err := run([]string{"-ns", "64,128", "-trials", "1", "-seed", "5",
-			"-backend", "batch", "-par", par, "-out", ""}, &buf)
-		if err != nil {
-			t.Fatalf("-par %s run failed: %v\n%s", par, err, buf.String())
-		}
-		outs[par] = buf.String()
-	}
-	for _, par := range []string{"0", "4"} {
-		if outs[par] != outs["1"] {
-			t.Errorf("-par %s and -par 1 render different figures:\n%s\nvs\n%s", par, outs[par], outs["1"])
-		}
-	}
-}
-
 // TestRunRestoreRule: a -restore snapshot is one run, so fig2 resumes it
 // only under -trials 1 and a single -ns equal to the snapshot's n (any
 // other grid would label the same continuation as other sizes/trials),

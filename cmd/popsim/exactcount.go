@@ -18,7 +18,7 @@ func newExactCountRunner(cfg protocol.Config) (*protocol.Runner, error) {
 	return &protocol.Runner{
 		N: cfg.N,
 		Run: func(tr int, seed uint64) sweep.Values {
-			s := p.NewEngine(cfg.N, pop.WithSeed(seed), pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
+			s := p.NewEngine(cfg.N, pop.WithSeed(seed), pop.WithBackend(cfg.Backend))
 			ok, at := s.RunUntil(exactcount.Terminated, 5, float64(5000*cfg.N))
 			if !ok {
 				cfg.Fail(fmt.Errorf("trial %d: exact count never terminated on n=%d", tr, cfg.N))

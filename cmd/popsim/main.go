@@ -11,13 +11,11 @@
 //
 // Usage:
 //
-//	popsim -protocol main -n 10000 -trials 5 -seed 1 [-paper] [-backend auto|seq|batch|dense] [-par N]
+//	popsim -protocol main -n 10000 -trials 5 -seed 1 [-paper] [-backend auto|seq|batch|dense]
 //
 // The dense backend makes very large populations practical (its state is
 // the count vector, never an agent array): -protocol weak -n 1000000000
-// runs in ordinary memory. -par additionally parallelizes each trial's
-// dense pair-matrix batches across cores (deterministically: every -par
-// value yields the identical trajectory for a given seed). -stats prints each trial's
+// runs in ordinary memory; each trial runs on one core. -stats prints each trial's
 // transition-resolution counters — how many pair transitions the
 // declared-table bypass, the deterministic-transition cache and actual
 // rule invocations resolved, and how many interactions were stepped on an
@@ -110,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 	var box errBox
 	r, err := info.New(protocol.Config{
 		N: *n, Trials: *trials, Paper: *paper,
-		Backend: backend, Par: sf.Par,
+		Backend:      backend,
 		CollectStats: *showStats, Traj: &sf.Trajectory, OnError: box.set,
 	})
 	if err != nil {

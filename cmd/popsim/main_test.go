@@ -82,27 +82,6 @@ func TestRunWeakProtocolBackendsAndJSONL(t *testing.T) {
 	}
 }
 
-// TestRunParDeterminism is the CLI-level worker-count invariance check:
-// -par 0 (auto), 1 and 3 must print byte-identical per-trial results for
-// the same seed on a multiset backend.
-func TestRunParDeterminism(t *testing.T) {
-	outs := map[string]string{}
-	for _, par := range []string{"0", "1", "3"} {
-		var buf bytes.Buffer
-		err := run([]string{"-protocol", "main", "-n", "400", "-trials", "2", "-seed", "11",
-			"-backend", "batch", "-par", par}, &buf)
-		if err != nil {
-			t.Fatalf("-par %s run failed: %v\n%s", par, err, buf.String())
-		}
-		outs[par] = buf.String()
-	}
-	for _, par := range []string{"0", "3"} {
-		if outs[par] != outs["1"] {
-			t.Errorf("-par %s and -par 1 disagree:\n%s\nvs\n%s", par, outs[par], outs["1"])
-		}
-	}
-}
-
 // TestRunPaperVariantsHonorBackend: the paper variants run on every
 // backend, and -backend changes the engine they run on. The multiset
 // engines consume the seed differently from the agent array, so at a

@@ -33,7 +33,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					est, _, err := popsize.EstimateDeterministic(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
+					est, _, err := popsize.EstimateDeterministic(cfg.N, seed, pop.WithBackend(cfg.Backend))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						est = math.NaN()
@@ -54,7 +54,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					bound, _, err := popsize.EstimateUpperBound(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
+					bound, _, err := popsize.EstimateUpperBound(cfg.N, seed, pop.WithBackend(cfg.Backend))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						bound = math.NaN()
@@ -74,7 +74,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					r, err := popsize.EstimateTerminating(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
+					r, err := popsize.EstimateTerminating(cfg.N, seed, pop.WithBackend(cfg.Backend))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						return sweep.Values{"terminated_at": math.NaN(), "converged_first": 0, "estimate": math.NaN()}
@@ -99,7 +99,7 @@ func init() {
 			return &protocol.Runner{
 				N: cfg.N,
 				Run: func(tr int, seed uint64) sweep.Values {
-					k, err := popsize.WeakEstimate(cfg.N, seed, pop.WithBackend(cfg.Backend), pop.WithParallelism(cfg.Par))
+					k, err := popsize.WeakEstimate(cfg.N, seed, pop.WithBackend(cfg.Backend))
 					if err != nil {
 						cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 						return sweep.Values{"k": math.NaN()}
@@ -136,7 +136,7 @@ func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := expt.Env{Backend: cfg.Backend, Par: cfg.Par, Traj: cfg.Traj, Restore: restore}
+	env := expt.Env{Backend: cfg.Backend, Traj: cfg.Traj, Restore: restore}
 	logN := math.Log2(float64(n))
 	trials := cfg.Trials
 	return &protocol.Runner{
@@ -147,7 +147,7 @@ func newMainRunner(cfg protocol.Config) (*protocol.Runner, error) {
 			if trials > 1 {
 				tag = fmt.Sprintf("t%d", tr)
 			}
-			r, err := env.RunCore(p, n, tag, core.RunOptions{Seed: seed, Backend: cfg.Backend, Parallelism: cfg.Par})
+			r, err := env.RunCore(p, n, tag, core.RunOptions{Seed: seed, Backend: cfg.Backend})
 			if err != nil {
 				cfg.Fail(fmt.Errorf("trial %d: %w", tr, err))
 			}

@@ -29,9 +29,6 @@ type TrackerConfig struct {
 	Protocol core.Config
 	// Backend selects the simulation engine (default pop.Auto).
 	Backend pop.Backend
-	// Parallelism is the intra-trial worker target forwarded to the
-	// engines (pop.WithParallelism semantics; 0 = auto).
-	Parallelism int
 	// TickEvery is the poll cadence in parallel time: detection checks
 	// and samples happen at every tick. It must stay below the O(log n)
 	// partition timescale or join waves are absorbed unseen; the default
@@ -247,7 +244,7 @@ func (tr *tracker) spawn(size int) {
 	tr.e = pop.NewEngineFromCounts(
 		[]core.State{core.Initial()}, []int64{int64(size)}, tr.p.Rule,
 		pop.WithSeed(pop.TrialSeed(tr.seed, "churn/restart", tr.restarts)),
-		pop.WithBackend(tr.cfg.Backend), pop.WithParallelism(tr.cfg.Parallelism))
+		pop.WithBackend(tr.cfg.Backend))
 }
 
 // doRestart replaces the engine with a fresh all-initial one of the

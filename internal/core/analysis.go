@@ -138,10 +138,6 @@ type RunOptions struct {
 	// Backend selects the simulation engine (default pop.Auto: batched
 	// for large populations, sequential otherwise).
 	Backend pop.Backend
-	// Parallelism is the intra-trial worker target for the multiset
-	// backends (pop.WithParallelism): 0 = auto (GOMAXPROCS). Every value
-	// runs the same sampling path and yields the same trajectory.
-	Parallelism int
 	// MaxTime bounds the run in parallel time; 0 selects a generous
 	// default that scales as log² n.
 	MaxTime float64
@@ -156,8 +152,8 @@ type RunOptions struct {
 	// value observes nothing.
 	Observe pop.Observers[State]
 	// Restore, when non-nil, resumes the run from this snapshot instead
-	// of constructing a fresh engine; Seed, Backend and Parallelism are
-	// ignored (they are part of the snapshot). The restored run gets a
+	// of constructing a fresh engine; Seed and Backend are ignored (they
+	// are part of the snapshot). The restored run gets a
 	// fresh MaxTime budget measured from the snapshot's time.
 	Restore *pop.Snapshot[State]
 }
@@ -185,7 +181,7 @@ func (p *Protocol) Run(n int, o RunOptions) Result {
 		}
 		n = s.N()
 	} else {
-		opts := []pop.Option{pop.WithSeed(o.Seed), pop.WithBackend(o.Backend), pop.WithParallelism(o.Parallelism)}
+		opts := []pop.Option{pop.WithSeed(o.Seed), pop.WithBackend(o.Backend)}
 		if o.TrackStates {
 			opts = append(opts, pop.WithStateTracking())
 		}

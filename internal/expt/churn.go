@@ -38,7 +38,7 @@ func ChurnTrackingDef(env Env, cfg core.Config, ns []int, rates []float64, trial
 				Run: func(tr int, seed uint64) sweep.Values {
 					sched := churn.Step(n, rate, period, until)
 					res := churn.Track(
-						churn.TrackerConfig{Protocol: cfg, Backend: env.Backend, Parallelism: env.Par},
+						churn.TrackerConfig{Protocol: cfg, Backend: env.Backend},
 						n, sched, seed, until)
 					mean, maxv, _ := res.ErrStats(warm)
 					return sweep.Values{
@@ -92,7 +92,7 @@ func ChurnDetectionDef(env Env, cfg core.Config, ns []int, trials int) Def {
 			Experiment: id, N: n, Trials: trials,
 			Run: func(tr int, seed uint64) sweep.Values {
 				res := churn.Track(
-					churn.TrackerConfig{Protocol: cfg, Backend: env.Backend, Parallelism: env.Par},
+					churn.TrackerConfig{Protocol: cfg, Backend: env.Backend},
 					n, churn.Doubling(n, t0), seed, until)
 				detect, settle := res.DetectionLatency(t0, settleErrTol)
 				return sweep.Values{

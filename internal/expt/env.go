@@ -7,20 +7,18 @@ import (
 )
 
 // Env is the engine environment a resolved suite binds at construction
-// time: the simulation backend its trials build engines on, the
-// intra-trial parallelism target (pop.WithParallelism semantics; 0 =
-// auto), and the per-run trajectory instrumentation, if any. It is plain
+// time: the simulation backend its trials build engines on and the
+// per-run trajectory instrumentation, if any. It is plain
 // data captured by the Def generator closures — there is no process-wide
 // engine configuration — so suites bound to different Envs can run
 // concurrently in one process without coordinating. Generators that
 // inherently need per-agent data (e.g. InteractionConcentration) stay on
 // the sequential engine regardless of Env.Backend.
 //
-// The zero Env (auto backend, auto parallelism, no instrumentation) is
+// The zero Env (auto backend, no instrumentation) is
 // the default the commands start from; EnvFor derives one from a request.
 type Env struct {
 	Backend pop.Backend
-	Par     int
 	// Traj is the single-run instrumentation (history stream, snapshot)
 	// applied by Env.RunCore; nil or inactive leaves trials uninstrumented.
 	Traj *sweep.Trajectory
@@ -31,25 +29,24 @@ type Env struct {
 
 // EnvFor resolves the engine environment a sweep request selects. The
 // backend string is parsed here once; everything env-bound downstream —
-// generator closures and the sweep.Spec Backend/Par stamp — flows from
+// generator closures and the sweep.Spec Backend stamp — flows from
 // the returned value.
 func EnvFor(req sweep.SpecRequest) (Env, error) {
 	be, err := req.ParseBackend()
 	if err != nil {
 		return Env{}, err
 	}
-	return Env{Backend: be, Par: max(req.Par, 0)}, nil
+	return Env{Backend: be}, nil
 }
 
-// engineOpt returns the pop option encoding the env's backend and
-// intra-trial parallelism.
+// engineOpt returns the pop option encoding the env's backend.
 func (e Env) engineOpt() pop.Option {
-	return pop.Combine(pop.WithBackend(e.Backend), pop.WithParallelism(e.Par))
+	return pop.WithBackend(e.Backend)
 }
 
 // runOptions is the core.RunOptions base an env-bound trial starts from.
 func (e Env) runOptions(seed uint64) core.RunOptions {
-	return core.RunOptions{Seed: seed, Backend: e.Backend, Parallelism: e.Par}
+	return core.RunOptions{Seed: seed, Backend: e.Backend}
 }
 
 // RunCore runs one trial of p through core.Run with the env's trajectory

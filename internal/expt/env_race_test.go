@@ -27,14 +27,14 @@ func runEnvSweep(d Def, seed uint64) ([]byte, error) {
 
 // TestConcurrentHeterogeneousEnvs is the tentpole's determinism contract:
 // with engine configuration carried by each suite's Env instead of
-// process-wide atomics, two sweeps with different (backend, par) can run
+// process-wide atomics, two sweeps with different backends can run
 // concurrently in one process and each still produces canonical record
 // bytes identical to its solo run. Run under -race this also proves no
 // shared engine-config state remains.
 func TestConcurrentHeterogeneousEnvs(t *testing.T) {
 	cfg := core.FastConfig()
 	defA := Fig2Def(Env{Backend: pop.Sequential}, cfg, []int{32, 64}, 2)
-	defB := EpidemicDef(Env{Backend: pop.Dense, Par: 2}, []int{64, 128}, 2)
+	defB := EpidemicDef(Env{Backend: pop.Dense}, []int{64, 128}, 2)
 
 	solo := func(d Def, seed uint64) []byte {
 		b, err := runEnvSweep(d, seed)

@@ -2,12 +2,12 @@
 // per-experiment index (F2, E1–E18, A1–A3). Each experiment is a Def:
 // declarative sweep points (one trial function per grid cell) plus a
 // renderer from the recorded trials to a stats.Table. Point construction
-// binds an explicit engine Env (backend, intra-trial parallelism,
-// trajectory instrumentation) into the trial closures — the package keeps
-// no process-wide engine state — so suites bound to different Envs run
-// concurrently in one process. cmd/experiments submits every selected Def
-// into one sweep queue, streams JSONL records, and renders the tables;
-// the root benchmarks re-run the generators at reduced scale.
+// binds an explicit engine Env (backend, trajectory instrumentation) into
+// the trial closures — the package keeps no process-wide engine state —
+// so suites bound to different Envs run concurrently in one process.
+// cmd/experiments submits every selected Def into one sweep queue,
+// streams JSONL records, and renders the tables; the root benchmarks
+// re-run the generators at reduced scale.
 package expt
 
 import (

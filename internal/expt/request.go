@@ -34,7 +34,7 @@ type Suite struct {
 //
 // Resolve is the one id-to-points catalog: cmd/experiments and cmd/popsimd
 // both route through it, so a job submitted over HTTP runs exactly the
-// trials the CLI would. The request's engine environment (backend, par) is
+// trials the CLI would. The request's engine environment (its backend) is
 // resolved here once and bound into every trial closure — two suites
 // resolved from requests with different environments run concurrently in
 // one process without interfering.

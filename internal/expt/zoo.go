@@ -26,7 +26,7 @@ func zooRun(env Env, name string, n, trials int) sweep.TrialFunc {
 		}
 		return info.New(protocol.Config{
 			N: n, Trials: trials,
-			Backend: env.Backend, Par: env.Par,
+			Backend: env.Backend,
 		})
 	})
 	return func(tr int, seed uint64) sweep.Values {

@@ -46,23 +46,18 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// env is the job's resolved engine environment — the request's backend
-// string parsed once at job construction, plus its intra-trial
-// parallelism target. It is per-job data: the resolver binds the same
-// values into the trial closures, the spec stamp reuses it (no re-parse),
-// and Status surfaces it; nothing about it is process-wide.
-type env struct {
-	backend pop.Backend
-	par     int
-}
-
 // Job is one submitted sweep request and its progress. All mutable state
 // is guarded by mu; readers get consistent snapshots via Status and
 // RecordsFrom.
 type Job struct {
 	id  string
 	req sweep.SpecRequest
-	env env
+	// backend is the job's resolved engine environment: the request's
+	// backend string parsed once at job construction. It is per-job
+	// data: the resolver binds the same value into the trial closures,
+	// the spec stamp reuses it (no re-parse), and Status surfaces it;
+	// nothing about it is process-wide.
+	backend pop.Backend
 
 	mu       sync.Mutex
 	state    State
@@ -89,7 +84,7 @@ func newJob(id string, req sweep.SpecRequest, created time.Time) (*Job, error) {
 		return nil, err
 	}
 	return &Job{
-		id: id, req: req, env: env{backend: be, par: max(req.Par, 0)},
+		id: id, req: req, backend: be,
 		state:   StatePending,
 		have:    map[sweep.Key]bool{},
 		updated: make(chan struct{}),
@@ -122,11 +117,9 @@ type Status struct {
 	Records int               `json:"records"`
 	Error   string            `json:"error,omitempty"`
 	Request sweep.SpecRequest `json:"request"`
-	// Backend and Par echo the job's resolved engine environment: the
-	// request's backend string parsed to its canonical name, and the
-	// intra-trial parallelism target (0 = auto).
+	// Backend echoes the job's resolved engine environment: the
+	// request's backend string parsed to its canonical name.
 	Backend string `json:"backend"`
-	Par     int    `json:"par"`
 
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
@@ -141,7 +134,7 @@ func (j *Job) Status() Status {
 		ID: j.id, State: j.state,
 		Units: j.units, Records: len(j.records),
 		Error: j.errMsg, Request: j.req, Created: j.created,
-		Backend: j.env.backend.String(), Par: j.env.par,
+		Backend: j.backend.String(),
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -36,7 +36,7 @@ type Config struct {
 	// Slots bounds the shared worker pool (<= 0: GOMAXPROCS).
 	Slots int
 	// Resolve maps requests to sweep points. The resolver binds each
-	// request's engine environment (backend, par) into the returned trial
+	// request's engine environment (its backend) into the returned trial
 	// closures, so jobs with different environments run concurrently —
 	// the Manager imposes no admission ordering beyond slot fairness.
 	Resolve Resolver
@@ -319,7 +319,7 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	spec := sweep.Spec{
 		Points:   points,
 		BaseSeed: seed,
-		Backend:  j.env.backend,
+		Backend:  j.backend,
 		Workers:  j.req.Workers,
 	}
 	// Every job may spawn up to the whole pool's worth of worker

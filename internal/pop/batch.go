@@ -30,9 +30,7 @@
 // random pairing) or slot-by-slot through a Fenwick tree (when q is large
 // relative to the batch). Both run serially under one stream derived from
 // a seed word the batch draws from the main stream (leafRand), at every
-// batch length and worker target: slot batches have no splitter tree
-// (parallel.go), since one ran slower than these chains at every
-// population where it ran. The collision interaction itself, when one was
+// batch length. The collision interaction itself, when one was
 // sampled, is resolved exactly: the colliding pair is drawn from the
 // correct conditional distribution over batch participants (whose
 // post-interaction states are known) and outsiders. The configuration
@@ -90,8 +88,7 @@ const MaxAgentArray = 1 << 26
 
 // BatchSim is the batched multiset engine: the multiset core running its
 // slot batches. See the file comment for the algorithm. It is not safe for
-// concurrent use; run independent trials on independent values (e.g. via
-// RunTrials).
+// concurrent use; run independent trials on independent values.
 type BatchSim[S comparable] struct {
 	multiset[S]
 }

@@ -344,7 +344,7 @@ func TestBatchCompaction(t *testing.T) {
 
 // BenchmarkSlotBatch times slot batches of about 12 600 slots at
 // n = 10⁸ under the modular rule (a, b) → ((a+b+1) mod q, b) over q
-// uniform states, at one worker and at two. At q = 300 the transition
+// uniform states. At q = 300 the transition
 // cache serves most pairs; at q = 5000 most pairs miss it and call the
 // rule. It reports ns per interaction.
 func BenchmarkSlotBatch(b *testing.B) {
@@ -356,18 +356,16 @@ func BenchmarkSlotBatch(b *testing.B) {
 			states[i], counts[i] = i, n/int64(q)
 		}
 		counts[0] += n % int64(q)
-		for _, par := range []int{1, 2} {
-			b.Run(fmt.Sprintf("q=%d/par=%d", q, par), func(b *testing.B) {
-				e := NewBatchFromCounts(states, counts, rule, WithSeed(1), WithParallelism(par))
-				e.Run(1 << 20) // intern the states and warm the cache and scratch
-				start := e.Interactions()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.slotBatch(1 << 20)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Interactions()-start), "ns/interaction")
-			})
-		}
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+			e := NewBatchFromCounts(states, counts, rule, WithSeed(1))
+			e.Run(1 << 20) // intern the states and warm the cache and scratch
+			start := e.Interactions()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.slotBatch(1 << 20)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Interactions()-start), "ns/interaction")
+		})
 	}
 }
 

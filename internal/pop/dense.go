@@ -42,6 +42,13 @@
 // sequential engine's, up to float64 rounding in the inverse-transform
 // samplers.
 //
+// Every batch, whatever its length, runs these chains serially under one
+// node stream derived from a per-batch seed word (leafRand), so a single
+// trial advances on one core; independent trials run in parallel in the
+// sweep layer's worker pool. (Forking the pairing rows across cores
+// measured slower than the serial chains at n = 10⁸–10⁹ for q = 3 and
+// q ≈ 90; see DESIGN.md §1.1.)
+//
 // # Delegation
 //
 // The pair matrix stops paying once q² work rivals the ~√n batch length —
@@ -52,15 +59,13 @@
 // the same counts, rng streams, interning tables and transition cache.
 // A recheck every few parallel time units switches back to pair-matrix
 // batches once the configuration re-concentrates below half the cutoff.
-// Nothing is copied or reseeded at either switch, and the worker target
-// stays the dense engine's. The same Rule purity contract as BatchSim's
-// applies.
+// Nothing is copied or reseeded at either switch. The same Rule purity
+// contract as BatchSim's applies.
 package pop
 
 import (
 	"math"
 	"math/rand/v2"
-	"sync"
 )
 
 const (
@@ -94,7 +99,7 @@ func defaultDenseThreshold(n int) int {
 
 // DenseSim is the count-vector engine. See the file comment for the
 // algorithm. It is not safe for concurrent use; run independent trials on
-// independent values (e.g. via RunTrials).
+// independent values.
 type DenseSim[S comparable] struct {
 	multiset[S]
 
@@ -107,21 +112,8 @@ type DenseSim[S comparable] struct {
 	delegated      bool
 	recheck        int64
 
-	// Batch scratch, indexed by state id: the receiver counts, and above
-	// the root leaf the pre-drawn sender composition and the receiver-row
-	// index/prefix arrays.
-	recv   []int64
-	send   []int64
-	rows   []int32
-	rowCum []int64
-
-	// The splitter tree's deferred (uncached) cells: misses holds each
-	// receiver row's cells in sender order, missAt[ri] locates row ri's
-	// run, and leafMu guards both, the post multiset and the counters
-	// while leaves run concurrently.
-	misses []denseMiss
-	missAt []missSpan
-	leafMu sync.Mutex
+	// Batch scratch, indexed by state id: the receiver counts.
+	recv []int64
 
 	forceNoDelegate bool // test hook (false in production)
 }
@@ -253,215 +245,24 @@ func (d *DenseSim[S]) reenter() {
 // runBatch simulates one pair-matrix batch (plus its collision
 // interaction, if one was sampled) of at most kmax interactions, and
 // returns how many interactions it executed. Every batch draws one seed
-// word. A batch of at most splitLeafMass receivers is the splitter's root
-// leaf: the receivers are a multivariate hypergeometric sample of the
-// (debited) counts vector, and senders are then drawn row by row from the
-// remaining population inside pairAndApply — jointly equivalent, by
-// exchangeability, to drawing 2ℓ agents without replacement and pairing
-// them at random — all from leafRand. A larger batch runs the splitter
-// tree: it pre-draws the sender block as a second composition sample
-// (jointly identical by the same exchangeability) and distributes that
-// multiset over the receiver rows (pairRowsSplit), every draw derived
-// from (seed, node path) so the trajectory is byte-identical for any
-// worker count.
+// word, and all of its sampling runs serially under that word's root node
+// stream (leafRand), whatever ℓ is: the receivers are a multivariate
+// hypergeometric sample of the (debited) counts vector, and senders are
+// then drawn row by row from the remaining population inside
+// pairAndApply — jointly equivalent, by exchangeability, to drawing 2ℓ
+// agents without replacement and pairing them at random.
 func (d *DenseSim[S]) runBatch(kmax int64) int64 {
 	ell, collided := d.batchLength(kmax, denseMaxPairs)
 	if ell == 0 {
 		d.step()
 		return 1
 	}
-	seed := d.rng.Uint64()
 	d.post = resizeZero(d.post, len(d.counts))
-	if ell <= splitLeafMass {
-		d.recv = resizeZero(d.recv, len(d.counts))
-		r := d.leafRand(seed)
-		d.sampleParticipants(r, d.recv, ell)
-		d.pairAndApply(r, ell)
-		return d.finishPost(ell, collided)
-	}
-
-	// Receiver composition, then sender composition from the remainder.
-	d.recv = d.removeSample(deriveSeed(seed, 1), ell, d.recv)
-	d.send = d.removeSample(deriveSeed(seed, 2), ell, d.send)
-
-	// Pairing: distribute the sender multiset over the receiver rows.
-	d.pairRowsSplit(deriveSeed(seed, 3), ell)
+	d.recv = resizeZero(d.recv, len(d.counts))
+	r := d.leafRand(d.rng.Uint64())
+	d.sampleParticipants(r, d.recv, ell)
+	d.pairAndApply(r, ell)
 	return d.finishPost(ell, collided)
-}
-
-// denseMiss is one deferred pair-matrix cell of a receiver row: the
-// sender state id and the cell's multiplicity.
-type denseMiss struct {
-	b    int32
-	mult int64
-}
-
-// missSpan locates one receiver row's deferred cells in DenseSim.misses.
-type missSpan struct{ lo, hi int }
-
-// pairRowsSplit realizes the receiver↔sender matching as recursive
-// hypergeometric splits: a node holding a contiguous row range and its
-// sender multiset S splits the range in half, draws the left half's share
-// of S (one chain with the node's stream), and recurses — forked to
-// another worker when both halves carry enough work (see "Worker budget"
-// in parallel.go; a row range costs about min(rows × sender classes,
-// receivers)). Once a node's receiver mass drops to splitLeafMass it
-// stops splitting and runs the sequential multi-row chain (heavy cells by
-// hypergeometric, light tails by suffix-restricted descents) under its
-// own stream, so the splitter's total per-item work stays within one
-// shallow tree of the serial chain's. Cached cells accumulate into the
-// post multiset (merged once per leaf); uncached cells are deferred,
-// each row's already coalesced and in sender order (pairRowsLeaf), so
-// walking the rows in order applies them in canonical (row, sender)
-// order with no sort: applyCell runs exactly once per distinct cell, and
-// the rule stream's consumption — and even the hit/call statistics — do
-// not depend on which worker ran which leaf.
-func (d *DenseSim[S]) pairRowsSplit(seed uint64, ell int64) {
-	d.rows = d.rows[:0]
-	d.rowCum = append(d.rowCum[:0], 0)
-	sum := int64(0)
-	for id, k := range d.recv {
-		if k > 0 {
-			d.rows = append(d.rows, int32(id))
-			sum += k
-			d.rowCum = append(d.rowCum, sum)
-		}
-	}
-	if sum != ell {
-		panic("pop: DenseSim receiver rows lost mass")
-	}
-	classes := int64(0)
-	for _, c := range d.send {
-		if c > 0 {
-			classes++
-		}
-	}
-	d.misses = d.misses[:0]
-	d.missAt = resizeZero(d.missAt, len(d.rows))
-	g := d.group(min(int64(len(d.rows))*classes, ell))
-	d.pairRowsNode(g, d.leaf, seed, 1, 0, len(d.rows), d.send, ell, classes, nil)
-	g.wait()
-	for ri, sp := range d.missAt {
-		for _, ms := range d.misses[sp.lo:sp.hi] {
-			d.st.PairCells++
-			d.applyCell(d.rows[ri], ms.b, ms.mult)
-		}
-	}
-}
-
-// pairRowsNode is one splitter node of pairRowsSplit, covering rows
-// [rlo, rhi) whose receivers total R and whose sender multiset is snd
-// (owned by the node; Σ snd = R), with at most classes live sender
-// classes. owned, when non-nil, is snd's int64Pool pointer: this node's
-// subtree is the buffer's last reader and returns it to the pool on the
-// way out (the root's snd is the engine-owned d.send, which passes nil).
-// s is the calling goroutine's node stream.
-func (d *DenseSim[S]) pairRowsNode(g *parGroup, s *nodeStream, seed, path uint64, rlo, rhi int, snd []int64, R, classes int64, owned *[]int64) {
-	for {
-		if R == 0 || rhi <= rlo {
-			break
-		}
-		if rhi-rlo == 1 || R <= splitLeafMass {
-			d.pairRowsLeaf(s.at(seed, path), rlo, rhi, snd, R)
-			break
-		}
-		rmid := (rlo + rhi) / 2
-		RL := d.rowCum[rmid] - d.rowCum[rlo]
-		RR := R - RL
-		sndLP, sndL := getInts(len(snd))
-		if RL > 0 {
-			removeCountsChain(s.at(seed, path), nil, snd, 0, len(snd), R, RL,
-				func(b int, k int64) { sndL[b] += k; snd[b] -= k })
-		}
-		lPath, rPath := 2*path, 2*path+1
-		if g != nil && min(int64(rmid-rlo)*classes, RL, int64(rhi-rmid)*classes, RR) >= parMinForkWork {
-			sndR, rR, rHi, ownedR := snd, RR, rhi, owned
-			g.forkNode(func(s *nodeStream) {
-				d.pairRowsNode(g, s, seed, rPath, rmid, rHi, sndR, rR, classes, ownedR)
-			})
-			rhi, snd, R, path, owned = rmid, sndL, RL, lPath, sndLP
-			continue
-		}
-		d.pairRowsNode(g, s, seed, lPath, rlo, rmid, sndL, RL, classes, sndLP)
-		rlo, R, path = rmid, RR, rPath
-	}
-	if owned != nil {
-		int64Pool.Put(owned)
-	}
-}
-
-// pairRowsLeaf distributes the leaf's sender multiset snd (Σ snd = R)
-// over rows [rlo, rhi) sequentially, one pairRow chain per row, as the
-// root leaf's pairAndApply does over the whole population. All
-// randomness comes from the leaf's node stream r. Cached cells
-// accumulate into a leaf-local post vector, merged once under leafMu.
-// Uncached cells accumulate per sender into a leaf-local vector — a
-// row's random tail can draw one cell in several pieces — which each row
-// flushes in sender order into the engine's deferred cells (flushMisses).
-func (d *DenseSim[S]) pairRowsLeaf(r *rand.Rand, rlo, rhi int, snd []int64, R int64) {
-	tree := fenwickPool.Get().(*fenwick)
-	tree.reset(snd)
-	localPostP, localPost := getInts(len(d.post))
-	missP, miss := getInts(len(snd))
-	var hitCells, hits, tblHits int64
-	for ri := rlo; ri < rhi && R > 0; ri++ {
-		a := d.rows[ri]
-		bLo, bHi := len(snd), 0 // the row's uncached sender range
-		pairRow(r, tree, &snd, R, d.rowCum[ri+1]-d.rowCum[ri], func(b int32, k int64) {
-			snd[b] -= k
-			R -= k
-			if oa, ob, ok, fromTable := d.lookupRO(a, b); ok {
-				hitCells++
-				if fromTable {
-					tblHits += k
-				} else {
-					hits += k
-				}
-				localPost[oa] += k
-				localPost[ob] += k
-				return
-			}
-			// Misses count toward PairCells when applied
-			// (pairRowsSplit's serial pass).
-			miss[b] += k
-			bLo, bHi = min(bLo, int(b)), max(bHi, int(b)+1)
-		})
-		if bLo < bHi {
-			d.flushMisses(ri, miss[bLo:bHi], bLo)
-		}
-	}
-	fenwickPool.Put(tree)
-	d.leafMu.Lock()
-	d.st.PairCells += hitCells
-	d.st.CacheHits += hits
-	d.st.TableHits += tblHits
-	// Element writes, not addPost: interning is deferred to the serial
-	// miss pass, so d.post cannot grow here, and addPost's header
-	// reassignment would race with other leaves' len(d.post) reads.
-	for id, c := range localPost {
-		if c > 0 {
-			d.post[id] += c
-		}
-	}
-	d.leafMu.Unlock()
-	int64Pool.Put(localPostP)
-	int64Pool.Put(missP)
-}
-
-// flushMisses appends row ri's uncached cells — miss[j] partners in
-// sender state b0+j — to the engine's deferred cells in sender order,
-// records where they went, and zeroes miss.
-func (d *DenseSim[S]) flushMisses(ri int, miss []int64, b0 int) {
-	d.leafMu.Lock()
-	lo := len(d.misses)
-	for j, k := range miss {
-		if k > 0 {
-			d.misses = append(d.misses, denseMiss{b: int32(b0 + j), mult: k})
-			miss[j] = 0
-		}
-	}
-	d.missAt[ri] = missSpan{lo, len(d.misses)}
-	d.leafMu.Unlock()
 }
 
 // sampleParticipants draws a uniform without-replacement sample of m
@@ -509,9 +310,9 @@ func (d *DenseSim[S]) pairAndApply(r *rand.Rand, ell int64) {
 // is monotone along the row) the remaining partners cost one Fenwick
 // descent each restricted to the pool's unwalked suffix. take(b, k) must
 // debit k agents of state b from the pool; pairRow debits tree. The pool
-// is read through a pointer because take may grow it mid-row — the root
-// leaf's rule outputs intern new states into the counts vector — and the
-// light test reads its current length.
+// is read through a pointer because take may grow it mid-row — rule
+// outputs intern new states into the counts vector — and the light test
+// reads its current length.
 func pairRow(r *rand.Rand, tree *fenwick, pool *[]int64, total, ra int64, take func(b int32, k int64)) {
 	remPop, taken := total, int64(0)
 	for bs := 0; bs < len(*pool) && ra > 0; bs++ {

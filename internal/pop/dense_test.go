@@ -485,16 +485,14 @@ func TestDenseSamplerMatchesReferenceChain(t *testing.T) {
 // randomness they draw, so the order in which a serial pass applies
 // uncached transitions shows in the trajectory. The golden cases cannot
 // see that order: their randomized transitions emit the same output
-// multiset whichever way a coin lands. Every transition here misses, and
-// each case's pins hold at every worker target.
+// multiset whichever way a coin lands. Every transition here misses.
 //
-//   - dense tree flush: the splitter tree's per-row miss flush. Its pins
-//     were generated by the sort-then-coalesce miss pass that the flush
-//     replaced, so they hold it to the canonical (row, sender) order.
 //   - slot root leaf: the slot batches' in-place resolve, pair by pair in
-//     slot order, at the production knobs.
-//   - dense root leaf: pairAndApply's row-by-row cell application at the
-//     production leaf sizes, where every batch is the root leaf.
+//     slot order.
+//   - dense root leaf: pairAndApply's row-by-row cell application at test
+//     scale.
+//   - dense large batch: the same at n = 10⁸, whose batches of about 6300
+//     receivers a splitter tree used to serve with a deferred miss flush.
 func TestDenseTreeMissOrder(t *testing.T) {
 	rule := func(a, b int, r *rand.Rand) (int, int) {
 		if r.IntN(3) == 0 {
@@ -503,43 +501,42 @@ func TestDenseTreeMissOrder(t *testing.T) {
 		return a, (a + 2*b) % 11
 	}
 	initial := func(i int, _ *rand.Rand) int { return i % 11 }
+	states, counts := make([]int, 11), make([]int64, 11)
+	for i := range states {
+		states[i], counts[i] = i, 100_000_000/11+int64(i/10)
+	}
 	for _, tc := range []struct {
 		name   string
-		shrink bool
-		build  func(par int) Engine[int]
+		build  func() Engine[int]
+		run    int64
 		digest string
 		want   Stats
 	}{
-		{"dense tree flush", true, func(par int) Engine[int] {
-			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))
-		}, "c3a05c8643e42e9b7158110599d0a32340ceed5ee08353d688c58c60d354a546",
-			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 14892}},
-		{"slot root leaf", false, func(par int) Engine[int] {
-			return NewBatch(3000, initial, rule, WithSeed(61), WithParallelism(par))
-		}, "4dc3f5e800b70629aaed14864db2afafbe11e86ee235bd97e2e773b84edaf799",
+		{"slot root leaf", func() Engine[int] {
+			return NewBatch(3000, initial, rule, WithSeed(61))
+		}, 6 * 3000, "4dc3f5e800b70629aaed14864db2afafbe11e86ee235bd97e2e773b84edaf799",
 			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1}},
-		{"dense root leaf", false, func(par int) Engine[int] {
-			return NewDense(3000, initial, rule, WithSeed(61), WithParallelism(par))
-		}, "bd698fc3640c1944ef3ce0e9b24887f72952777a54508cacc80a7198f059f0ab",
+		{"dense root leaf", func() Engine[int] {
+			return NewDense(3000, initial, rule, WithSeed(61))
+		}, 6 * 3000, "bd698fc3640c1944ef3ce0e9b24887f72952777a54508cacc80a7198f059f0ab",
 			Stats{Batches: 517, BatchedInteractions: 18000, RuleCalls: 18000, Compactions: 1, PairCells: 17484}},
+		{"dense large batch", func() Engine[int] {
+			return NewDenseFromCounts(states, counts, rule, WithSeed(61))
+		}, 1 << 17, "5e39edad1a778cf76816061bb2f14dc09edfc661dd2192cbd0e17f2d038f3455",
+			Stats{Batches: 22, BatchedInteractions: 131072, RuleCalls: 131072, Compactions: 1, PairCells: 2661}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.shrink {
-				shrinkSplitter(t)
+			e := tc.build()
+			e.Run(tc.run)
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, par := range []int{0, 1, 2} {
-				e := tc.build(par)
-				e.Run(6 * 3000)
-				snap, err := e.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := stateDigest(t, snap); got != tc.digest {
-					t.Errorf("par=%d: state digest = %s, want %s", par, got, tc.digest)
-				}
-				if got := e.Stats(); got != tc.want {
-					t.Errorf("par=%d: Stats() = %#v, want %#v", par, got, tc.want)
-				}
+			if got := stateDigest(t, snap); got != tc.digest {
+				t.Errorf("state digest = %s, want %s", got, tc.digest)
+			}
+			if got := e.Stats(); got != tc.want {
+				t.Errorf("Stats() = %#v, want %#v", got, tc.want)
 			}
 		})
 	}

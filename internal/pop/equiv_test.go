@@ -11,7 +11,6 @@
 package pop_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -27,42 +26,16 @@ import (
 
 // equivBackends are the engines under comparison: the sequential engine
 // is the reference, every other backend's metric distribution must match
-// it. Seed offsets keep the backends' trial streams disjoint. At these
-// sizes every pair-matrix batch of a par-0 variant is the splitter's root
-// leaf (the serial chains); the dense par variant runs under
-// pop.ShrinkSplitter, so its batches recurse through the splitter tree,
-// and the tree's trajectory law is checked against the reference too. It
-// runs the tree inline (par 1): the trials fill the cores, and other
-// suites cover the forks. Slot batches have no tree, so the batched
-// engine needs no par variant.
+// it. Seed offsets keep the backends' trial streams disjoint.
 var equivBackends = []equivBackend{
-	{pop.Sequential, 0, 1},
-	{pop.Batched, 0, 2},
-	{pop.Dense, 0, 3},
-	{pop.Dense, 1, 5},
+	{pop.Sequential, 1},
+	{pop.Batched, 2},
+	{pop.Dense, 3},
 }
 
 type equivBackend struct {
 	backend pop.Backend
-	par     int
 	seedOff uint64
-}
-
-// enter shrinks the splitter for a par variant and returns the function
-// that undoes it; for the other variants both are no-ops.
-func (eb equivBackend) enter() (restore func()) {
-	if eb.par == 0 {
-		return func() {}
-	}
-	return pop.ShrinkSplitter()
-}
-
-// label names an equivalence variant in failure messages.
-func label(backend pop.Backend, par int) string {
-	if par > 0 {
-		return fmt.Sprintf("%v/par=%d/tree", backend, par)
-	}
-	return backend.String()
 }
 
 // meansAgree applies the shared Welch-tolerance check (stats.WelchAgree,
@@ -91,14 +64,13 @@ func TestEquivalenceCoreProtocol(t *testing.T) {
 	p := core.MustNew(equivConfig())
 	const trials = 12
 	for _, n := range []int{300, 1000, 2000} {
-		run := func(backend pop.Backend, par int, seedOff uint64) (times, ests []float64) {
+		run := func(backend pop.Backend, seedOff uint64) (times, ests []float64) {
 			times = make([]float64, trials)
 			ests = make([]float64, trials)
 			pop.RunTrials(trials, 0, func(tr int) struct{} {
 				r := p.Run(n, core.RunOptions{
-					Seed:        seedOff + uint64(tr)*7717,
-					Backend:     backend,
-					Parallelism: par,
+					Seed:    seedOff + uint64(tr)*7717,
+					Backend: backend,
 				})
 				if !r.Converged {
 					t.Errorf("n=%d backend=%v trial %d did not converge", n, backend, tr)
@@ -112,17 +84,15 @@ func TestEquivalenceCoreProtocol(t *testing.T) {
 			})
 			return times, ests
 		}
-		seqT, seqE := run(equivBackends[0].backend, 0, equivBackends[0].seedOff)
+		seqT, seqE := run(equivBackends[0].backend, equivBackends[0].seedOff)
 		logN := math.Log2(float64(n))
 		for _, eb := range equivBackends[1:] {
-			restore := eb.enter()
-			bT, bE := run(eb.backend, eb.par, eb.seedOff)
-			restore()
-			meansAgree(t, "core convergence time vs "+label(eb.backend, eb.par),
+			bT, bE := run(eb.backend, eb.seedOff)
+			meansAgree(t, "core convergence time vs "+eb.backend.String(),
 				seqT, bT, 0.05*stats.Summarize(seqT).Mean)
-			meansAgree(t, "core estimate vs "+label(eb.backend, eb.par), seqE, bE, 0.5)
+			meansAgree(t, "core estimate vs "+eb.backend.String(), seqE, bE, 0.5)
 			if m := stats.Summarize(bE).Mean; math.Abs(m-logN) > 6 {
-				t.Errorf("n=%d %s: mean estimate %.2f far from log2 n = %.2f", n, label(eb.backend, eb.par), m, logN)
+				t.Errorf("n=%d %s: mean estimate %.2f far from log2 n = %.2f", n, eb.backend.String(), m, logN)
 			}
 		}
 		if m := stats.Summarize(seqE).Mean; math.Abs(m-logN) > 6 {
@@ -136,10 +106,10 @@ func TestEquivalenceCoreProtocol(t *testing.T) {
 func TestEquivalenceEpidemic(t *testing.T) {
 	const trials = 24
 	for _, n := range []int{500, 2000, 8000} {
-		run := func(backend pop.Backend, par int, seedOff uint64) []float64 {
+		run := func(backend pop.Backend, seedOff uint64) []float64 {
 			return pop.RunTrials(trials, 0, func(tr int) float64 {
 				s := epidemic.NewEngine(n, 1, pop.WithSeed(seedOff+uint64(tr)*271),
-					pop.WithBackend(backend), pop.WithParallelism(par))
+					pop.WithBackend(backend))
 				at, ok := epidemic.CompletionTime(s, 1e5)
 				if !ok {
 					t.Errorf("n=%d backend=%v trial %d: epidemic timed out", n, backend, tr)
@@ -147,12 +117,10 @@ func TestEquivalenceEpidemic(t *testing.T) {
 				return at
 			})
 		}
-		seq := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+10)
+		seq := run(equivBackends[0].backend, equivBackends[0].seedOff+10)
 		for _, eb := range equivBackends[1:] {
-			restore := eb.enter()
-			got := run(eb.backend, eb.par, eb.seedOff+10)
-			restore()
-			meansAgree(t, "epidemic completion time vs "+label(eb.backend, eb.par), seq, got, 0.5)
+			got := run(eb.backend, eb.seedOff+10)
+			meansAgree(t, "epidemic completion time vs "+eb.backend.String(), seq, got, 0.5)
 		}
 	}
 }
@@ -169,10 +137,10 @@ func TestEquivalenceExactCount(t *testing.T) {
 	p := exactcount.New(3)
 	const trials = 12
 	for _, n := range []int{100, 250, 500} {
-		run := func(backend pop.Backend, par int, seedOff uint64) []float64 {
+		run := func(backend pop.Backend, seedOff uint64) []float64 {
 			return pop.RunTrials(trials, 0, func(tr int) float64 {
 				s := p.NewEngine(n, pop.WithSeed(seedOff+uint64(tr)*911),
-					pop.WithBackend(backend), pop.WithParallelism(par))
+					pop.WithBackend(backend))
 				ok, at := s.RunUntil(exactcount.Terminated, 5, float64(5000*n))
 				if !ok {
 					t.Errorf("n=%d backend=%v trial %d: never terminated", n, backend, tr)
@@ -183,12 +151,10 @@ func TestEquivalenceExactCount(t *testing.T) {
 				return at
 			})
 		}
-		seq := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+20)
+		seq := run(equivBackends[0].backend, equivBackends[0].seedOff+20)
 		for _, eb := range equivBackends[1:] {
-			restore := eb.enter()
-			got := run(eb.backend, eb.par, eb.seedOff+20)
-			restore()
-			meansAgree(t, "exact-count termination time vs "+label(eb.backend, eb.par),
+			got := run(eb.backend, eb.seedOff+20)
+			meansAgree(t, "exact-count termination time vs "+eb.backend.String(),
 				seq, got, 0.1*stats.Summarize(seq).Mean)
 		}
 	}
@@ -214,15 +180,14 @@ func TestEquivalenceChurnTrajectory(t *testing.T) {
 		}
 		return rec, sen
 	}
-	run := func(backend pop.Backend, par int, seedOff uint64) (infected, times []float64) {
+	run := func(backend pop.Backend, seedOff uint64) (infected, times []float64) {
 		infected = make([]float64, trials)
 		times = make([]float64, trials)
 		pop.RunTrials(trials, 0, func(tr int) struct{} {
 			e := pop.NewEngineFromCounts(
 				[]epidemic.State{{Val: 1, Member: true}, {Val: 0, Member: true}},
 				[]int64{40, n0 - 40}, oneWay,
-				pop.WithSeed(seedOff+uint64(tr)*613), pop.WithBackend(backend),
-				pop.WithParallelism(par))
+				pop.WithSeed(seedOff+uint64(tr)*613), pop.WithBackend(backend))
 			churn.Apply(e, sched, epidemic.State{Member: true}, 10, 0, nil)
 			if e.N() != wantN {
 				t.Errorf("backend=%v trial %d: final n=%d, want %d", backend, tr, e.N(), wantN)
@@ -233,16 +198,14 @@ func TestEquivalenceChurnTrajectory(t *testing.T) {
 		})
 		return infected, times
 	}
-	seqI, seqT := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+30)
+	seqI, seqT := run(equivBackends[0].backend, equivBackends[0].seedOff+30)
 	for _, eb := range equivBackends[1:] {
-		restore := eb.enter()
-		gotI, gotT := run(eb.backend, eb.par, eb.seedOff+30)
-		restore()
-		meansAgree(t, "churned epidemic infected count vs "+label(eb.backend, eb.par),
+		gotI, gotT := run(eb.backend, eb.seedOff+30)
+		meansAgree(t, "churned epidemic infected count vs "+eb.backend.String(),
 			seqI, gotI, 0.02*float64(wantN))
 		// Segmented parallel time is deterministic up to 1/n quanta: every
 		// backend must land on the same horizon.
-		meansAgree(t, "churned trajectory end time vs "+label(eb.backend, eb.par), seqT, gotT, 0.05)
+		meansAgree(t, "churned trajectory end time vs "+eb.backend.String(), seqT, gotT, 0.05)
 	}
 }
 
@@ -257,13 +220,12 @@ func TestEquivalenceChurnCoreProtocol(t *testing.T) {
 	}
 	p := core.MustNew(equivConfig())
 	const n0, trials = 500, 12
-	run := func(backend pop.Backend, par int, seedOff uint64) []float64 {
+	run := func(backend pop.Backend, seedOff uint64) []float64 {
 		ests := make([]float64, trials)
 		pop.RunTrials(trials, 0, func(tr int) struct{} {
 			e := pop.NewEngineFromCounts(
 				[]core.State{core.Initial()}, []int64{n0}, p.Rule,
-				pop.WithSeed(seedOff+uint64(tr)*409), pop.WithBackend(backend),
-				pop.WithParallelism(par))
+				pop.WithSeed(seedOff+uint64(tr)*409), pop.WithBackend(backend))
 			churn.Apply(e, churn.Doubling(n0, 8), core.Initial(), 10, 0, nil)
 			ok, _ := e.RunUntil(p.Converged, 4, p.DefaultMaxTime(2*n0))
 			if !ok {
@@ -274,15 +236,13 @@ func TestEquivalenceChurnCoreProtocol(t *testing.T) {
 		})
 		return ests
 	}
-	seqE := run(equivBackends[0].backend, 0, equivBackends[0].seedOff+40)
+	seqE := run(equivBackends[0].backend, equivBackends[0].seedOff+40)
 	logN := math.Log2(float64(2 * n0))
 	for _, eb := range equivBackends[1:] {
-		restore := eb.enter()
-		gotE := run(eb.backend, eb.par, eb.seedOff+40)
-		restore()
-		meansAgree(t, "churned core estimate vs "+label(eb.backend, eb.par), seqE, gotE, 0.5)
+		gotE := run(eb.backend, eb.seedOff+40)
+		meansAgree(t, "churned core estimate vs "+eb.backend.String(), seqE, gotE, 0.5)
 		if m := stats.Summarize(gotE).Mean; math.Abs(m-logN) > 6 {
-			t.Errorf("%s: churned mean estimate %.2f far from log2(2n) = %.2f", label(eb.backend, eb.par), m, logN)
+			t.Errorf("%s: churned mean estimate %.2f far from log2(2n) = %.2f", eb.backend.String(), m, logN)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // which are compiled and then run through every backend. Each input
 // asserts the structural invariants the table bypass must never violate:
 // agent-count conservation, byte-identical trajectories with and without
-// WithTable (root leaf and splitter tree), zero rule calls for
+// WithTable, zero rule calls for
 // declared-deterministic tables, and seq×batch×dense statistical
 // equivalence of the resulting configurations. Like the other fuzz
 // targets, the seed corpus doubles as a unit test under plain `go test`;
@@ -69,24 +69,17 @@ func FuzzRandomTable(f *testing.F) {
 		init := func(i int, _ *rand.Rand) int { return declared[i%len(declared)] }
 
 		// Byte-identity with/without the table, on both multiset
-		// backends, and for dense also (par2, underTree) through the
-		// splitter tree — plus conservation and, for
-		// declared-deterministic tables, a rule-call-free bypass.
+		// backends — plus conservation and, for declared-deterministic
+		// tables, a rule-call-free bypass.
 		type mk func(opts ...Option) Engine[int]
 		for name, build := range map[string]mk{
 			"batch": func(opts ...Option) Engine[int] { return NewBatch(n, init, rule, opts...) },
 			"dense": func(opts ...Option) Engine[int] { return NewDense(n, init, rule, opts...) },
-			"dense/par2": func(opts ...Option) Engine[int] {
-				return NewDense(n, init, rule, append(opts, WithParallelism(2))...)
-			},
 		} {
-			var plain, tabled Engine[int]
-			underTree(name, func() {
-				plain = build(WithSeed(seed))
-				plain.RunTime(3)
-				tabled = build(WithSeed(seed), c.Option())
-				tabled.RunTime(3)
-			})
+			plain := build(WithSeed(seed))
+			plain.RunTime(3)
+			tabled := build(WithSeed(seed), c.Option())
+			tabled.RunTime(3)
 			if plain.N() != n || tabled.N() != n {
 				t.Fatalf("%s: population not conserved: %d / %d, want %d", name, plain.N(), tabled.N(), n)
 			}

@@ -129,10 +129,10 @@ func FuzzMultivariateHypergeometric(f *testing.F) {
 		// shapes — and be a pure function of its seed.
 		split := make([]int64, len(counts))
 		cum := prefixSums(nil, counts)
-		mvhSplitComp(nil, newNodeStream(), seed, 1, counts, cum, 0, len(counts), total, m, split)
+		mvhSplitComp(newNodeStream(), new(fenwick), seed, 1, counts, cum, 0, len(counts), total, m, split)
 		check("splitter", split)
 		again := make([]int64, len(counts))
-		mvhSplitComp(nil, newNodeStream(), seed, 1, counts, cum, 0, len(counts), total, m, again)
+		mvhSplitComp(newNodeStream(), new(fenwick), seed, 1, counts, cum, 0, len(counts), total, m, again)
 		for i := range split {
 			if split[i] != again[i] {
 				t.Fatalf("splitter not deterministic at class %d: %d vs %d", i, split[i], again[i])
@@ -232,8 +232,8 @@ func FuzzFenwick(f *testing.F) {
 // FuzzRemoveCountsChain checks that the composition chain and the
 // splitter's removeSample remove exactly k agents without driving a class
 // negative. The chain also runs over a class sub-range [lo, hi) picked
-// from the seed with its pooled tail tree, as the splitter nodes call it,
-// and must then debit only classes inside the range.
+// from the seed, as the splitter's leaves call it, and must then debit
+// only classes inside the range.
 func FuzzRemoveCountsChain(f *testing.F) {
 	f.Add(uint64(1), []byte{10, 0, 3, 2}, uint64(5))
 	f.Add(uint64(2), []byte{255, 1, 1, 1, 1, 1, 1, 1, 1}, uint64(200))
@@ -285,7 +285,7 @@ func FuzzRemoveCountsChain(f *testing.F) {
 		k := int64(kRaw % uint64(total+1))
 		run("chain", 0, len(counts), k, chain(new(fenwick), 0, len(counts)))
 		run("splitter", 0, len(counts), k, func(cs []int64, total, k int64, debit func(id int32, d int64)) {
-			m := multiset[int]{counts: append([]int64(nil), cs...), total: total, par: 1, leaf: newNodeStream()}
+			m := multiset[int]{counts: append([]int64(nil), cs...), total: total, leaf: newNodeStream()}
 			for id, d := range m.removeSample(seed, k, nil) {
 				if d > 0 {
 					debit(int32(id), -d)
@@ -349,8 +349,8 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	zero := func(int, *rand.Rand) int { return 0 }
 	for _, bk := range []Backend{Sequential, Batched, Dense} {
-		for _, par := range []int{0, 2} {
-			f.Add(blob(NewEngine(300, init, mixedRule, WithSeed(7), WithBackend(bk), WithParallelism(par)), 900, keep))
+		for _, k := range []int64{900, 1801} {
+			f.Add(blob(NewEngine(300, init, mixedRule, WithSeed(7), WithBackend(bk)), k, keep))
 		}
 	}
 	fallback := func() Engine[int] {

@@ -97,13 +97,13 @@ func lightDraw(c, k, thresh, remPop int64) bool {
 // allocation is hypergeometric in the population and sample remaining
 // after classes < i — which is exact for any class order. DenseSim
 // advances whole interaction batches on draws of this form: once for the
-// batch's receiver states, once for its sender states, and once per
-// receiver state to realize the uniformly random pairing as a matrix of
-// ordered state-pair counts. The engines run the chain with a heavy/light
-// split: removeCountsChain draws the root leaf's participants
+// batch's receiver states, then once per receiver state over the
+// remaining population to realize the uniformly random pairing as a
+// matrix of ordered state-pair counts. The engines run the chain with a
+// heavy/light split: removeCountsChain draws the batches' participants
 // (DenseSim.sampleParticipants, the slot batches' sampleSlotsByState) and
-// the splitter nodes' composition shares, and pairRow in dense.go runs it
-// per pairing row, for the root leaf and the row-splitter leaves alike.
+// the composition splitter's leaf shares, and pairRow in dense.go runs it
+// per pairing row.
 func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, dst []int64) {
 	if len(dst) != len(counts) {
 		panic("pop: multivariate hypergeometric dst/counts length mismatch")
@@ -137,14 +137,12 @@ func multivariateHypergeometric(r *rand.Rand, counts []int64, total, m int64, ds
 // multivariate hypergeometric chain with a heavy/light split: one
 // hypergeometric draw per class while a class expects a material share of
 // the sample, one Fenwick descent over the remaining suffix per item for
-// the light tail (chainTail, on tree, or a pooled tree when tree is nil).
-// emit receives the drawn shares in class order, one call per heavy class
-// and one per tail item. It may debit counts: a class is read before its
-// share is emitted, and the tail's tree is built before its first emit.
-// It is the single chain behind the root leaf's participant draws and
-// every splitter node that draws a composition share — the mvhSplitComp
-// leaf and the dense row split — so they cannot
-// drift apart.
+// the light tail (chainTail, on tree). emit receives the drawn shares in
+// class order, one call per heavy class and one per tail item. It may
+// debit counts: a class is read before its share is emitted, and the
+// tail's tree is built before its first emit. It is the single chain
+// behind the batches' participant draws and the mvhSplitComp leaves, so
+// they cannot drift apart.
 func removeCountsChain(r *rand.Rand, tree *fenwick, counts []int64, lo, hi int, total, k int64, emit func(i int, k int64)) {
 	rem := total
 	for i := lo; i < hi && k > 0; i++ {

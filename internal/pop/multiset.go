@@ -6,8 +6,8 @@
 // way. The multiset type below owns that representation, the rng streams,
 // the transition cache and the declared-table view, the collision-free
 // batch framing (run-length prologue, post-multiset collision step, commit
-// and conservation check), the splitter's composition draw (removeSample),
-// churn, the snapshot body, the execution counters (Stats), and the
+// and conservation check), the node-path-seeded composition draw
+// (removeSample), churn, the snapshot body, the execution counters (Stats), and the
 // slot batches with their agent-array fallback (batch.go), once.
 // BatchSim is that core alone. DenseSim embeds the same core and adds the
 // pair-count matrix; it switches to the core's slot batches in place
@@ -42,9 +42,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"runtime"
 	"sort"
-	"sync/atomic"
 )
 
 // countingSource wraps a rand.Source and counts the words drawn through
@@ -127,7 +125,7 @@ type Stats struct {
 type multiset[S comparable] struct {
 	pcg      *rand.PCG // rng's source, retained for snapshotting
 	rng      *rand.Rand
-	leaf     *nodeStream     // the calling goroutine's node stream (see leafRand)
+	leaf     *nodeStream     // the node stream behind leafRand and removeSample
 	ruleRand *countingSource // the same PCG, counting the words rules draw
 	ruleRng  *rand.Rand
 	rule     Rule[S]
@@ -151,7 +149,6 @@ type multiset[S comparable] struct {
 	distinct int
 
 	qMax int // live-state threshold of the slot batches' agent-array fallback
-	par  int // intra-trial worker target (>= 1); never affects a draw
 
 	// Agent-array fallback of the slot batches (batch.go): the mode
 	// flag, the agents, and the interactions until the next re-entry
@@ -180,7 +177,7 @@ type multiset[S comparable] struct {
 	// Scratch: the Fenwick tree behind per-item chain draws; the batch's
 	// post-interaction multiset (indexed by state id, growing as rule
 	// outputs intern new states mid-batch); churn removal's composition;
-	// the splitter's counts prefix sums; the slot batches' participant
+	// removeSample's counts prefix sums; the slot batches' participant
 	// slots (pre states, then post states).
 	tree  fenwick
 	post  []int64
@@ -193,11 +190,9 @@ type multiset[S comparable] struct {
 	// rebuilds it on its first batch.
 	runs runLengths
 
-	// batchEvents is a test hook fired at every batch commit, and
-	// forkEvents one counting the goroutines the splitter forks (both nil
-	// in production).
+	// batchEvents is a test hook fired at every batch commit (nil in
+	// production).
 	batchEvents func(ell int, collided bool)
-	forkEvents  *atomic.Int64
 
 	st Stats
 }
@@ -233,7 +228,6 @@ func newShell[S comparable](backend string, n int, rule Rule[S], o options) mult
 	}
 	m := newMultiset(rand.NewPCG(o.seed, o.seed^0x9e3779b97f4a7c15), rule, attachTable[S](o))
 	m.n = n
-	m.par = resolveParallelism(o.parallelism)
 	m.qMax = defaultBatchThreshold
 	if o.batchThreshold > 0 {
 		m.qMax = o.batchThreshold
@@ -368,16 +362,13 @@ func (m *multiset[S]) step() {
 // the id range): a multivariate hypergeometric sample of the counts
 // vector drawn by mvhSplitComp under the node streams of seed — a single
 // chain leaf at the root while at most mvhLeafClasses states exist — and
-// debited in id order. seed fully determines the draw, so it is
-// byte-identical for any worker count. Churn removal and both pair-matrix
-// participant passes above the root leaf draw through it.
+// debited in id order. seed fully determines the draw. Churn removal
+// draws through it.
 func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	q := len(m.counts)
 	dst = resizeZero(dst, q)
 	m.cum = prefixSums(m.cum, m.counts)
-	g := m.group(min(int64(q), k))
-	mvhSplitComp(g, m.leaf, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
-	g.wait()
+	mvhSplitComp(m.leaf, &m.tree, seed, 1, m.counts, m.cum, 0, q, m.total, k, dst)
 	for id, c := range dst {
 		if c > 0 {
 			m.addCount(int32(id), -c)
@@ -386,27 +377,11 @@ func (m *multiset[S]) removeSample(seed uint64, k int64, dst []int64) []int64 {
 	return dst
 }
 
-// leafRand returns a root-leaf batch's stream: the root node stream of
-// the batch's seed word, (deriveSeed(seed, 1), 1), on the engine's own
-// node stream, which the splitter tree's inline nodes reuse too, so that
-// no batch allocates a stream.
+// leafRand returns a batch's stream: the root node stream of the batch's
+// seed word, (deriveSeed(seed, 1), 1), on the engine's own node stream,
+// so that no batch allocates a stream.
 func (m *multiset[S]) leafRand(seed uint64) *rand.Rand {
 	return m.leaf.at(deriveSeed(seed, 1), 1)
-}
-
-// group returns the fork-join group of a splitter region whose estimated
-// work (see "Worker budget" in parallel.go) is work: nil, running the
-// region inline, unless the work could feed two forked halves and more
-// than one worker is available.
-func (m *multiset[S]) group(work int64) *parGroup {
-	if work < 2*parMinForkWork {
-		return nil
-	}
-	g := newParGroup(min(m.par, runtime.GOMAXPROCS(0)))
-	if g != nil {
-		g.forks = m.forkEvents
-	}
-	return g
 }
 
 // advance runs at most k multiset-mode interactions and returns how many
@@ -414,7 +389,6 @@ func (m *multiset[S]) group(work int64) *parGroup {
 // otherwise one batch of the engine's runBatch, compacting first when
 // dead states dominate the interning tables, or else growing the
 // transition cache when the live pairs outgrew it (see the file comment).
-// Both run between batches, so no splitter leaf reads the cache meanwhile.
 func (m *multiset[S]) advance(k int64, runBatch func(kmax int64) int64) int64 {
 	if k < 8 || m.n < 8 {
 		m.step()
@@ -567,8 +541,7 @@ func (m *multiset[S]) callRule(ida, idb int32) (oa, ob int32, det bool) {
 }
 
 // cacheLookup reports the cached deterministic outputs of the ordered
-// pair, if present. It is read-only, so concurrent calls are safe while
-// no writer runs (the splitter path's parallel phases).
+// pair, if present.
 func (m *multiset[S]) cacheLookup(ida, idb int32) (oa, ob int32, ok bool) {
 	if ida >= cacheMaxID || idb >= cacheMaxID {
 		return 0, 0, false
@@ -587,20 +560,6 @@ func (m *multiset[S]) cacheStore(ida, idb, oa, ob int32) {
 	key := m.cacheGen<<44 | uint64(ida)<<22 | uint64(idb)
 	m.cache[(key*0x9e3779b97f4a7c15)>>m.cacheShift] = cacheSlot{
 		key: key, out: uint64(uint32(oa))<<32 | uint64(uint32(ob))}
-}
-
-// lookupRO is resolve without its writes, for the splitter path's
-// parallel phases: the declared-table bypass restricted to already-
-// interned outputs (probeRO), then the cache. fromTable tells which
-// answered.
-func (m *multiset[S]) lookupRO(ida, idb int32) (oa, ob int32, ok, fromTable bool) {
-	if t := m.tbl; t != nil {
-		if oa, ob, ok := t.probeRO(ida, idb); ok {
-			return oa, ob, true, true
-		}
-	}
-	oa, ob, ok = m.cacheLookup(ida, idb)
-	return oa, ob, ok, false
 }
 
 // invalidateCache makes every existing cache entry unmatchable by
@@ -763,7 +722,6 @@ func restoreMultiset[S comparable](snap *Snapshot[S], rule Rule[S], o options) (
 	m.interacts = snap.Interactions
 	m.timeBase = snap.TimeBase
 	m.segStart = snap.SegStart
-	m.par = resolveParallelism(o.parallelism)
 	m.distinct = snap.Distinct
 	m.qMax = snap.QMax
 	m.states = append([]S(nil), snap.States...)

@@ -7,7 +7,6 @@ type options struct {
 	backend           Backend
 	batchThreshold    int
 	denseThreshold    int
-	parallelism       int
 	table             any // *Compiled[S]; resolved by attachTable
 }
 
@@ -15,8 +14,7 @@ type options struct {
 type Option func(*options)
 
 // Combine merges several options into one, for callers that thread a
-// single configuration value through option-typed plumbing (e.g. the
-// experiment harness's shared backend + parallelism selection).
+// single configuration value through option-typed plumbing.
 func Combine(opts ...Option) Option {
 	return func(o *options) {
 		for _, opt := range opts {
@@ -59,18 +57,12 @@ func WithBackend(b Backend) Option {
 	return func(o *options) { o.backend = b }
 }
 
-// WithParallelism sets the multiset engines' intra-trial worker target:
-// p >= 1 allows up to p workers, and p = 0 (the default) means GOMAXPROCS.
-// The workers serve the splitter tree (parallel.go): the dense engine's
-// pair-matrix batches above the root leaf and churn removals; slot
-// batches always run serially. Every value produces the byte-identical
-// trajectory for a given seed — worker count changes only the execution
-// schedule, never a random draw — and a parallel region never runs more
-// than GOMAXPROCS workers. The budget is per engine: concurrent trials
-// each get their own. The sequential engine ignores the option.
-// Negative values are treated as 0.
+// WithParallelism has no effect; it is kept for source compatibility.
+// Every engine runs a trial on one core, and every value of p takes the
+// byte-identical trajectory. Run independent trials in parallel instead
+// (the sweep worker pool).
 func WithParallelism(p int) Option {
-	return func(o *options) { o.parallelism = max(p, 0) }
+	return func(*options) {}
 }
 
 // WithBatchThreshold overrides the slot batches' live-state fallback

@@ -140,13 +140,12 @@ type lawOp struct {
 
 // lawProbe is what one trial saw of its engine: its stats, interactions
 // and applied churn events, and its batch commits by kind through the
-// batchEvents and forkEvents hooks. denseTree counts batches above the
-// dense splitter's root leaf (ℓ > splitLeafMass), fenwick slot batches
-// drawn slot by slot (ℓ below the live states).
+// batchEvents hook. fenwick counts slot batches drawn slot by slot (ℓ
+// below the live states).
 type lawProbe struct {
 	Stats
-	interactions, churns                int64
-	collided, denseTree, fenwick, forks int64
+	interactions, churns int64
+	collided, fenwick    int64
 }
 
 // lawTrials is the number of independent runs per oracle case. The race
@@ -156,18 +155,18 @@ const lawTrials = 20000
 
 // lawCase is one engine path under the oracle: an engine of backend be
 // with opts is built from init (counts per table id of tbl), under
-// treeKnobs when tree is set, and driven through script in each of
+// shrunkSplitter when tree is set, and driven through script in each of
 // lawTrials independent runs, by Step alone when step is set. ran
 // reports whether a trial took the path under test; at least one must.
 type lawCase struct {
-	name              string
-	tbl               *Compiled[int]
-	init              []int64
-	script            []lawOp
-	be                Backend
-	opts              []Option
-	step, tree, forks bool
-	ran               func(p lawProbe) bool
+	name       string
+	tbl        *Compiled[int]
+	init       []int64
+	script     []lawOp
+	be         Backend
+	opts       []Option
+	step, tree bool
+	ran        func(p lawProbe) bool
 }
 
 // engine builds the case's engine with its backend's constructor and
@@ -186,35 +185,16 @@ func (lc *lawCase) engine(seed uint64) (Engine[int], *multiset[int]) {
 	return NewEngineFromCounts(states, lc.init, rule, append(opts, WithBackend(lc.be))...), nil
 }
 
-// treeKnobs shrinks the splitter so test-scale batches run its trees:
-// pair-matrix batches above 4 receivers and compositions over more than 2
-// classes split. forks decides whether every subtree may run on another
-// goroutine or all run inline. It returns the function that restores the
-// knobs.
-func treeKnobs(forks bool) func() {
-	restore := shrunkSplitter()
-	splitLeafMass, parMinForkWork = 4, 1
-	if !forks {
-		parMinForkWork = 1 << 30
-	}
-	return restore
-}
-
 // trial runs one engine through the case's script and returns its
 // configuration at every check, in table ids, with what it saw.
 func (lc *lawCase) trial(seed uint64) ([]config, lawProbe) {
 	e, m := lc.engine(seed)
 	var pr lawProbe
-	var forks atomic.Int64
 	if m != nil {
 		live := m.live
-		m.forkEvents = &forks
 		m.batchEvents = func(ell int, collided bool) {
 			if collided {
 				pr.collided++
-			}
-			if int64(ell) > splitLeafMass {
-				pr.denseTree++
 			}
 			if ell < live {
 				pr.fenwick++
@@ -249,7 +229,7 @@ func (lc *lawCase) trial(seed uint64) ([]config, lawProbe) {
 			pr.churns++
 		}
 	}
-	pr.Stats, pr.interactions, pr.forks = e.Stats(), e.Interactions(), forks.Load()
+	pr.Stats, pr.interactions = e.Stats(), e.Interactions()
 	return got, pr
 }
 
@@ -323,7 +303,7 @@ func TestEngineLawOracle(t *testing.T) {
 				solved[key] = lc.laws()
 			}
 			if lc.tree {
-				defer treeKnobs(lc.forks)()
+				defer shrunkSplitter()()
 			}
 			var ran atomic.Int64
 			got := RunTrials(trials, 0, func(tr int) []config {
@@ -362,9 +342,9 @@ func cycleTable() Table[int] {
 // (amTable) at n = 300 runs batches of ℓ ≈ 11 with heavy and light
 // pairing cells and a collision step; n = 100 and thresholds of 2 live
 // states drive the mode switches; the coin table's 3:1 Choose entry is
-// drawn by the rule on every backend. Slot batches have no tree, so
-// churn/batch/tree exercises the split churn composition (removeSample
-// over three states, split at two classes) on the batch backend.
+// drawn by the rule on every backend. The churn tree cases draw their
+// removals through the split composition (removeSample over three
+// states, split at two classes).
 func lawCases() []lawCase {
 	am, coin, cycle := MustCompile(amTable()), MustCompile(coinTable()), MustCompile(cycleTable())
 	amInit, small, coinInit := []int64{90, 60, 150}, []int64{40, 20, 40}, []int64{100, 100, 100} // B, U, A
@@ -382,9 +362,7 @@ func lawCases() []lawCase {
 		{name: "batch/fenwick", tbl: cycle, init: []int64{16, 16, 16, 16}, script: []lawOp{{run: 128}, {check: true}},
 			be: Batched, ran: func(p lawProbe) bool { return batched(p) && p.fenwick > p.Batches/4 }},
 		{name: "dense/leaf", tbl: am, init: amInit, script: run, be: Dense,
-			ran: func(p lawProbe) bool { return batched(p) && p.denseTree == 0 && p.Delegations == 0 }},
-		{name: "dense/tree", tbl: am, init: amInit, script: run, be: Dense, opts: []Option{am.Option()},
-			tree: true, forks: true, ran: func(p lawProbe) bool { return p.denseTree > 0 && p.forks > 0 }},
+			ran: func(p lawProbe) bool { return batched(p) && p.Delegations == 0 }},
 		{name: "choose/seq", tbl: coin, init: coinInit, script: run, be: Sequential, ran: seqRan},
 		{name: "choose/batch", tbl: coin, init: coinInit, script: run, be: Batched, opts: []Option{coin.Option()},
 			ran: func(p lawProbe) bool { return batched(p) && p.RuleCalls > 0 }},
@@ -401,7 +379,6 @@ func lawCases() []lawCase {
 		{name: "churn/batch/leaf", tbl: am, init: amInit, script: churn, be: Batched, ran: churned},
 		{name: "churn/batch/tree", tbl: am, init: amInit, script: churn, be: Batched, tree: true, ran: churned},
 		{name: "churn/dense/leaf", tbl: am, init: amInit, script: churn, be: Dense, ran: churned},
-		{name: "churn/dense/tree", tbl: am, init: amInit, script: churn, be: Dense, tree: true,
-			ran: func(p lawProbe) bool { return churned(p) && p.denseTree > 0 }},
+		{name: "churn/dense/tree", tbl: am, init: amInit, script: churn, be: Dense, tree: true, ran: churned},
 	}
 }

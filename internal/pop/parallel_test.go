@@ -1,7 +1,7 @@
-// Tests of the deterministic intra-trial parallelism layer: worker-count
-// invariance (the headline guarantee — `-par 1` and `-par 16` are
-// byte-identical), splitter distribution checks against the sequential
-// chains, the fork work gate, and the fork-join budget.
+// Tests of the node-path-seeded composition splitter (mvhSplitComp)
+// against the sequential chains, of the engines' allocation-free batches,
+// and of WithParallelism, which is a no-op: every worker target takes the
+// one byte-identical trajectory.
 package pop
 
 import (
@@ -10,52 +10,32 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/popsim/popsize/internal/stats"
 )
 
-// shrinkSplitter makes the splitter recurse and fork at test-scale
-// populations: pair-matrix leaves of 16 receivers, compositions split
-// above 2 classes, a tiny fork threshold, and enough GOMAXPROCS that a
-// parallel region gets more than one worker on a small CI machine. Slot
-// batches have no tree, so the shrink leaves them alone. The leaf knobs
-// change where node streams are consumed, so every run compared within
-// one test must execute under the same shrink.
+// shrinkSplitter makes churn removals split their composition at
+// test-scale configurations: compositions over more than 2 classes
+// bisect instead of running one chain. The knob changes where node
+// streams are consumed, so every run compared within one test must
+// execute under the same shrink.
 func shrinkSplitter(t *testing.T) {
 	t.Helper()
 	t.Cleanup(shrunkSplitter())
 }
 
-// shrunkSplitter applies shrinkSplitter's knobs and returns the function
-// that restores the old ones, for callers that scope the shrink to part of
-// a test (deferred, it also runs when a t.Fatal unwinds the goroutine).
+// shrunkSplitter applies shrinkSplitter's knob and returns the function
+// that restores it, for callers that scope the shrink to part of a test.
 func shrunkSplitter() (restore func()) {
-	oldFork, oldClasses, oldMass := parMinForkWork, mvhLeafClasses, splitLeafMass
-	oldProcs := runtime.GOMAXPROCS(4)
-	parMinForkWork, mvhLeafClasses, splitLeafMass = 4, 2, 16
-	return func() {
-		parMinForkWork, mvhLeafClasses, splitLeafMass = oldFork, oldClasses, oldMass
-		runtime.GOMAXPROCS(oldProcs)
-	}
-}
-
-func TestResolveParallelism(t *testing.T) {
-	if got := resolveParallelism(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("auto: %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	for _, p := range []int{1, 2, 7} {
-		if got := resolveParallelism(p); got != p {
-			t.Errorf("explicit par %d: %d, want %d", p, got, p)
-		}
-	}
+	old := mvhLeafClasses
+	mvhLeafClasses = 2
+	return func() { mvhLeafClasses = old }
 }
 
 // TestMVHSplitCompInvariants: for arbitrary shapes the splitter's
 // composition must conserve the sample size and respect per-class bounds,
-// and must be a pure function of the seed (worker-count independent).
+// and must be a pure function of the seed.
 func TestMVHSplitCompInvariants(t *testing.T) {
 	shrinkSplitter(t)
 	r := rand.New(rand.NewPCG(1, 2))
@@ -75,25 +55,22 @@ func TestMVHSplitCompInvariants(t *testing.T) {
 		}
 		m := int64(r.IntN(int(total + 1)))
 		seed := r.Uint64()
-		draw := func(workers int) []int64 {
+		draw := func() []int64 {
 			dst := make([]int64, q)
 			cum := prefixSums(nil, counts)
-			g := newParGroup(workers)
-			mvhSplitComp(g, newNodeStream(), seed, 1, counts, cum, 0, q, total, m, dst)
-			g.wait()
+			mvhSplitComp(newNodeStream(), new(fenwick), seed, 1, counts, cum, 0, q, total, m, dst)
 			return dst
 		}
-		serial := draw(1)
-		parallel := draw(4)
+		first, again := draw(), draw()
 		var sum int64
-		for i, k := range serial {
+		for i, k := range first {
 			if k < 0 || k > counts[i] {
 				t.Fatalf("trial %d: class %d drew %d of %d", trial, i, k, counts[i])
 			}
 			sum += k
-			if parallel[i] != k {
-				t.Fatalf("trial %d: worker count changed the draw: class %d %d vs %d",
-					trial, i, k, parallel[i])
+			if again[i] != k {
+				t.Fatalf("trial %d: one seed drew two compositions: class %d %d vs %d",
+					trial, i, k, again[i])
 			}
 		}
 		if sum != m {
@@ -113,11 +90,12 @@ func TestMVHSplitCompMoments(t *testing.T) {
 	cum := prefixSums(nil, counts)
 	sums := make([]float64, len(counts))
 	dst := make([]int64, len(counts))
+	s, tree := newNodeStream(), new(fenwick)
 	for trial := 0; trial < trials; trial++ {
 		for i := range dst {
 			dst[i] = 0
 		}
-		mvhSplitComp(nil, newNodeStream(), r.Uint64(), 1, counts, cum, 0, len(counts), total, m, dst)
+		mvhSplitComp(s, tree, r.Uint64(), 1, counts, cum, 0, len(counts), total, m, dst)
 		for i, k := range dst {
 			sums[i] += float64(k)
 		}
@@ -145,11 +123,13 @@ func parSignature[S comparable](e Engine[S]) string {
 		keys, e.N(), e.Interactions(), e.Time(), e.DistinctStates())
 }
 
-// TestWorkerCountInvariance is the headline determinism guarantee: a
-// pinned-seed run at -par 0 (auto), 1 and 8 (and 2, and 7) produces identical
-// end configurations and segment times on both multiset backends, for a
-// deterministic rule, a randomness-consuming rule, and a mid-run churn
-// schedule.
+// TestWorkerCountInvariance: WithParallelism is a no-op kept for source
+// compatibility, and callers (the bench's fork layer among them) compare
+// runs built at different worker targets for equality. A pinned-seed run
+// at every target must therefore produce identical end configurations and
+// segment times on both multiset backends, for a deterministic rule, a
+// randomness-consuming rule, and a mid-run churn schedule whose removals
+// split their composition.
 func TestWorkerCountInvariance(t *testing.T) {
 	shrinkSplitter(t)
 	rules := map[string]Rule[int]{"am": amRule, "coin": coinRule, "max": maxRule}
@@ -219,10 +199,44 @@ func TestWorkerCountInvarianceDelegation(t *testing.T) {
 	}
 }
 
-// TestRootLeafBatchAllocs: a root-leaf batch reseeds the engine's leaf
-// PCG and reuses its scratch, so once warm it allocates nothing — also a
-// slot batch of about 5400 interactions at n = 2²⁶, since every slot
-// batch is the root leaf whatever its length.
+// denseBatchCases are the dense configurations whose pair-matrix batches
+// run far above 2¹¹ receivers (ℓ ≈ 6300 at n = 10⁸, ≈ 20 000 at 10⁹): a
+// three-state table majority, and ≈ 90 uniform states under a
+// deterministic rule whose rows walk every sender state.
+func denseBatchCases() []struct {
+	name string
+	mk   func(n int64) *DenseSim[int]
+} {
+	am := MustCompile(amTable())
+	const q = 90
+	states := make([]int, q)
+	for i := range states {
+		states[i] = i
+	}
+	shift := func(a, b int, _ *rand.Rand) (int, int) { return (a + b + 1) % q, b }
+	return []struct {
+		name string
+		mk   func(n int64) *DenseSim[int]
+	}{
+		{"majority-q3", func(n int64) *DenseSim[int] {
+			return NewDenseFromCounts([]int{1, -1}, []int64{n * 27 / 50, n - n*27/50}, am.Rule(),
+				WithSeed(1), am.Option())
+		}},
+		{"shift-q90", func(n int64) *DenseSim[int] {
+			counts := make([]int64, q)
+			for i := range counts {
+				counts[i] = n / q
+			}
+			counts[0] += n - n/q*q
+			return NewDenseFromCounts(states, counts, shift, WithSeed(1))
+		}},
+	}
+}
+
+// TestRootLeafBatchAllocs: a batch reseeds the engine's leaf PCG and
+// reuses its scratch, so once warm it allocates nothing — a pair-matrix
+// batch at test scale and at n = 10⁸ (far above 2¹¹ receivers, for q = 3
+// and q ≈ 90), and a slot batch of about 5400 interactions at n = 2²⁶.
 func TestRootLeafBatchAllocs(t *testing.T) {
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	b := NewBatch(3000, init, maxRule, WithSeed(1))
@@ -240,114 +254,26 @@ func TestRootLeafBatchAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { big.slotBatch(1 << 20) }); a != 0 {
 		t.Errorf("slot batch at n=2²⁶: %v allocations per batch, want 0", a)
 	}
-}
-
-// TestTreeBatchAllocs: above the root leaf a pair-matrix batch at one
-// worker reuses the engine's node stream, miss buffers and pooled node
-// scratch, so once warm it allocates (almost) nothing either.
-func TestTreeBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
-	d := NewDenseFromCounts([]int{-1, 0, 1}, []int64{40_000_000, 20_000_000, 40_000_000}, amRule,
-		WithSeed(1), WithParallelism(1))
-	d.Run(1 << 20)
-	if got := d.Stats().Batches; got == 0 || d.Interactions()/got <= splitLeafMass {
-		t.Fatalf("batches average %d interactions, want above splitLeafMass %d", d.Interactions()/max(got, 1), splitLeafMass)
-	}
-	if a := testing.AllocsPerRun(200, func() { d.runBatch(1 << 20) }); a >= 1 {
-		t.Errorf("splitter pair-matrix batch: %v allocations per batch, want < 1", a)
-	}
-}
-
-// TestSplitterForkGate: the work gate keeps the splitter from forking
-// where it has nothing to hand off — a q ≤ 3 tree batch at production
-// knobs runs inline at any worker target — while a wide configuration
-// still forks, and under shrinkSplitter the dense configurations of
-// TestWorkerCountInvariance still fork, so the race step exercises real
-// fan-out.
-func TestSplitterForkGate(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	par := runtime.GOMAXPROCS(0)
-	uniform := func(q int) ([]int, []int64) {
-		states, counts := make([]int, q), make([]int64, q)
-		for i := range states {
-			states[i], counts[i] = i, 100_000_000/int64(q)
+	for _, c := range denseBatchCases() {
+		d := c.mk(100_000_000)
+		d.Run(1 << 17) // intern the states and warm the cache and scratch
+		if got := d.Stats().Batches; got == 0 || d.Interactions()/got <= 1<<11 {
+			t.Fatalf("%s: batches average %d interactions, want above 2¹¹", c.name, d.Interactions()/max(got, 1))
 		}
-		return states, counts
-	}
-	forks := func(d *DenseSim[int], k int64) int64 {
-		var n atomic.Int64
-		d.forkEvents = &n
-		d.Run(k)
-		return n.Load()
-	}
-	states, counts := uniform(3)
-	if f := forks(NewDenseFromCounts(states, counts, amRule, WithSeed(3), WithParallelism(par)), 1<<21); f != 0 {
-		t.Errorf("q=3 tree batches forked %d goroutines at par=%d, want 0", f, par)
-	}
-	states, counts = uniform(64)
-	if f := forks(NewDenseFromCounts(states, counts, coinRule, WithSeed(3), WithParallelism(par)), 1<<17); f == 0 {
-		t.Errorf("q=64 tree batches never forked at par=%d", par)
-	}
-
-	// Deferred, not a t.Cleanup: the shrink's own GOMAXPROCS restore must
-	// unwind before the outer one, or the machine's value is lost.
-	defer shrunkSplitter()()
-	const n = 3000
-	init := func(i int, _ *rand.Rand) int { return i % 5 }
-	var total atomic.Int64
-	for _, rule := range []Rule[int]{amRule, coinRule, maxRule} {
-		d := NewDense(n, init, rule, WithSeed(42), WithParallelism(par))
-		d.forkEvents = &total
-		d.Run(6 * n)
-		d.AddAgents(1, n/2)
-		d.Run(2 * n)
-		d.RemoveAgents(n)
-		d.Run(4 * n)
-	}
-	if total.Load() == 0 {
-		t.Error("dense: no fork under shrinkSplitter")
+		if a := testing.AllocsPerRun(50, func() { d.runBatch(1 << 20) }); a != 0 {
+			t.Errorf("%s: pair-matrix batch at n=10⁸: %v allocations per batch, want 0", c.name, a)
+		}
 	}
 }
 
-// BenchmarkDenseTreeBatch times one pair-matrix batch above the root leaf
-// (ℓ ≈ 6300 > splitLeafMass at n = 10⁸) at the auto worker target and at
-// one worker: a three-state table majority, where the work gate keeps
-// every batch inline, and 64 uniform states under a randomness-consuming
-// rule, where the rows fork and every cell goes through the serial miss
-// pass.
-func BenchmarkDenseTreeBatch(b *testing.B) {
-	const n = 100_000_000
-	am := MustCompile(amTable())
-	uniform := make([]int, 64)
-	for i := range uniform {
-		uniform[i] = i
-	}
-	cases := []struct {
-		name string
-		mk   func(par int) *DenseSim[int]
-	}{
-		{"majority-q3", func(par int) *DenseSim[int] {
-			return NewDenseFromCounts([]int{1, -1}, []int64{n * 27 / 50, n * 23 / 50}, am.Rule(),
-				WithSeed(1), WithParallelism(par), am.Option())
-		}},
-		{"coin-q64", func(par int) *DenseSim[int] {
-			counts := make([]int64, len(uniform))
-			for i := range counts {
-				counts[i] = n / int64(len(uniform))
-			}
-			return NewDenseFromCounts(uniform, counts, coinRule, WithSeed(1), WithParallelism(par))
-		}},
-	}
-	for _, c := range cases {
-		for _, row := range []struct {
-			suffix string
-			par    int
-		}{{"", 0}, {"/par=1", 1}} {
-			b.Run(c.name+row.suffix, func(b *testing.B) {
-				d := c.mk(row.par)
-				d.Run(1 << 16) // intern the states and warm the caches and pools
+// BenchmarkDenseBatch times one pair-matrix batch far above 2¹¹ receivers
+// for each of denseBatchCases at n = 10⁸ and 10⁹.
+func BenchmarkDenseBatch(b *testing.B) {
+	for _, c := range denseBatchCases() {
+		for _, n := range []int64{100_000_000, 1_000_000_000} {
+			b.Run(fmt.Sprintf("%s/n=%.0e", c.name, float64(n)), func(b *testing.B) {
+				d := c.mk(n)
+				d.Run(1 << 16) // intern the states and warm the cache and scratch
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -356,74 +282,5 @@ func BenchmarkDenseTreeBatch(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/batch")
 			})
 		}
-	}
-}
-
-// BenchmarkSplitterFork measures what the work gate (parMinForkWork)
-// trades off: two halves of k hypergeometric draws each, run inline or
-// with one half forked to a second worker. The fork pays only once k is
-// well above the fork-join handoff's cost in draws.
-func BenchmarkSplitterFork(b *testing.B) {
-	half := func(s *nodeStream, k int) {
-		r := s.at(1, 2)
-		for j := 0; j < k; j++ {
-			benchSink += hypergeometric(r, 1_000_000, 300_000, 5_000)
-		}
-	}
-	for _, k := range []int{16, 128, 512} {
-		b.Run(fmt.Sprintf("inline/draws=%d", k), func(b *testing.B) {
-			s := newNodeStream()
-			for i := 0; i < b.N; i++ {
-				half(s, k)
-				half(s, k)
-			}
-		})
-		b.Run(fmt.Sprintf("fork/draws=%d", k), func(b *testing.B) {
-			s := newNodeStream()
-			for i := 0; i < b.N; i++ {
-				g := newParGroup(2)
-				g.forkNode(func(s *nodeStream) { half(s, k) })
-				half(s, k)
-				g.wait()
-			}
-		})
-	}
-}
-
-// TestParGroupBudget: the fork-join helper never runs more than the
-// region's worker count concurrently, and a nil group runs inline.
-func TestParGroupBudget(t *testing.T) {
-	const workers = 3
-	g := newParGroup(workers)
-	var cur, peak atomic.Int64
-	var ran atomic.Int64
-	body := func() {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(200 * time.Microsecond)
-		cur.Add(-1)
-		ran.Add(1)
-	}
-	for i := 0; i < 50; i++ {
-		g.fork(body)
-	}
-	g.wait()
-	if ran.Load() != 50 {
-		t.Fatalf("ran %d of 50 forks", ran.Load())
-	}
-	// The forking goroutine itself plus workers-1 extras.
-	if p := peak.Load(); p > workers {
-		t.Errorf("peak concurrency %d exceeds worker budget %d", p, workers)
-	}
-	var inline int64
-	(*parGroup)(nil).fork(func() { inline = 1 })
-	(*parGroup)(nil).wait()
-	if inline != 1 {
-		t.Error("nil parGroup did not run the body inline")
 	}
 }

@@ -39,7 +39,9 @@
 // simulate the identical stochastic process — the cross-backend
 // equivalence suite in equiv_test.go validates this — but consume the
 // random stream differently, so a seed reproduces a run only within one
-// backend. [RunTrials] fans independent trials across goroutines.
+// backend. Engines are not safe for concurrent use; independent trials
+// run in parallel on independent engines (the sweep package's worker
+// pool).
 package pop
 
 import (

@@ -12,7 +12,7 @@
 // multiset snapshot (counts, or agents while in the fallback) plus its
 // delegation fields. Restore rebuilds an engine from a snapshot such that
 // restore-then-run is byte-identical to the uninterrupted run, for every
-// backend and any worker count, including snapshots taken mid-fallback
+// backend, including snapshots taken mid-fallback
 // and mid-delegation.
 //
 // # What is deliberately NOT captured
@@ -36,7 +36,7 @@
 // JSON-marshalable, which every protocol state in this repository is) and
 // carry a format version. UnmarshalSnapshot and Restore reject unknown
 // versions and malformed shapes; within a version, a snapshot is portable
-// across machines and worker counts but pins the backend and —
+// across machines but pins the backend and —
 // implicitly, through the rng stream — the exact rule. Restoring with a
 // different rule is undetectable and yields a well-formed but meaningless
 // run, so callers must pair snapshots with the protocol that produced
@@ -345,11 +345,10 @@ func (d *DenseSim[S]) Snapshot() (*Snapshot[S], error) {
 // trajectory (and byte-identical future snapshots) the snapshotted engine
 // would have produced. The rule must be the one the original engine ran;
 // backend and thresholds come from the snapshot, not from options — of
-// the options only WithTable and WithParallelism are honored, because
-// both are trajectory-neutral: reattaching a compiled table only changes
-// how transitions resolve (see table.go), and the worker target only
-// schedules work (see parallel.go). A run may gain or lose the bypass, or
-// change its worker count, across a snapshot boundary without diverging.
+// the options only WithTable is honored, because it is trajectory-
+// neutral: reattaching a compiled table only changes how transitions
+// resolve (see table.go). A run may gain or lose the bypass across a
+// snapshot boundary without diverging.
 func Restore[S comparable](snap *Snapshot[S], rule Rule[S], opts ...Option) (Engine[S], error) {
 	if rule == nil {
 		panic("pop: nil rule")

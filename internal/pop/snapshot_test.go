@@ -83,10 +83,10 @@ func roundTrip(t *testing.T, mk func() Engine[int], rule Rule[int], pre, post []
 }
 
 // TestSnapshotRoundTripBackends asserts byte-identical restore-then-run
-// across every backend, built at auto and at an explicit worker target
-// and restored under a third (Restore honors WithParallelism, which never
-// moves a trajectory), on a rule mixing cached deterministic and
-// uncacheable randomized transitions.
+// across every backend, on a rule mixing cached deterministic and
+// uncacheable randomized transitions. The engines are built and restored
+// under different WithParallelism values, a no-op kept for source
+// compatibility that no snapshot may depend on.
 func TestSnapshotRoundTripBackends(t *testing.T) {
 	const n = 3000
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
@@ -129,7 +129,7 @@ func TestSnapshotRoundTripChurn(t *testing.T) {
 	for _, bk := range []Backend{Sequential, Batched, Dense} {
 		bk := bk
 		mk := func() Engine[int] {
-			return NewEngine(n, init, mixedRule, WithSeed(77), WithBackend(bk), WithParallelism(2))
+			return NewEngine(n, init, mixedRule, WithSeed(77), WithBackend(bk))
 		}
 		t.Run(bk.String(), func(t *testing.T) {
 			roundTrip(t, mk, mixedRule, pre, post)

@@ -410,23 +410,6 @@ func (v *tableView[S]) probe(ida, idb int32) (toa, tob int32, ok bool) {
 	return oa, ob, true
 }
 
-// probeRO is probe restricted to transitions whose outputs are already
-// interned, returning ENGINE ids. It mutates nothing, so the parallel
-// read-only phases can consult it concurrently; a transition producing a
-// not-yet-interned state reports ok = false and stays on the serial miss
-// path (which interns in slot order, preserving byte-identity).
-func (v *tableView[S]) probeRO(ida, idb int32) (oa, ob int32, ok bool) {
-	toa, tob, ok := v.probe(ida, idb)
-	if !ok {
-		return 0, 0, false
-	}
-	ea, eb := v.engOf[toa], v.engOf[tob]
-	if ea < 0 || eb < 0 {
-		return 0, 0, false
-	}
-	return ea, eb, true
-}
-
 // posSizeFor sizes an engine's interning position map: generous for the
 // declared state set when a table is attached, the historical default
 // otherwise.

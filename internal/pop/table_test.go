@@ -5,7 +5,7 @@
 // accounting, and the byte-identity guarantee — a table-compiled rule run
 // with WithTable must produce the identical trajectory, snapshot bytes
 // and restored continuation as the same rule without it, on every
-// multiset backend and parallelism variant.
+// multiset backend.
 package pop
 
 import (
@@ -165,27 +165,12 @@ func TestCompiledRuleRandomizedDistribution(t *testing.T) {
 }
 
 // tableEngines builds the multiset-engine variants the bypass tests run
-// over: batched, and dense serial and forced-parallel. Build and run the
-// par2 variant inside underTree: at test scale every pair-matrix batch is
-// otherwise the splitter's root leaf. Slot batches have no tree, so a
-// batched par2 variant would repeat the batched one.
+// over: batched and dense.
 func tableEngines(n int, init func(int, *rand.Rand) int, rule Rule[int], opts ...Option) map[string]func() Engine[int] {
 	return map[string]func() Engine[int]{
-		"batch":      func() Engine[int] { return NewBatch(n, init, rule, opts...) },
-		"dense":      func() Engine[int] { return NewDense(n, init, rule, opts...) },
-		"dense/par2": func() Engine[int] { return NewDense(n, init, rule, append([]Option{WithParallelism(2)}, opts...)...) },
+		"batch": func() Engine[int] { return NewBatch(n, init, rule, opts...) },
+		"dense": func() Engine[int] { return NewDense(n, init, rule, opts...) },
 	}
-}
-
-// underTree runs f, under shrunkSplitter when variant names a forced-
-// parallel ("…/par2") variant, so that variant's pair-matrix batches
-// recurse through the splitter tree and its table bypass (the pair-row
-// leaves' cache-hit scan) is the code under test.
-func underTree(variant string, f func()) {
-	if strings.HasSuffix(variant, "/par2") {
-		defer shrunkSplitter()()
-	}
-	f()
 }
 
 func amInit(i int, _ *rand.Rand) int { return i%3 - 1 }
@@ -193,11 +178,8 @@ func amInit(i int, _ *rand.Rand) int { return i%3 - 1 }
 func TestTableBypassEliminatesRuleCalls(t *testing.T) {
 	c := MustCompile(amTable())
 	for name, mk := range tableEngines(4096, amInit, c.Rule(), WithSeed(11), c.Option()) {
-		var e Engine[int]
-		underTree(name, func() {
-			e = mk()
-			e.RunTime(8)
-		})
+		e := mk()
+		e.RunTime(8)
 		cs := e.Stats()
 		if cs.RuleCalls != 0 {
 			t.Errorf("%s: declared-deterministic table made %d rule calls, want 0", name, cs.RuleCalls)
@@ -254,8 +236,7 @@ func snapshotBytes[S comparable](t *testing.T, e Engine[S]) []byte {
 // without a table, and (c) the compiled rule with WithTable produce
 // byte-identical snapshots on every backend. The coin variant checks the
 // mixed case, where randomized pairs take the rule path while
-// deterministic ones use the bypass. The dense par2 variant runs through
-// the splitter tree (underTree), the others as its root leaf.
+// deterministic ones use the bypass.
 func TestTableByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -291,28 +272,19 @@ func TestTableByteIdentity(t *testing.T) {
 					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed), c.Option()) },
 					func() Engine[int] { return NewDense(1000, tc.init, amRule, WithSeed(seed)) },
 				},
-				"dense/par2": {
-					func() Engine[int] { return NewDense(1000, tc.init, rule, WithSeed(seed), WithParallelism(2)) },
-					func() Engine[int] {
-						return NewDense(1000, tc.init, rule, WithSeed(seed), WithParallelism(2), c.Option())
-					},
-					func() Engine[int] { return NewDense(1000, tc.init, amRule, WithSeed(seed), WithParallelism(2)) },
-				},
 			}
 			for name, v := range variants {
-				underTree(name, func() {
-					plain := build(v[0])
-					tabled := build(v[1])
-					if !bytes.Equal(plain, tabled) {
-						t.Errorf("%s/%s seed %d: WithTable changed the snapshot bytes", tc.name, name, seed)
+				plain := build(v[0])
+				tabled := build(v[1])
+				if !bytes.Equal(plain, tabled) {
+					t.Errorf("%s/%s seed %d: WithTable changed the snapshot bytes", tc.name, name, seed)
+				}
+				if tc.hand != nil {
+					hand := build(v[2])
+					if !bytes.Equal(plain, hand) {
+						t.Errorf("%s/%s seed %d: compiled rule diverged from handwritten rule", tc.name, name, seed)
 					}
-					if tc.hand != nil {
-						hand := build(v[2])
-						if !bytes.Equal(plain, hand) {
-							t.Errorf("%s/%s seed %d: compiled rule diverged from handwritten rule", tc.name, name, seed)
-						}
-					}
-				})
+				}
 			}
 		}
 	}

@@ -35,7 +35,6 @@ type Config struct {
 	Trials  int
 	Paper   bool
 	Backend pop.Backend
-	Par     int
 	// CollectStats makes the runner record per-trial transition-resolution
 	// counters (pop.Stats) for StatsLines (cmd/popsim -stats).
 	CollectStats bool
@@ -47,7 +46,7 @@ type Config struct {
 
 // engineOpts assembles the common engine options for one trial.
 func (c Config) engineOpts(seed uint64) []pop.Option {
-	return []pop.Option{pop.WithSeed(seed), pop.WithBackend(c.Backend), pop.WithParallelism(c.Par)}
+	return []pop.Option{pop.WithSeed(seed), pop.WithBackend(c.Backend)}
 }
 
 // Fail reports a trial failure to the configured sink, if any. Trial

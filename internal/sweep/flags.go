@@ -10,7 +10,7 @@ import (
 
 // Flags bundles the command-line surface shared by the sweep-driven
 // commands (cmd/experiments, cmd/fig2, cmd/popsim). The serializable knobs
-// — backend, workers, par, seed, and the experiment/grid selection the
+// — backend, workers, seed, and the experiment/grid selection the
 // commands bind to their own flags — live in the embedded SpecRequest, so
 // the CLI and the popsimd daemon's job submissions share one source of
 // truth for defaults and validation. JSONL/Resume (the local checkpoint
@@ -34,7 +34,6 @@ func Register(fs *flag.FlagSet, defaultJSONL string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Backend, "backend", "auto", "simulation backend: auto|seq|batch|dense")
 	fs.IntVar(&f.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&f.Par, "par", 0, "intra-trial worker target for the multiset backends (0 = GOMAXPROCS); results are identical for every value")
 	fs.Uint64Var(&f.Seed, "seed", 1, "base random seed (per-trial seeds derive from it)")
 	fs.StringVar(&f.JSONL, "jsonl", defaultJSONL, "sweep record stream / checkpoint file (empty = none)")
 	fs.BoolVar(&f.Resume, "resume", false, "skip trials already recorded in -jsonl and append the rest")

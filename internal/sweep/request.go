@@ -10,13 +10,13 @@ import (
 
 // SpecRequest is the serializable form of a sweep submission: everything a
 // caller chooses about a run — which experiments, the size grid, trial
-// counts, engine backend, worker budget, intra-trial parallelism, and the
-// base seed — in one JSON-codable struct. It is the single source of truth
-// for those knobs' defaults and validation messages: the command-line
-// surface (Flags embeds it, binding -backend/-workers/-par/-seed straight
-// onto its fields) and the popsimd daemon's POST /v1/jobs body are the
-// same struct, so a job submitted over HTTP and a sweep launched from a
-// shell are the same request by construction.
+// counts, engine backend, worker budget, and the base seed — in one
+// JSON-codable struct. It is the single source of truth for those knobs'
+// defaults and validation messages: the command-line surface (Flags
+// embeds it, binding -backend/-workers/-seed straight onto its fields)
+// and the popsimd daemon's POST /v1/jobs body are the same struct, so a
+// job submitted over HTTP and a sweep launched from a shell are the same
+// request by construction.
 //
 // A request does not name concrete work: a resolver (internal/expt's
 // Resolve for the reproduction suite) turns the experiment selection into
@@ -41,9 +41,6 @@ type SpecRequest struct {
 	// Workers bounds the sweep's worker pool; 0 means GOMAXPROCS (or, in
 	// the daemon, the shared pool size).
 	Workers int `json:"workers,omitempty"`
-	// Par is the intra-trial worker target (the -par semantics:
-	// 0 = GOMAXPROCS); it never changes a result.
-	Par int `json:"par,omitempty"`
 	// Seed is the base random seed; per-trial seeds derive from it
 	// (default 1, matching the -seed flag).
 	Seed uint64 `json:"seed,omitempty"`
@@ -112,9 +109,6 @@ func (r *SpecRequest) Validate() error {
 	if r.Workers < 0 {
 		return fmt.Errorf("sweep: request needs workers >= 0 (got %d)", r.Workers)
 	}
-	if r.Par < 0 {
-		return fmt.Errorf("sweep: request needs par >= 0 (got %d)", r.Par)
-	}
 	seen := map[int]bool{}
 	for _, n := range r.Ns {
 		if n < 2 {
@@ -157,17 +151,28 @@ func (r SpecRequest) Spec(points []Point) (Spec, error) {
 // fields (a typoed knob in a job submission must fail loudly, not silently
 // run the default suite), then applies defaults and validates. This is the
 // daemon's POST body decoder.
+//
+// It still accepts the retired "par" key, an intra-trial worker target
+// that never changed a result, and ignores it: an old request gets the
+// records it always got. A negative value is refused as it always was.
 func DecodeSpecRequest(rd io.Reader) (SpecRequest, error) {
-	var req SpecRequest
+	var body struct {
+		SpecRequest
+		Par int `json:"par"`
+	}
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&body); err != nil {
 		return SpecRequest{}, fmt.Errorf("sweep: decoding spec request: %w", err)
 	}
 	// A second document in the body is almost certainly a client bug.
 	if dec.More() {
 		return SpecRequest{}, fmt.Errorf("sweep: spec request body holds more than one JSON document")
 	}
+	if body.Par < 0 {
+		return SpecRequest{}, fmt.Errorf("sweep: request needs par >= 0 (got %d)", body.Par)
+	}
+	req := body.SpecRequest
 	req.SetDefaults()
 	if err := req.Validate(); err != nil {
 		return SpecRequest{}, err

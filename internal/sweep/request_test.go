@@ -25,7 +25,6 @@ func TestSpecRequestRoundTrip(t *testing.T) {
 		Quick:       true,
 		Backend:     "dense",
 		Workers:     3,
-		Par:         2,
 		Seed:        42,
 	}
 	data, err := json.Marshal(req)

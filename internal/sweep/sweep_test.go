@@ -246,9 +246,9 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
-// engineSpec is a one-point grid whose trials run a dense engine at worker
-// target par. At n = 2²⁴ its batches hold ~2 600 receivers, so a trial
-// crosses the splitter's root-leaf size in both directions.
+// engineSpec is a one-point grid whose trials run a dense engine built
+// with WithParallelism(par), a no-op kept for source compatibility. At
+// n = 2²⁴ its batches hold ~2 600 receivers.
 func engineSpec(par int) Spec {
 	vote := func(a, b int, r *rand.Rand) (int, int) {
 		if a != b && r.IntN(2) == 0 {
@@ -265,9 +265,10 @@ func engineSpec(par int) Spec {
 	return Spec{Points: []Point{{Experiment: "EP", N: 1 << 24, Trials: 6, Run: run}}, BaseSeed: 1, Workers: 2}
 }
 
-// TestResumeAcrossPar: the worker target never moves a trajectory, so a
-// checkpoint written at -par 0 resumes under -par 4 and the finished
-// sweep's canonical bytes equal an uninterrupted -par 0 run's.
+// TestResumeAcrossPar: the worker target never moved a trajectory, so a
+// checkpoint whose trials were built at one WithParallelism value resumes
+// under another and the finished sweep's canonical bytes equal an
+// uninterrupted run's.
 func TestResumeAcrossPar(t *testing.T) {
 	full, err := Run(engineSpec(0), Options{})
 	if err != nil {

@@ -64,16 +64,8 @@
 // least 4096 agents and the dense engine beyond ~8 million (2²³).
 // Multi-trial experiments parallelize across goroutines in the sweep
 // layer (internal/sweep), which runs each trial as one unit of a bounded
-// worker pool.
-//
-// A single trial also parallelizes: RunOptions.Parallelism (the
-// commands' -par flag) sets the worker target of the multiset engines'
-// divide-and-conquer batch sampler, which fans large batches out across
-// cores while deriving all randomness from (seed, tree-node path) rather
-// than worker identity — every Parallelism value produces the
-// byte-identical trajectory, so parallel runs remain exactly
-// reproducible. The default (0) is a GOMAXPROCS worker target;
-// trial-level and intra-trial workers are jointly capped at GOMAXPROCS.
+// worker pool. A single trial runs on one core: every batch samples its
+// participants and pairing serially under one seed-derived stream.
 //
 // # Dynamic populations
 //
