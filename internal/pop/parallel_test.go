@@ -235,8 +235,8 @@ func denseBatchCases() []struct {
 
 // TestRootLeafBatchAllocs: a batch reseeds the engine's leaf PCG and
 // reuses its scratch, so once warm it allocates nothing — a pair-matrix
-// batch at test scale and at n = 10⁸ (far above 2¹¹ receivers, for q = 3
-// and q ≈ 90), and a slot batch of about 5400 interactions at n = 2²⁶.
+// batch at test scale, and a slot batch of about 5400 interactions at
+// n = 2²⁶.
 func TestRootLeafBatchAllocs(t *testing.T) {
 	init := func(i int, _ *rand.Rand) int { return i % 5 }
 	b := NewBatch(3000, init, maxRule, WithSeed(1))
@@ -254,6 +254,12 @@ func TestRootLeafBatchAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { big.slotBatch(1 << 20) }); a != 0 {
 		t.Errorf("slot batch at n=2²⁶: %v allocations per batch, want 0", a)
 	}
+}
+
+// TestTreeBatchAllocs: a pair-matrix batch far above 2¹¹ receivers, the
+// size that once took the splitter tree, runs the root leaf too and
+// allocates nothing once warm — at n = 10⁸ for q = 3 and q ≈ 90.
+func TestTreeBatchAllocs(t *testing.T) {
 	for _, c := range denseBatchCases() {
 		d := c.mk(100_000_000)
 		d.Run(1 << 17) // intern the states and warm the cache and scratch
